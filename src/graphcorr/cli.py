@@ -13,14 +13,7 @@ import os
 import sys
 
 from . import acceptance, experiments
-from .detect import (
-    edge_count_test,
-    likelihood_ratio_exact,
-    qap_exact,
-    qap_local_search,
-    threshold_er,
-    threshold_gaussian,
-)
+from .detect import TESTS
 from .enumeration import (
     ConstructionParams,
     algorithm1_forests,
@@ -28,6 +21,7 @@ from .enumeration import (
     stream_bound_forest,
     stream_bound_pseudoforest,
 )
+from .errors import ExactLimitError
 from .graphs import (
     read_binary_graph,
     read_permutation,
@@ -131,30 +125,15 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_test(args) -> int:
     params = _model_params(args)
+    test = TESTS[args.stat]
+    try:
+        test.check(args.model, args.n)
+    except ValueError as err:
+        raise SystemExit(str(err)) from None
     reader = read_weighted_graph if args.model == "gaussian" else read_binary_graph
     a, b = reader(args.a), reader(args.b)
-    argmax = None
-    if args.stat == "qap-exact":
-        stat, argmax = qap_exact(a, b)
-    elif args.stat == "qap-ls":
-        stat, argmax = qap_local_search(a, b, restarts=args.restarts, seed=args.seed)
-    elif args.stat == "lr":
-        stat = likelihood_ratio_exact(a, b, params)
-    elif args.stat == "edges":
-        outcome = edge_count_test(a, b, params)
-        print(f"statistic {outcome.statistic:.6g} threshold {outcome.threshold:.6g} decision {outcome.decision}")
-        return 0
-    else:
-        raise SystemExit(f"unknown statistic {args.stat}")
-    if args.threshold == "auto":
-        if args.stat == "lr":
-            tau = 1.0
-        elif args.model == "gaussian":
-            tau = threshold_gaussian(params.n, params.rho)
-        else:
-            tau = threshold_er(params.n, params.p, params.s)
-    else:
-        tau = float(args.threshold)
+    stat, argmax = test.statistic(a, b, params, restarts=args.restarts, seed=args.seed)
+    tau = test.threshold(params) if args.threshold == "auto" else float(args.threshold)
     decision = "planted" if stat >= tau else "null"
     print(f"statistic {stat:.6g} threshold {tau:.6g} decision {decision}")
     if argmax is not None:
@@ -180,7 +159,7 @@ def _cmd_moments(args) -> int:
     params = _model_params(args)
     try:
         report = second_moment_exact(params)
-    except Exception:
+    except ExactLimitError:
         report = second_moment_mc(params, trials=args.trials, seed=args.seed)
     print("model,n,value,exact,halfwidth")
     hw = "" if report.mc_halfwidth is None else f"{report.mc_halfwidth:.6g}"
@@ -307,12 +286,11 @@ def main(argv=None) -> int:
     o = sub.add_parser("orbit", help="edge-orbit census of a permutation")
     o.add_argument("--sigma", required=True)
     o.add_argument("--k", type=int)
-    o.add_argument("--table", action="store_true")
     o.add_argument("--backbone", help="orbit-graph file to summarize")
     o.set_defaults(func=_cmd_orbit)
 
     t = sub.add_parser("test", help="run a detection test on a graph pair")
-    t.add_argument("--stat", choices=("qap-exact", "qap-ls", "lr", "edges"), required=True)
+    t.add_argument("--stat", choices=tuple(TESTS), required=True)
     t.add_argument("--a", required=True)
     t.add_argument("--b", required=True)
     t.add_argument("--model", choices=("gaussian", "er"), required=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,8 @@ __all__ = [
     "edge_count_threshold",
     "edge_count_test",
     "all_statistic_values",
+    "DetectionTest",
+    "TESTS",
 ]
 
 QAP_EXACT_DEFAULT_LIMIT = 10
@@ -310,3 +313,65 @@ def edge_count_test(a: BinaryGraph, b: BinaryGraph, params: ErParams) -> TestOut
     stat = -float(diff)
     decision = "planted" if stat >= -tau else "null"
     return TestOutcome(stat, -tau, decision)
+
+
+@dataclass(frozen=True)
+class DetectionTest:
+    """One detection statistic with its auto threshold, models and size limit.
+
+    ``statistic(a, b, params, **search)`` returns (value, argmax or None), larger
+    values pointing to the planted model; the search keywords (``restarts``,
+    ``seed``, ``rounds``) reach only the local search.  ``threshold(params)`` is
+    the analytic threshold and raises ValueError where it is undefined.
+    """
+
+    name: str
+    statistic: Callable
+    threshold: Callable
+    models: tuple[str, ...] = ("gaussian", "er")
+    limit: int | None = None
+
+    def check(self, model: str, n: int) -> None:
+        """Raise ValueError unless the test applies to ``model`` at size ``n``."""
+        if model not in self.models:
+            raise ValueError(f"the {self.name} test does not apply to the {model} model")
+        if self.limit is not None and n > self.limit:
+            raise ValueError(f"the {self.name} test is limited to n <= {self.limit}, got n={n}")
+
+
+def _qap_threshold(params) -> float:
+    if isinstance(params, GaussianParams):
+        return threshold_gaussian(params.n, params.rho)
+    return threshold_er(params.n, params.p, params.s)
+
+
+# The lambdas resolve the module-level functions at call time, so a wrapper
+# installed on ``graphcorr.detect`` (a tracer, a mock) sees every call.
+TESTS = {
+    t.name: t
+    for t in (
+        DetectionTest(
+            "qap-exact",
+            lambda a, b, params, **search: qap_exact(a, b),
+            _qap_threshold,
+            limit=QAP_EXACT_DEFAULT_LIMIT,
+        ),
+        DetectionTest(
+            "qap-ls",
+            lambda a, b, params, **search: qap_local_search(a, b, **search),
+            _qap_threshold,
+        ),
+        DetectionTest(
+            "lr",
+            lambda a, b, params, **search: (likelihood_ratio_exact(a, b, params), None),
+            lambda params: 1.0,
+            limit=LR_EXACT_DEFAULT_LIMIT,
+        ),
+        DetectionTest(
+            "edges",
+            lambda a, b, params, **search: (edge_count_test(a, b, params).statistic, None),
+            lambda params: -edge_count_threshold(params.n, params.p, params.s),
+            models=("er",),
+        ),
+    )
+}

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from .graphs import Permutation
 from .orbits import (
     BackboneGraph,
+    ComponentUnion,
     CycleType,
     EdgeOrbit,
     GiantEdge,
@@ -65,62 +66,49 @@ def pseudoforest_count_bound(n: int, a: int) -> int:
     return math.comb(n, a) * (2 * n) ** a
 
 
-def _components_of(n: int, edges) -> list[tuple[int, ...]]:
-    """Connected components (as sorted tuples) of a multigraph on [n], loops allowed."""
-    parent = list(range(n))
+def _components_within(n: int, edges, max_excess: float = math.inf):
+    """Components of a multigraph on [n] as (sorted vertices, edge count) pairs.
 
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[rv] = ru
-    groups: dict[int, list[int]] = {}
+    Components come ordered by least vertex; loops and parallel edges count
+    as edges.  Returns None when some component has more than ``max_excess``
+    edges beyond its vertex count: -1 admits forests, 0 pseudoforests.
+    """
+    uf = ComponentUnion()
     for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    return [tuple(sorted(g)) for g in sorted(groups.values())]
-
-
-def _is_acyclic(n: int, edges) -> bool:
-    parent = list(range(n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+        uf.add_vertex(v)
     for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[rv] = ru
-    return True
+        uf.add_edge(u, v)
+    comps = uf.components()
+    return None if any(e - len(vs) > max_excess for vs, e in comps) else comps
+
+
+def _forests(n: int, a: int, pseudo: bool):
+    """Yield (edges, components) of every forest on [n] with a edges.
+
+    With ``pseudo`` the edges are multisets over unordered pairs and
+    self-loops, each used at most twice, and components may carry one cycle.
+    """
+    if pseudo:
+        slots = [(i, i) for i in range(n)] + list(itertools.combinations(range(n), 2))
+        graphs = (
+            tuple(slots[i] for i in chosen)
+            for chosen in itertools.combinations_with_replacement(range(len(slots)), a)
+        )
+    else:
+        graphs = itertools.combinations(itertools.combinations(range(n), 2), a)
+    for edges in graphs:
+        if pseudo and any(edges.count(e) > 2 for e in set(edges)):
+            continue
+        comps = _components_within(n, edges, 0 if pseudo else -1)
+        if comps is not None:
+            yield edges, comps
 
 
 def enumerate_rooted_forests(n: int, a: int):
     """Yield (edges, roots) for every rooted forest on [n] with a edges."""
-    for edges in itertools.combinations(itertools.combinations(range(n), 2), a):
-        if not _is_acyclic(n, edges):
-            continue
-        comps = _components_of(n, edges)
-        for roots in itertools.product(*comps):
+    for edges, comps in _forests(n, a, pseudo=False):
+        for roots in itertools.product(*(vs for vs, _ in comps)):
             yield edges, roots
-
-
-def _pseudoforest_ok(n: int, edges) -> bool:
-    """Per-component excess <= 0, loops and multiplicities counted as edges."""
-    comps = _components_of(n, edges)
-    for comp in comps:
-        cs = set(comp)
-        e = sum(1 for u, v in edges if u in cs)
-        if e > len(comp):
-            return False
-    return True
 
 
 def enumerate_rooted_pseudoforests(n: int, a: int):
@@ -129,15 +117,8 @@ def enumerate_rooted_pseudoforests(n: int, a: int):
     Edges are multisets over unordered pairs and self-loops; each component
     carries at most one cycle and one root.
     """
-    slots = [(i, i) for i in range(n)] + list(itertools.combinations(range(n), 2))
-    for chosen in itertools.combinations_with_replacement(range(len(slots)), a):
-        edges = tuple(slots[i] for i in chosen)
-        if any(edges.count(e) > 2 for e in set(edges)):
-            continue
-        if not _pseudoforest_ok(n, edges):
-            continue
-        comps = _components_of(n, edges)
-        for roots in itertools.product(*comps):
+    for edges, comps in _forests(n, a, pseudo=True):
+        for roots in itertools.product(*(vs for vs, _ in comps)):
             yield edges, roots
 
 
@@ -278,47 +259,24 @@ def _level_plans(ct, k, t, a, b, c, d, pseudo: bool):
     Yields dicts with labeled matchings/loops, split node indices, rooted
     components, and bridge assignments (targets resolved across levels).
     """
-    nt = ct.count(t)
-    if pseudo:
-        slots = [(i, i) for i in range(nt)] + list(itertools.combinations(range(nt), 2))
-        stage1 = []
-        for chosen in itertools.combinations_with_replacement(range(len(slots)), a):
-            edges = tuple(slots[i] for i in chosen)
-            if any(edges.count(e) > 2 for e in set(edges)):
-                continue
-            if not _pseudoforest_ok(nt, edges):
-                continue
-            stage1.append(edges)
-    else:
-        stage1 = [
-            edges
-            for edges in itertools.combinations(itertools.combinations(range(nt), 2), a)
-            if _is_acyclic(nt, edges)
-        ]
-
     fwd_targets = _bridge_targets(ct, t)
     bwd_range = ct.count(2 * t)
 
-    for edges in stage1:
+    for edges, comps in _forests(ct.count(t), a, pseudo):
         plain_edges = [e for e in edges if e[0] != e[1]]
         loops = [e[0] for e in edges if e[0] == e[1]]
-        comps = _components_of(nt, edges)
-        tree_idx = []
-        for ci, comp in enumerate(comps):
-            cs = set(comp)
-            ecount = sum(1 for u, v in edges if u in cs)
-            if ecount == len(comp) - 1:
-                tree_idx.append(ci)
+        tree_idx = [ci for ci, (vs, e) in enumerate(comps) if e == len(vs) - 1]
         if b + c + d > len(tree_idx):
             continue
+        comp_nodes = [vs for vs, _ in comps]
         for labels in _edge_label_assignments(tuple(plain_edges), loops, t):
             edge_labels, loop_labels = labels
-            for roots in itertools.product(*comps):
+            for roots in itertools.product(*comp_nodes):
                 for split_cis in itertools.combinations(tree_idx, b):
                     split_nodes_opts = []
                     for ci in split_cis:
                         if pseudo:
-                            split_nodes_opts.append(list(comps[ci]))
+                            split_nodes_opts.append(list(comp_nodes[ci]))
                         else:
                             split_nodes_opts.append([roots[ci]])
                     for split_choice in itertools.product(*split_nodes_opts):
@@ -418,28 +376,20 @@ def _level_structure(gamma: BackboneGraph, m: int):
     nodes = [nd.gid for nd in gamma.nodes if nd.length == m]
     index = {gid: i for i, gid in enumerate(nodes)}
     level_edges = gamma.level_edges(m)
-    merge_edges = [
-        (index[e.u], index[e.v]) for e in level_edges if e.u != e.v
-    ]
-    comps = _components_of(len(nodes), merge_edges)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for i in comp:
-            comp_of[nodes[i]] = ci
+    comps = _components_within(
+        len(nodes), [(index[e.u], index[e.v]) for e in level_edges]
+    )
+    comp_of = {nodes[i]: ci for ci, (comp, _) in enumerate(comps) for i in comp}
     info = []
     splits = gamma.split_gids()
-    for comp in comps:
+    for comp, ecount in comps:
         members = {nodes[i] for i in comp}
-        ecount = sum(
-            1 for e in level_edges if e.u in members
-        )
         info.append(
             {
                 "members": members,
                 "edges": ecount,
                 "is_tree": ecount == len(members) - 1,
                 "splits": sum(1 for g in members if g in splits),
-                "loops": sum(1 for e in level_edges if e.u == e.v and e.u in members),
             }
         )
     return comp_of, info

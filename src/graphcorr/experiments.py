@@ -16,14 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .detect import (
-    edge_count_threshold,
-    likelihood_ratio_exact,
-    qap_exact,
-    qap_local_search,
-    threshold_er,
-    threshold_gaussian,
-)
+from .detect import TESTS
 from .moments import _edge_perm_codes, exact_er_lr_table
 from .sampling import (
     ErParams,
@@ -51,8 +44,6 @@ __all__ = [
 
 CSV_HEADER = "model,n,rho,p,s,test,trials,type1,type2,err_sum,ci,seed"
 
-KNOWN_TESTS = ("qap-exact", "qap-ls", "lr", "edges")
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -75,17 +66,22 @@ class SweepConfig:
             raise ValueError("model must be 'gaussian' or 'er'")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        bad = [t for t in self.tests if t not in KNOWN_TESTS]
+        bad = [t for t in self.tests if t not in TESTS]
         if bad:
             raise ValueError(f"unknown tests: {bad}")
-        if self.model == "gaussian" and "edges" in self.tests:
-            raise ValueError("the edge-count test applies to the Erdos-Renyi model only")
-        if "lr" in self.tests and max(self.n_values, default=0) > 7:
-            raise ValueError("the exact likelihood-ratio test is limited to n <= 7")
+        for t in self.tests:
+            TESTS[t].check(self.model, max(self.n_values, default=0))
         if self.threshold_mode not in ("auto", "oracle"):
             raise ValueError("threshold_mode must be 'auto' or 'oracle'")
         if not self.cells():
             raise ValueError("empty parameter grid")
+        if self.threshold_mode == "auto":
+            for params in self.cells():
+                for t in self.tests:
+                    try:
+                        TESTS[t].threshold(params)
+                    except ValueError as err:
+                        raise ValueError(f"no auto threshold for {t} at {params}: {err}") from None
 
     def cells(self) -> list:
         if self.model == "gaussian":
@@ -135,30 +131,6 @@ def min_error_sum(null_stats, planted_stats) -> tuple[float, float]:
     return best, best_tau
 
 
-def _auto_threshold(test: str, params) -> float:
-    if test in ("qap-exact", "qap-ls"):
-        if isinstance(params, GaussianParams):
-            return threshold_gaussian(params.n, params.rho)
-        return threshold_er(params.n, params.p, params.s)
-    if test == "lr":
-        return 1.0
-    if test == "edges":
-        return -edge_count_threshold(params.n, params.p, params.s)
-    raise ValueError(test)
-
-
-def _statistic(test: str, a, b, params, seed: SeedSpec, restarts: int, rounds: int) -> float:
-    if test == "qap-exact":
-        return qap_exact(a, b)[0]
-    if test == "qap-ls":
-        return qap_local_search(a, b, restarts=restarts, seed=seed, rounds=rounds)[0]
-    if test == "lr":
-        return likelihood_ratio_exact(a, b, params)
-    if test == "edges":
-        return -abs(a.edge_count - b.edge_count)
-    raise ValueError(test)
-
-
 def _run_cell(args) -> list[tuple[str, ErrorEstimate]]:
     config, cell_index = args
     params = config.cells()[cell_index]
@@ -173,21 +145,22 @@ def _run_cell(args) -> list[tuple[str, ErrorEstimate]]:
         else:
             a0, b0 = sample_null_er(params, null_seed)
             a1, b1, _ = sample_planted_er(params, planted_seed)
+        search = dict(
+            restarts=config.restarts,
+            seed=SeedSpec(config.master_seed, (cell_index, trial, 2)),
+            rounds=config.ls_rounds,
+        )
         for test in config.tests:
-            ls_seed = SeedSpec(config.master_seed, (cell_index, trial, 2))
-            stats[test][0].append(
-                _statistic(test, a0, b0, params, ls_seed, config.restarts, config.ls_rounds)
-            )
-            stats[test][1].append(
-                _statistic(test, a1, b1, params, ls_seed, config.restarts, config.ls_rounds)
-            )
+            statistic = TESTS[test].statistic
+            stats[test][0].append(statistic(a0, b0, params, **search)[0])
+            stats[test][1].append(statistic(a1, b1, params, **search)[0])
     out = []
     for test in config.tests:
         null_stats, planted_stats = stats[test]
         if config.threshold_mode == "oracle":
             _, tau = min_error_sum(null_stats, planted_stats)
         else:
-            tau = _auto_threshold(test, params)
+            tau = TESTS[test].threshold(params)
         t1 = float(np.mean(np.asarray(null_stats) >= tau))
         t2 = float(np.mean(np.asarray(planted_stats) < tau))
         out.append(

@@ -10,6 +10,7 @@ Vertices are 0-based internally; the text file formats are 1-based.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,7 +93,10 @@ class Permutation:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        m = tuple(int(v) for v in self.mapping)
+        try:
+            m = tuple(operator.index(v) for v in self.mapping)
+        except TypeError:
+            raise ValueError("mapping entries must be integers") from None
         object.__setattr__(self, "mapping", m)
         if sorted(m) != list(range(len(m))):
             raise ValueError("mapping is not a bijection on {0,...,n-1}")
@@ -260,14 +264,24 @@ def write_binary_graph(g: BinaryGraph, path) -> None:
             f.write(f"{i + 1} {j + 1}\n")
 
 
-def read_binary_graph(path) -> BinaryGraph:
+def _numbered_lines(path) -> list[tuple[int, str]]:
+    """(1-based line number, stripped text) of the non-blank lines of a file."""
     with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    n = int(lines[0])
+        return [(no, ln.strip()) for no, ln in enumerate(f, 1) if ln.strip()]
+
+
+def read_binary_graph(path) -> BinaryGraph:
+    lines = _numbered_lines(path)
+    n = int(lines[0][1])
     edges = set()
-    for ln in lines[1:]:
-        i, j = (int(t) for t in ln.split())
-        edges.add(canonical_pair(i - 1, j - 1))
+    for no, ln in lines[1:]:
+        tokens = ln.split()
+        if len(tokens) != 2:
+            raise ValueError(f"{path}:{no}: expected two vertex numbers, got {ln!r}")
+        pair = canonical_pair(int(tokens[0]) - 1, int(tokens[1]) - 1)
+        if pair in edges:
+            raise ValueError(f"{path}:{no}: duplicate edge {ln!r}")
+        edges.add(pair)
     return BinaryGraph(n, frozenset(edges))
 
 
@@ -279,11 +293,18 @@ def write_weighted_graph(g: WeightedGraph, path) -> None:
 
 
 def read_weighted_graph(path) -> WeightedGraph:
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    n = int(lines[0])
-    rows = [[float(t) for t in ln.split(",")] for ln in lines[1 : n + 1]]
-    return WeightedGraph(np.asarray(rows))
+    lines = _numbered_lines(path)
+    n = int(lines[0][1])
+    if len(lines) != n + 1:
+        no = lines[min(n + 1, len(lines) - 1)][0]
+        raise ValueError(f"{path}:{no}: expected {n} rows, found {len(lines) - 1}")
+    rows = []
+    for no, ln in lines[1:]:
+        row = [float(t) for t in ln.split(",")]
+        if len(row) != n:
+            raise ValueError(f"{path}:{no}: expected {n} entries, found {len(row)}")
+        rows.append(row)
+    return WeightedGraph(np.asarray(rows, dtype=np.float64).reshape(n, n))
 
 
 def write_permutation(pi: Permutation, path) -> None:

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ExactLimitError
 from .graphs import BinaryGraph, Permutation
 from .orbits import (
+    ComponentUnion,
     CycleType,
     EdgeOrbit,
     census_from_cycle_type,
@@ -60,6 +61,7 @@ __all__ = [
 ]
 
 GF_ORBIT_LIMIT = 24
+TV_BOX_LIMIT = 10**6  # keys of the (cutoff+1)^k box that cycle_type_tv_check may visit
 
 
 # -- per-orbit second-moment factors -------------------------------------------
@@ -96,6 +98,25 @@ def er_transition_matrix(p: float, s: float) -> np.ndarray:
     )
 
 
+def _orbit_configuration_sum(k: int, p: float, s: float, skip_all_ones: bool = False) -> float:
+    """Sum of the orbit product over the 2^(2k) binary assignments on a k-orbit."""
+    q = p * s
+    total = 0.0
+    ones = (1,) * k
+    for a in product((0, 1), repeat=k):
+        pa = math.prod(q if x else 1 - q for x in a)
+        for b in product((0, 1), repeat=k):
+            if skip_all_ones and a == ones and b == ones:
+                continue
+            pb = math.prod(q if x else 1 - q for x in b)
+            x = math.prod(
+                kernel_er(a[l], b[l], p, s) * kernel_er(a[l], b[(l + 1) % k], p, s)
+                for l in range(k)
+            )
+            total += pa * pb * x
+    return total
+
+
 def orbit_moment_er_oracle(k: int, p: float, s: float) -> float:
     """Exhaustive-sum oracle for the Erdos-Renyi orbit factor.
 
@@ -104,18 +125,7 @@ def orbit_moment_er_oracle(k: int, p: float, s: float) -> float:
     """
     if k > 6:
         raise ExactLimitError(f"oracle enumerates 4^k configurations; k={k} > 6")
-    q = p * s
-    total = 0.0
-    for a in product((0, 1), repeat=k):
-        pa = math.prod(q if x else 1 - q for x in a)
-        for b in product((0, 1), repeat=k):
-            pb = math.prod(q if x else 1 - q for x in b)
-            x = math.prod(
-                kernel_er(a[l], b[l], p, s) * kernel_er(a[l], b[(l + 1) % k], p, s)
-                for l in range(k)
-            )
-            total += pa * pb * x
-    return total
+    return _orbit_configuration_sum(k, p, s)
 
 
 def orbit_moment_gaussian_mc(
@@ -153,21 +163,7 @@ def incomplete_orbit_moment_er_oracle(k: int, p: float, s: float) -> float:
     """Exhaustive conditional sum excluding the all-ones configuration."""
     if k > 3:
         raise ExactLimitError("conditional oracle supports k <= 3")
-    q = p * s
-    total = 0.0
-    ones = (1,) * k
-    for a in product((0, 1), repeat=k):
-        pa = math.prod(q if x else 1 - q for x in a)
-        for b in product((0, 1), repeat=k):
-            if a == ones and b == ones:
-                continue
-            pb = math.prod(q if x else 1 - q for x in b)
-            x = math.prod(
-                kernel_er(a[l], b[l], p, s) * kernel_er(a[l], b[(l + 1) % k], p, s)
-                for l in range(k)
-            )
-            total += pa * pb * x
-    return total / (1 - q ** (2 * k))
+    return _orbit_configuration_sum(k, p, s, skip_all_ones=True) / (1 - (p * s) ** (2 * k))
 
 
 # -- exact second moments --------------------------------------------------------
@@ -335,66 +331,7 @@ def second_moment_bruteforce_er(params: ErParams, limit: int = 4) -> float:
 # -- generating functions of orbit (pseudo)forests -------------------------------
 
 
-class _OrbitUnion:
-    """Union-find over vertices with per-component vertex/edge counts and undo."""
-
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-        self.verts: dict[int, int] = {}
-        self.edges: dict[int, int] = {}
-        self.log: list = []
-
-    def find(self, v: int) -> int:
-        while self.parent[v] != v:
-            v = self.parent[v]
-        return v
-
-    def snapshot(self) -> int:
-        return len(self.log)
-
-    def rollback(self, mark: int) -> None:
-        while len(self.log) > mark:
-            op = self.log.pop()
-            if op[0] == "new":
-                _, v = op
-                del self.parent[v], self.verts[v], self.edges[v]
-            elif op[0] == "merge":
-                _, child, rv, re = op
-                root = self.parent[child]
-                self.parent[child] = child
-                self.verts[root] -= self.verts[child]
-                self.edges[root] -= self.edges[child]
-                self.verts[child], self.edges[child] = rv, re
-            else:  # edge count bump
-                _, root = op
-                self.edges[root] -= 1
-
-    def add_edge(self, u: int, v: int) -> int:
-        """Insert an edge, activating endpoints as needed; returns the new root."""
-        for w in (u, v):
-            if w not in self.parent:
-                self.parent[w] = w
-                self.verts[w] = 1
-                self.edges[w] = 0
-                self.log.append(("new", w))
-        ru, rv = self.find(u), self.find(v)
-        if ru != rv:
-            if self.verts[ru] < self.verts[rv]:
-                ru, rv = rv, ru
-            self.log.append(("merge", rv, self.verts[rv], self.edges[rv]))
-            self.parent[rv] = ru
-            self.verts[ru] += self.verts[rv]
-            self.edges[ru] += self.edges[rv]
-        self.log.append(("edge", ru))
-        self.edges[ru] += 1
-        return ru
-
-    def component_excess(self, v: int) -> int:
-        r = self.find(v)
-        return self.edges[r] - self.verts[r]
-
-
-def _try_add_orbit(uf: _OrbitUnion, orbit: EdgeOrbit, max_excess: int) -> int | None:
+def _try_add_orbit(uf: ComponentUnion, orbit: EdgeOrbit, max_excess: int) -> int | None:
     """Add a whole orbit if the touched components keep excess <= max_excess.
 
     Returns a rollback mark on success, None (state restored) on failure.
@@ -412,7 +349,7 @@ def _try_add_orbit(uf: _OrbitUnion, orbit: EdgeOrbit, max_excess: int) -> int | 
 
 def _gf_dfs(orbits: list[EdgeOrbit], s: float, max_excess: int, collect=None) -> float:
     total = 1.0  # the empty union
-    uf = _OrbitUnion()
+    uf = ComponentUnion()
     chosen: list[int] = []
     edge_count = 0
 
@@ -647,6 +584,10 @@ def cycle_type_tv_check(
         raise ValueError("need 1 <= k < n")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if (cutoff + 1) ** k > TV_BOX_LIMIT:
+        raise ExactLimitError(
+            f"TV check visits (cutoff+1)^k = {(cutoff + 1) ** k} keys; limit is {TV_BOX_LIMIT}"
+        )
     rng = rng_from_seed(seed)
     counts: dict[tuple[int, ...], int] = {}
     for _ in range(trials):

@@ -37,6 +37,7 @@ __all__ = [
     "reconstruct_orbit_graph",
     "orbit_from_backbone_edge",
     "excess",
+    "ComponentUnion",
     "connected_components",
     "is_forest",
     "is_pseudoforest",
@@ -537,29 +538,90 @@ def reconstruct_orbit_graph(sigma: Permutation, gamma: BackboneGraph) -> BinaryG
 # -- excess and (pseudo)forest predicates --------------------------------------
 
 
+class ComponentUnion:
+    """Union-find over vertices with per-component vertex/edge counts and undo.
+
+    Self-loops and parallel edges count as edges, so a component's excess
+    (edges minus vertices) is -1 for a tree and 0 for a unicyclic component.
+    """
+
+    def __init__(self):
+        self.parent: dict[int, int] = {}
+        self.verts: dict[int, int] = {}
+        self.edges: dict[int, int] = {}
+        self.log: list = []
+
+    def find(self, v: int) -> int:
+        while self.parent[v] != v:
+            v = self.parent[v]
+        return v
+
+    def snapshot(self) -> int:
+        return len(self.log)
+
+    def rollback(self, mark: int) -> None:
+        while len(self.log) > mark:
+            op = self.log.pop()
+            if op[0] == "new":
+                _, v = op
+                del self.parent[v], self.verts[v], self.edges[v]
+            elif op[0] == "merge":
+                _, child, rv, re = op
+                root = self.parent[child]
+                self.parent[child] = child
+                self.verts[root] -= self.verts[child]
+                self.edges[root] -= self.edges[child]
+                self.verts[child], self.edges[child] = rv, re
+            else:  # edge count bump
+                _, root = op
+                self.edges[root] -= 1
+
+    def add_vertex(self, v: int) -> None:
+        """Activate ``v`` as an isolated vertex unless it is already present."""
+        if v not in self.parent:
+            self.parent[v] = v
+            self.verts[v] = 1
+            self.edges[v] = 0
+            self.log.append(("new", v))
+
+    def add_edge(self, u: int, v: int) -> int:
+        """Insert an edge, activating endpoints as needed; returns the new root."""
+        for w in (u, v):
+            if w not in self.parent:
+                self.parent[w] = w
+                self.verts[w] = 1
+                self.edges[w] = 0
+                self.log.append(("new", w))
+        ru, rv = self.find(u), self.find(v)
+        if ru != rv:
+            if self.verts[ru] < self.verts[rv]:
+                ru, rv = rv, ru
+            self.log.append(("merge", rv, self.verts[rv], self.edges[rv]))
+            self.parent[rv] = ru
+            self.verts[ru] += self.verts[rv]
+            self.edges[ru] += self.edges[rv]
+        self.log.append(("edge", ru))
+        self.edges[ru] += 1
+        return ru
+
+    def component_excess(self, v: int) -> int:
+        r = self.find(v)
+        return self.edges[r] - self.verts[r]
+
+    def components(self) -> list[tuple[tuple[int, ...], int]]:
+        """(sorted vertices, edge count) per component, ordered by least vertex."""
+        groups: dict[int, list[int]] = {}
+        for v in sorted(self.parent):
+            groups.setdefault(self.find(v), []).append(v)
+        return [(tuple(vs), self.edges[r]) for r, vs in groups.items()]
+
+
 def connected_components(g: BinaryGraph) -> list[tuple[frozenset, int]]:
     """Components over non-isolated vertices as (vertex set, edge count) pairs."""
-    adj: dict[int, list[int]] = {}
+    uf = ComponentUnion()
     for i, j in g.edges:
-        adj.setdefault(i, []).append(j)
-        adj.setdefault(j, []).append(i)
-    seen = set()
-    comps = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        stack = [start]
-        verts = set()
-        while stack:
-            v = stack.pop()
-            if v in verts:
-                continue
-            verts.add(v)
-            stack.extend(w for w in adj[v] if w not in verts)
-        seen |= verts
-        ecount = sum(1 for i, j in g.edges if i in verts)
-        comps.append((frozenset(verts), ecount))
-    return comps
+        uf.add_edge(i, j)
+    return [(frozenset(vs), e) for vs, e in uf.components()]
 
 
 def excess(g: BinaryGraph, include_isolated: bool = False) -> int:

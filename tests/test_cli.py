@@ -83,6 +83,30 @@ class TestTestCommand:
         )
         assert code == 0 and "decision null" in out
 
+    def test_threshold_applies_to_edge_count(self, tmp_path, capsys):
+        from graphcorr.sampling import ErParams, sample_null_er
+
+        a, b = sample_null_er(ErParams(8, 0.3, 0.5), 5)
+        write_binary_graph(a, tmp_path / "a.txt")
+        write_binary_graph(b, tmp_path / "b.txt")
+        base = [
+            "test", "--stat", "edges", "--a", str(tmp_path / "a.txt"),
+            "--b", str(tmp_path / "b.txt"), "--model", "er", "--n", "8",
+            "--p", "0.3", "--s", "0.5",
+        ]
+        _, out = run(capsys, *base, "--threshold", "1")
+        assert "threshold 1 decision null" in out
+        _, out = run(capsys, *base, "--threshold=-1e9")
+        assert "decision planted" in out
+
+    def test_edge_count_refused_for_gaussian(self, tmp_path, capsys):
+        with pytest.raises(SystemExit, match="does not apply to the gaussian model"):
+            main([
+                "test", "--stat", "edges", "--a", str(tmp_path / "a.txt"),
+                "--b", str(tmp_path / "b.txt"), "--model", "gaussian", "--n", "6",
+                "--rho", "0.5",
+            ])
+
 
 class TestGfCommand:
     def test_margin_nonnegative(self, tmp_path, capsys):
@@ -138,6 +162,29 @@ class TestOtherCommands:
             capsys, "moments", "--model", "er", "--n", "5", "--p", "0.3", "--s", "0.5", "--table"
         )
         assert code == 0 and "cycle_type,weight,factor" in out
+
+    def test_moments_falls_back_beyond_exact_limit(self, capsys):
+        code, out = run(
+            capsys, "moments", "--model", "er", "--n", "9", "--p", "0.3", "--s", "0.5",
+            "--trials", "50",
+        )
+        assert code == 0 and out.splitlines()[1].split(",")[3] == "False"
+
+    def test_moments_does_not_hide_other_errors(self, monkeypatch):
+        from graphcorr import cli
+
+        def broken(params):
+            raise ZeroDivisionError("bug")
+
+        monkeypatch.setattr(cli, "second_moment_exact", broken)
+        with pytest.raises(ZeroDivisionError):
+            main(["moments", "--model", "er", "--n", "5", "--p", "0.3", "--s", "0.5"])
+
+    def test_orbit_table_flag_removed(self, tmp_path, capsys):
+        sig = tmp_path / "sigma.txt"
+        write_permutation(Permutation.identity(3), sig)
+        with pytest.raises(SystemExit):
+            main(["orbit", "--sigma", str(sig), "--table"])
 
     def test_verify_single_suite(self, capsys):
         code, out = run(capsys, "verify", "--suite", "02-orbit-table")

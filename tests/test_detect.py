@@ -6,7 +6,9 @@ import pytest
 
 from graphcorr.errors import ExactLimitError
 from graphcorr.graphs import BinaryGraph, Permutation, WeightedGraph, relabel
+from graphcorr import detect
 from graphcorr.detect import (
+    TESTS,
     TestOutcome as Outcome,
     all_statistic_values,
     edge_count_test,
@@ -345,3 +347,39 @@ class TestEdgeCountTest:
         a, b = sample_null_gaussian(GaussianParams(5, 0.0), SeedSpec(16, 0))
         with pytest.raises(TypeError):
             edge_count_test(a, b, GaussianParams(5, 0.0))
+
+
+class TestRegistry:
+    def test_entries(self):
+        assert set(TESTS) == {"qap-exact", "qap-ls", "lr", "edges"}
+        assert TESTS["edges"].models == ("er",)
+        assert TESTS["qap-exact"].limit == detect.QAP_EXACT_DEFAULT_LIMIT
+        assert TESTS["lr"].limit == detect.LR_EXACT_DEFAULT_LIMIT
+
+    def test_statistics_match_direct_calls(self):
+        params = ErParams(6, 0.4, 0.8)
+        a, b, _ = sample_planted_er(params, 11)
+        assert TESTS["qap-exact"].statistic(a, b, params) == qap_exact(a, b)
+        assert TESTS["qap-ls"].statistic(a, b, params, restarts=3, seed=2) == qap_local_search(
+            a, b, restarts=3, seed=2
+        )
+        assert TESTS["lr"].statistic(a, b, params) == (likelihood_ratio_exact(a, b, params), None)
+        outcome = edge_count_test(a, b, params)
+        assert TESTS["edges"].statistic(a, b, params) == (outcome.statistic, None)
+        assert TESTS["edges"].threshold(params) == outcome.threshold
+        assert TESTS["qap-exact"].threshold(params) == threshold_er(6, 0.4, 0.8)
+        assert TESTS["qap-ls"].threshold(GaussianParams(6, 0.5)) == threshold_gaussian(6, 0.5)
+
+    def test_functions_resolved_at_call_time(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(detect, "qap_exact", lambda a, b: calls.append("qap") or (1.0, None))
+        a, b, _ = sample_planted_er(ErParams(5, 0.4, 0.8), 1)
+        assert TESTS["qap-exact"].statistic(a, b, ErParams(5, 0.4, 0.8)) == (1.0, None)
+        assert calls == ["qap"]
+
+    def test_check(self):
+        TESTS["edges"].check("er", 1000)
+        with pytest.raises(ValueError):
+            TESTS["edges"].check("gaussian", 5)
+        with pytest.raises(ValueError):
+            TESTS["lr"].check("er", detect.LR_EXACT_DEFAULT_LIMIT + 1)

@@ -16,6 +16,7 @@ from graphcorr.experiments import (
     sweep_rows,
     threshold_curves,
 )
+from graphcorr.detect import LR_EXACT_DEFAULT_LIMIT, QAP_EXACT_DEFAULT_LIMIT
 from graphcorr.errors import ExactLimitError
 from graphcorr.moments import exact_er_lr_table
 from graphcorr.sampling import ErParams
@@ -109,6 +110,28 @@ class TestSweep:
                 model="er", n_values=(), tests=("edges",), trials=1, master_seed=0,
                 p_values=(0.5,), s_values=(0.5,),
             )
+
+    def test_rejects_test_above_its_size_limit(self):
+        self.small_config(tests=("lr",), n_values=(LR_EXACT_DEFAULT_LIMIT,), s_values=(0.9,))
+        with pytest.raises(ValueError, match="limited to n <= "):
+            self.small_config(tests=("lr",), n_values=(5, LR_EXACT_DEFAULT_LIMIT + 1))
+        with pytest.raises(ValueError, match="limited to n <= "):
+            self.small_config(tests=("qap-exact",), n_values=(QAP_EXACT_DEFAULT_LIMIT + 1,))
+
+    def test_rejects_test_on_unsupported_model(self):
+        with pytest.raises(ValueError, match="does not apply to the gaussian model"):
+            SweepConfig(
+                model="gaussian", n_values=(6,), tests=("qap-ls", "edges"), trials=1,
+                master_seed=0, rho_values=(0.5,),
+            )
+
+    def test_rejects_undefined_auto_threshold(self):
+        # m p s^2 = 10 * 0.2 * 0.25 = 0.5 <= 1: threshold_er is undefined
+        tiny = dict(n_values=(5,), tests=("qap-ls",), p_values=(0.2,), s_values=(0.5, 0.9))
+        with pytest.raises(ValueError, match="no auto threshold for qap-ls"):
+            self.small_config(**tiny)
+        self.small_config(threshold_mode="oracle", **tiny)
+        self.small_config(**dict(tiny, tests=("edges",)))
 
     def test_min_error_sum_helper(self):
         err, tau = min_error_sum([0, 1, 2, 3], [10, 11, 12, 13])

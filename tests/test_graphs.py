@@ -47,6 +47,26 @@ class TestPermutation:
         pi = Permutation.from_cycles(4, [(0, 1), (2, 3)])
         assert pi.mapping == (1, 0, 3, 2)
 
+    def test_rejects_non_integer_entries(self):
+        # int() would truncate (0.5, 1) to the identity
+        with pytest.raises(ValueError):
+            Permutation((0.5, 1))
+        with pytest.raises(ValueError):
+            Permutation((1.0, 0.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(0, 9))
+    def test_integer_entries_accepted_floats_rejected(self, data, n):
+        p = data.draw(st.permutations(range(n)))
+        assert Permutation(tuple(p)).mapping == tuple(p)
+        assert Permutation(tuple(np.asarray(p, dtype=np.int64))).mapping == tuple(p)
+        if n:
+            i = data.draw(st.integers(0, n - 1))
+            bad = list(p)
+            bad[i] = data.draw(st.floats(allow_nan=True, allow_infinity=True))
+            with pytest.raises(ValueError):
+                Permutation(tuple(bad))
+
 
 class TestPairIndex:
     def test_round_trip_all(self):
@@ -198,6 +218,65 @@ class TestFileFormats:
         path = tmp_path / "w.txt"
         write_weighted_graph(WeightedGraph(w), path)
         assert np.allclose(read_weighted_graph(path).weight, w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 9))
+    def test_binary_round_trip_property(self, tmp_path_factory, data, n):
+        edges = data.draw(st.sets(st.sampled_from(list(all_pairs(n))))) if n > 1 else set()
+        b = g(n, edges)
+        path = tmp_path_factory.mktemp("rt") / "g.txt"
+        write_binary_graph(b, path)
+        assert read_binary_graph(path) == b
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(1, 6))
+    def test_weighted_round_trip_property(self, tmp_path_factory, data, n):
+        vals = data.draw(
+            st.lists(st.floats(-1e6, 1e6), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+        )
+        w = np.zeros((n, n))
+        w[np.triu_indices(n, 1)] = vals
+        w = w + w.T
+        path = tmp_path_factory.mktemp("rt") / "w.txt"
+        write_weighted_graph(WeightedGraph(w), path)
+        assert np.array_equal(read_weighted_graph(path).weight, w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(n))))
+    def test_permutation_round_trip_property(self, tmp_path_factory, p):
+        pi = Permutation(tuple(p))
+        path = tmp_path_factory.mktemp("rt") / "pi.txt"
+        write_permutation(pi, path)
+        assert read_permutation(path) == pi
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("4\n1 2\n\n2 1\n", 4),  # the same edge written twice
+            ("4\n1 2\n3 4 1\n", 3),  # three tokens
+            ("4\n1 2\n3\n", 3),  # one token
+        ],
+    )
+    def test_binary_reader_rejects_with_line_number(self, tmp_path, text, line):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"g.txt:{line}:"):
+            read_binary_graph(path)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("2\n0,1\n1,0\n0,0\n", 4),  # an extra row
+            ("2\n0,1\n", 2),  # a missing row
+            ("2\n0,1\n1,0,0\n", 3),  # a long row
+            ("2\n0\n1,0\n", 2),  # a short row
+        ],
+    )
+    def test_weighted_reader_rejects_with_line_number(self, tmp_path, text, line):
+        path = tmp_path / "w.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"w.txt:{line}:"):
+            read_weighted_graph(path)
 
     def test_permutation_round_trip(self, tmp_path):
         pi = Permutation((2, 0, 3, 1))

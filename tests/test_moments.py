@@ -321,6 +321,11 @@ class TestPoissonCycleFacts:
         with pytest.raises(ValueError):
             cycle_type_tv_check(10, 10, trials=10)
 
+    def test_tv_check_refuses_large_box(self):
+        # (30 + 1)^5 = 28.6 M keys: refused before any sampling
+        with pytest.raises(ExactLimitError):
+            cycle_type_tv_check(40, 5, trials=10)
+
     def test_truncation_bound_shape(self):
         assert poisson_truncation_bound(25) < 1e-15
         assert poisson_truncation_bound(3) > poisson_truncation_bound(6)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from graphcorr.graphs import BinaryGraph, Permutation, all_pairs
 from graphcorr.orbits import (
     BackboneGraph,
+    ComponentUnion,
     CycleType,
     EdgeOrbit,
     backbone,
@@ -320,3 +321,50 @@ class TestExcessAndPredicates:
         g = BinaryGraph(10, frozenset({(0, 1)}))
         assert excess(g) == -1
         assert excess(g, include_isolated=True) == 1 - 10
+
+
+class TestComponentUnion:
+    def test_components_count_loops_and_repeats(self):
+        uf = ComponentUnion()
+        for v in (5, 0, 3):
+            uf.add_vertex(v)
+        for u, v in ((4, 2), (2, 2), (0, 1), (1, 0)):
+            uf.add_edge(u, v)
+        assert uf.components() == [((0, 1), 2), ((2, 4), 2), ((3,), 0), ((5,), 0)]
+
+    def test_rollback_restores_components(self):
+        uf = ComponentUnion()
+        uf.add_edge(0, 1)
+        before = uf.components()
+        mark = uf.snapshot()
+        uf.add_vertex(7)
+        uf.add_edge(1, 2)
+        uf.add_edge(2, 0)
+        assert uf.component_excess(0) == 0
+        uf.rollback(mark)
+        assert uf.components() == before and uf.component_excess(1) == -1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(2, 9))
+    def test_matches_search_components(self, data, n):
+        edges = data.draw(st.sets(st.sampled_from(list(all_pairs(n)))))
+        g = BinaryGraph(n, frozenset(edges))
+        adj = {}
+        for i, j in edges:
+            adj.setdefault(i, set()).add(j)
+            adj.setdefault(j, set()).add(i)
+        want, seen = [], set()
+        for start in sorted(adj):
+            if start in seen:
+                continue
+            comp, stack = set(), [start]
+            while stack:
+                v = stack.pop()
+                if v not in comp:
+                    comp.add(v)
+                    stack.extend(adj[v])
+            seen |= comp
+            want.append((frozenset(comp), sum(1 for i, _ in edges if i in comp)))
+        assert connected_components(g) == want
+        assert is_forest(g) == all(e == len(v) - 1 for v, e in want)
+        assert is_pseudoforest(g) == all(e <= len(v) for v, e in want)
