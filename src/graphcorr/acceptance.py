@@ -8,7 +8,6 @@ reproduce the same numbers on every run.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from .enumeration import (
 )
 from .errors import ExactLimitError
 from .experiments import SweepConfig, binomial_halfwidth, min_error_sum, exact_min_error_er, exact_tv_er, find_p_star, run_sweep
-from .graphs import BinaryGraph, Permutation
+from .graphs import BinaryGraph, Permutation, permutation_table
 from .moments import (
     cycle_count_product_average,
     cycle_type_tv_check,
@@ -80,11 +79,6 @@ class CriterionResult:
     seconds: float = 0.0
 
 
-def _all_permutations(n: int):
-    for p in itertools.permutations(range(n)):
-        yield Permutation(p)
-
-
 # -- 1 ----------------------------------------------------------------------------
 
 
@@ -93,7 +87,8 @@ def criterion_orbit_census(seed=DEFAULT_SEED) -> tuple[bool, str]:
     checked = 0
     for n in range(2, 8):
         m = n * (n - 1) // 2
-        for sigma in _all_permutations(n):
+        for row in permutation_table(n).tolist():
+            sigma = Permutation(tuple(row))
             _, census = edge_orbits(sigma)
             if census.total_weight() != m:
                 return False, f"weight identity fails at n={n}, sigma={sigma.mapping}"

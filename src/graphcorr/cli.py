@@ -45,6 +45,7 @@ from .orbits import (
     cycle_type,
     edge_orbits,
     orbit_label,
+    orbits_up_to,
 )
 from .sampling import (
     ErParams,
@@ -91,8 +92,6 @@ def _cmd_orbit(args) -> int:
     orbits, census = edge_orbits(sigma)
     ct = cycle_type(sigma)
     if args.k is not None:
-        from .orbits import orbits_up_to
-
         orbits = orbits_up_to(sigma, args.k)
     rows = []
     for o in orbits:

@@ -9,7 +9,6 @@ with the analytic thresholds for each model.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExactLimitError
-from .graphs import BinaryGraph, Permutation
+from .graphs import BinaryGraph, Permutation, edge_image_blocks, permutation_table
 from .sampling import ErParams, GaussianParams, rng_from_seed
 
 __all__ = [
@@ -40,6 +39,7 @@ __all__ = [
 
 QAP_EXACT_DEFAULT_LIMIT = 10
 LR_EXACT_DEFAULT_LIMIT = 7
+LOCAL_SEARCH_KICK = 3  # random transpositions per perturbation between climbs
 
 
 @dataclass(frozen=True)
@@ -90,34 +90,14 @@ def statistic_given_pi(a, b, pi: Permutation) -> float:
     return float(np.triu(am * bm[np.ix_(p, p)], 1).sum())
 
 
-_PERM_CACHE: dict[int, np.ndarray] = {}
-
-
-def _perm_array(n: int) -> np.ndarray:
-    """All permutations of [n] in lexicographic order as an (n!, n) array."""
-    if n not in _PERM_CACHE:
-        arr = np.fromiter(
-            itertools.chain.from_iterable(itertools.permutations(range(n))),
-            dtype=np.int8,
-            count=math.factorial(n) * n,
-        ).reshape(math.factorial(n), n)
-        _PERM_CACHE[n] = arr
-    return _PERM_CACHE[n]
-
-
-def all_statistic_values(a, b, chunk: int = 1 << 17) -> np.ndarray:
+def all_statistic_values(a, b) -> np.ndarray:
     """T_pi for every permutation, in lexicographic order of pi."""
     n = a.n
-    am, bm = a.to_dense(), b.to_dense()
-    iu, ju = np.triu_indices(n, 1)
-    a_flat = am[iu, ju]
-    b_flat = bm.ravel()
-    perms = _perm_array(n)
-    out = np.empty(len(perms))
-    for start in range(0, len(perms), chunk):
-        block = perms[start : start + chunk].astype(np.intp)
-        k = block[:, iu] * n + block[:, ju]
-        out[start : start + len(block)] = b_flat[k] @ a_flat
+    a_flat = a.to_dense()[np.triu_indices(n, 1)]
+    b_flat = b.to_dense().ravel()
+    out = np.empty(math.factorial(n))
+    for start, k in edge_image_blocks(n):
+        out[start : start + len(k)] = b_flat[k] @ a_flat
     return out
 
 
@@ -138,7 +118,7 @@ def qap_exact(a, b, limit: int = QAP_EXACT_DEFAULT_LIMIT) -> tuple[float, Permut
         )
     vals = all_statistic_values(a, b)
     idx = int(np.argmax(vals))
-    return float(vals[idx]), Permutation(tuple(int(v) for v in _perm_array(n)[idx]))
+    return float(vals[idx]), Permutation(tuple(int(v) for v in permutation_table(n)[idx]))
 
 
 def _climb(am: np.ndarray, bm: np.ndarray, p: np.ndarray, tol: float = 1e-12):
@@ -170,7 +150,7 @@ def _profile_start(am: np.ndarray, bm: np.ndarray, depth: int = 3) -> np.ndarray
 
 
 def qap_local_search(
-    a, b, restarts: int = 20, seed=0, rounds: int = 30, kick: int = 3
+    a, b, restarts: int = 20, seed=0, rounds: int = 30
 ) -> tuple[float, Permutation]:
     """Best value of T_pi found by iterated 2-swap local search.
 
@@ -193,7 +173,7 @@ def qap_local_search(
         cur_val, cur_p = _climb(am, bm, p0)
         for _ in range(rounds):
             p = cur_p.copy()
-            for _ in range(kick):
+            for _ in range(LOCAL_SEARCH_KICK):
                 i, j = rng.integers(0, n, 2)
                 p[i], p[j] = p[j], p[i]
             val, p = _climb(am, bm, p)

@@ -17,7 +17,8 @@ from itertools import product
 import numpy as np
 
 from .detect import TESTS
-from .moments import _edge_perm_codes, exact_er_lr_table
+from .graphs import code_edge_counts, edge_code_maps
+from .moments import exact_er_lr_table
 from .sampling import (
     ErParams,
     GaussianParams,
@@ -231,21 +232,6 @@ def exact_tv_er(params: ErParams) -> float:
     return 0.5 * float(np.abs(qq * lr - qq).sum())
 
 
-def _qap_stat_table(params: ErParams) -> np.ndarray:
-    n = params.n
-    m = n * (n - 1) // 2
-    gcodes, _ = _edge_perm_codes(n)
-    codes = np.arange(1 << m, dtype=np.int64)
-    best = np.full((1 << m, 1 << m), -1, dtype=np.int16)
-    for row in gcodes:
-        joint = codes[:, None] & row[None, :]
-        cnt = np.zeros_like(joint, dtype=np.int16)
-        for e in range(m):
-            cnt += ((joint >> e) & 1).astype(np.int16)
-        np.maximum(best, cnt, out=best)
-    return best.astype(float)
-
-
 def exact_min_error_er(params: ErParams, statistic: str) -> float:
     """Minimal type-I + type-II error of a threshold test, by full enumeration.
 
@@ -257,13 +243,16 @@ def exact_min_error_er(params: ErParams, statistic: str) -> float:
     lr, q = exact_er_lr_table(params)
     qq = q[:, None] * q[None, :]
     pp = qq * lr
+    m = params.n * (params.n - 1) // 2
+    pop = code_edge_counts(m)
     if statistic == "lr":
         stat = lr
     elif statistic == "qap":
-        stat = _qap_stat_table(params)
+        # max over pi of the edge count of cA & pi(cB), for every pair of edge codes
+        codes = np.arange(1 << m, dtype=np.int64)
+        joint = codes[None, :, None] & edge_code_maps(params.n)[:, None, :]
+        stat = pop[joint].max(axis=0).astype(float)
     else:
-        m = params.n * (params.n - 1) // 2
-        pop = np.array([bin(c).count("1") for c in range(1 << m)])
         stat = -np.abs(pop[:, None] - pop[None, :]).astype(float)
     flat = np.stack([stat.ravel(), pp.ravel(), qq.ravel()])
     order = np.argsort(-flat[0], kind="stable")

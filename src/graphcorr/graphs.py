@@ -10,10 +10,13 @@ Vertices are 0-based internally; the text file formats are 1-based.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import ExactLimitError
 
 __all__ = [
     "Permutation",
@@ -24,6 +27,10 @@ __all__ = [
     "pair_from_index",
     "pairs_from_indices",
     "all_pairs",
+    "permutation_table",
+    "edge_image_blocks",
+    "edge_code_maps",
+    "code_edge_counts",
     "relabel",
     "intersect",
     "induced_edge_weight",
@@ -140,6 +147,62 @@ class Permutation:
         return tuple(v + 1 for v in self.mapping)
 
 
+# -- the one walk over S_n, in lexicographic order, shared by every exact routine --
+
+EDGE_IMAGE_BLOCK = 1 << 17  # permutations per edge-image block: 36 MB of intp at n = 9
+
+_PERMUTATION_TABLES: dict[int, np.ndarray] = {}
+
+
+def permutation_table(n: int) -> np.ndarray:
+    """All permutations of [n] in lexicographic order as a cached, read-only (n!, n) int8 array."""
+    if n not in _PERMUTATION_TABLES:
+        arr = np.fromiter(
+            itertools.chain.from_iterable(itertools.permutations(range(n))),
+            dtype=np.int8,
+            count=math.factorial(n) * n,
+        ).reshape(math.factorial(n), n)
+        arr.flags.writeable = False
+        _PERMUTATION_TABLES[n] = arr
+    return _PERMUTATION_TABLES[n]
+
+
+def edge_image_blocks(n: int):
+    """Yield blocks ``(start, k)`` of flat (n, n) edge-image positions over the permutation table.
+
+    ``k[t, e] = pi(i) * n + pi(j)`` for pi = permutation_table(n)[start + t] and
+    (i, j) the pair with linear index e.  Not cached: the full index takes gigabytes at n = 10.
+    """
+    perms = permutation_table(n)
+    iu, ju = np.triu_indices(n, 1)
+    for start in range(0, len(perms), EDGE_IMAGE_BLOCK):
+        block = perms[start : start + EDGE_IMAGE_BLOCK].astype(np.intp)
+        yield start, block[:, iu] * n + block[:, ju]
+
+
+def edge_code_maps(n: int) -> np.ndarray:
+    """(n!, 2^m) array: row t maps each edge code c to its image under permutation_table(n)[t].
+
+    Bit e of an edge code marks the pair (i, j) with linear index e; with pi that
+    permutation, bit e of the image is bit ``pair_index(pi(i), pi(j))`` of c.  Supports n <= 4.
+    """
+    if n > 4:
+        raise ExactLimitError(f"exact enumeration over graph pairs supports n <= 4, got n={n}")
+    m = n * (n - 1) // 2
+    iu, ju = np.triu_indices(n, 1)
+    pair_of = np.zeros(n * n, dtype=np.intp)
+    pair_of[iu * n + ju] = pair_of[ju * n + iu] = np.arange(m)
+    src = np.concatenate([pair_of[k] for _, k in edge_image_blocks(n)])
+    codes = np.arange(1 << m, dtype=np.int64)
+    bits = (codes[None, None, :] >> src[:, :, None]) & 1
+    return (bits << np.arange(m, dtype=np.int64)[None, :, None]).sum(axis=1)
+
+
+def code_edge_counts(m: int) -> np.ndarray:
+    """Number of edges (set bits) of every edge code in [0, 2^m), as int64."""
+    return np.array([bin(c).count("1") for c in range(1 << m)], dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class BinaryGraph:
     """A simple undirected graph on ``n`` labeled vertices, no self-loops."""
@@ -148,7 +211,13 @@ class BinaryGraph:
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        canon = frozenset(canonical_pair(int(i), int(j)) for i, j in self.edges)
+        try:
+            # unlike int(), operator.index rejects 0.5 and '1' rather than truncate or parse them
+            canon = frozenset(
+                canonical_pair(operator.index(i), operator.index(j)) for i, j in self.edges
+            )
+        except TypeError:
+            raise ValueError("edges must be pairs of integer vertices") from None
         for i, j in canon:
             if i == j:
                 raise ValueError("self-loops are not allowed")
@@ -178,12 +247,6 @@ class BinaryGraph:
     @staticmethod
     def complete(n: int) -> "BinaryGraph":
         return BinaryGraph(n, frozenset(all_pairs(n)))
-
-    @staticmethod
-    def from_dense(a: np.ndarray) -> "BinaryGraph":
-        n = a.shape[0]
-        edges = frozenset((i, j) for i, j in all_pairs(n) if a[i, j])
-        return BinaryGraph(n, edges)
 
     def to_dense(self, dtype=np.float64) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=dtype)

@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ExactLimitError
-from .graphs import BinaryGraph, Permutation
+from .graphs import BinaryGraph, Permutation, code_edge_counts, edge_code_maps
 from .orbits import (
     ComponentUnion,
     CycleType,
@@ -273,28 +273,8 @@ def _er_kernel_code_matrix(m: int, p: float, s: float) -> np.ndarray:
 
 
 def _code_weights(m: int, q: float) -> np.ndarray:
-    pop = np.array([bin(c).count("1") for c in range(1 << m)])
+    pop = code_edge_counts(m)
     return q**pop * (1 - q) ** (m - pop)
-
-
-def _edge_perm_codes(n: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """For each permutation pi, the code map cB -> code of pi-gathered bits."""
-    from .detect import _perm_array
-    from .graphs import all_pairs, pair_index
-
-    pairs = list(all_pairs(n))
-    m = len(pairs)
-    perms = _perm_array(n)
-    codes = np.arange(1 << m, dtype=np.int64)
-    bit = [(codes >> e) & 1 for e in range(m)]
-    out = np.empty((len(perms), 1 << m), dtype=np.int64)
-    for t, pm in enumerate(perms):
-        acc = np.zeros(1 << m, dtype=np.int64)
-        for e, (i, j) in enumerate(pairs):
-            src = pair_index(int(pm[i]), int(pm[j]), n)
-            acc |= bit[src] << e
-        out[t] = acc
-    return out, pairs
 
 
 def exact_er_lr_table(params: ErParams) -> tuple[np.ndarray, np.ndarray]:
@@ -303,12 +283,9 @@ def exact_er_lr_table(params: ErParams) -> tuple[np.ndarray, np.ndarray]:
     Returns (lr, q) where lr[cA, cB] is the exact likelihood ratio and q[c]
     the null probability of the graph with edge code c.  Feasible for n <= 4.
     """
-    n = params.n
-    if n > 4:
-        raise ExactLimitError("exact enumeration over graph pairs supports n <= 4")
-    m = n * (n - 1) // 2
+    gcodes = edge_code_maps(params.n)  # refuses n > 4 before anything is allocated
+    m = params.n * (params.n - 1) // 2
     kmat = _er_kernel_code_matrix(m, params.p, params.s)
-    gcodes, _ = _edge_perm_codes(n)
     lr = np.zeros_like(kmat)
     for row in gcodes:
         lr += kmat[:, row]
@@ -351,7 +328,6 @@ def _gf_dfs(orbits: list[EdgeOrbit], s: float, max_excess: int, collect=None) ->
     total = 1.0  # the empty union
     uf = ComponentUnion()
     chosen: list[int] = []
-    edge_count = 0
 
     def rec(start: int, edge_count: int):
         nonlocal total
@@ -368,7 +344,7 @@ def _gf_dfs(orbits: list[EdgeOrbit], s: float, max_excess: int, collect=None) ->
             chosen.pop()
             uf.rollback(mark)
 
-    rec(0, edge_count)
+    rec(0, 0)
     return total
 
 

@@ -418,12 +418,6 @@ class BackboneGraph:
                 return nd
         raise KeyError(gid)
 
-    def level_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for nd in self.nodes:
-            counts[nd.length] = counts.get(nd.length, 0) + 1
-        return counts
-
     def split_gids(self) -> set:
         return {nd.gid for nd in self.nodes if nd.split}
 

@@ -1,19 +1,27 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphcorr.errors import ExactLimitError
 from graphcorr.graphs import (
     BinaryGraph,
     Permutation,
     WeightedGraph,
     all_pairs,
     canonical_pair,
+    code_edge_counts,
+    edge_code_maps,
+    edge_image_blocks,
     intersect,
     induced_edge_weight,
     pair_from_index,
     pair_index,
     pairs_from_indices,
+    permutation_table,
     read_binary_graph,
     read_permutation,
     read_weighted_graph,
@@ -193,6 +201,17 @@ class TestValidation:
     def test_canonicalizes_pairs(self):
         assert BinaryGraph(3, frozenset({(2, 0)})).edges == frozenset({(0, 2)})
 
+    @pytest.mark.parametrize("edge", [(0.5, 1.9), ("1", 2), (0, 2.0), (None, 1)])
+    def test_rejects_non_integer_vertices(self, edge):
+        # int() would truncate (0.5, 1.9) to (0, 1) and parse '1' as 1
+        with pytest.raises(ValueError, match="integer"):
+            BinaryGraph(3, frozenset({edge}))
+
+    def test_accepts_numpy_integer_vertices(self):
+        g = BinaryGraph(3, frozenset({(np.int64(2), np.int8(0))}))
+        assert g.edges == frozenset({(0, 2)})
+        assert all(type(v) is int for e in g.edges for v in e)
+
     def test_weighted_graph_symmetry(self):
         with pytest.raises(ValueError):
             WeightedGraph(np.array([[0.0, 1.0], [2.0, 0.0]]))
@@ -284,3 +303,71 @@ class TestFileFormats:
         write_permutation(pi, path)
         assert path.read_text().strip() == "3 1 4 2"
         assert read_permutation(path) == pi
+
+
+def _edge_perm_codes_loop(n):
+    """Reference oracle: the per-permutation Python loop over edges and pair_index."""
+    pairs = list(all_pairs(n))
+    m = len(pairs)
+    perms = permutation_table(n)
+    codes = np.arange(1 << m, dtype=np.int64)
+    bit = [(codes >> e) & 1 for e in range(m)]
+    out = np.empty((len(perms), 1 << m), dtype=np.int64)
+    for t, pm in enumerate(perms):
+        acc = np.zeros(1 << m, dtype=np.int64)
+        for e, (i, j) in enumerate(pairs):
+            src = pair_index(int(pm[i]), int(pm[j]), n)
+            acc |= bit[src] << e
+        out[t] = acc
+    return out
+
+
+def _edge_images(pi, n):
+    return [pi[i] * n + pi[j] for i, j in all_pairs(n)]
+
+
+class TestPermutationWalk:
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_table_is_lexicographic(self, n):
+        table = permutation_table(n)
+        assert table.shape == (math.factorial(n), n) and table.dtype == np.int8
+        assert [tuple(r) for r in table.tolist()] == list(itertools.permutations(range(n)))
+        assert permutation_table(n) is table
+        with pytest.raises(ValueError):
+            table[0, :1] = 0
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_edge_image_blocks_match_loop(self, n):
+        blocks = list(edge_image_blocks(n))
+        assert [start for start, _ in blocks] == [0]
+        k = np.concatenate([k for _, k in blocks])
+        want = [_edge_images(pi, n) for pi in itertools.permutations(range(n))]
+        assert k.tolist() == want
+
+    def test_edge_image_block_seams_at_n9(self):
+        n = 9
+        table = permutation_table(n)
+        seams = {0, 131071, 131072, 262143, 262144, math.factorial(n) - 1}
+        starts = []
+        for start, k in edge_image_blocks(n):
+            starts.append(start)
+            for t in seams:
+                if start <= t < start + len(k):
+                    assert k[t - start].tolist() == _edge_images(table[t].tolist(), n)
+        assert starts == [0, 131072, 262144]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_edge_code_maps_match_loop(self, n):
+        maps = edge_code_maps(n)
+        assert maps.dtype == np.int64
+        np.testing.assert_array_equal(maps, _edge_perm_codes_loop(n))
+
+    def test_edge_code_maps_refuse_n5(self):
+        with pytest.raises(ExactLimitError):
+            edge_code_maps(5)
+
+    @pytest.mark.parametrize("m", [0, 1, 6, 10])
+    def test_code_edge_counts(self, m):
+        counts = code_edge_counts(m)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [bin(c).count("1") for c in range(1 << m)]
