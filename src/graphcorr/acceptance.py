@@ -59,6 +59,7 @@ from .sampling import (
     ErParams,
     GaussianParams,
     SeedSpec,
+    random_permutation,
     rng_from_seed,
     sample_null_er,
     sample_null_gaussian,
@@ -183,7 +184,7 @@ def criterion_gf_bounds(seed=DEFAULT_SEED) -> tuple[bool, str]:
     worst_margin = math.inf
     while checked < 200:
         n = int(rng.integers(4, 11))
-        sigma = Permutation(tuple(int(v) for v in rng.permutation(n)))
+        sigma = random_permutation(n, rng)
         ct = cycle_type(sigma)
         try:
             for k in (2, 3, 4, 5):
@@ -227,7 +228,7 @@ def criterion_enumeration(seed=DEFAULT_SEED) -> tuple[bool, str]:
     permutations_used = 0
     while permutations_used < 20:
         n = int(rng.integers(4, 9))
-        sigma = Permutation(tuple(int(v) for v in rng.permutation(n)))
+        sigma = random_permutation(n, rng)
         try:
             pseudoforests = list(enumerate_orbit_pseudoforests(sigma, k, limit=14))
         except ExactLimitError:

@@ -68,6 +68,14 @@ def _model_params(args) -> GaussianParams | ErParams:
     return ErParams(args.n, args.p, args.s)
 
 
+def _add_model_args(parser) -> None:
+    parser.add_argument("--model", choices=("gaussian", "er"), required=True)
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--rho", type=float)
+    parser.add_argument("--p", type=float)
+    parser.add_argument("--s", type=float)
+
+
 def _cmd_generate(args) -> int:
     params = _model_params(args)
     seed = SeedSpec(args.seed, args.stream)
@@ -271,11 +279,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="sample a graph pair to files")
-    g.add_argument("--model", choices=("gaussian", "er"), required=True)
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--rho", type=float)
-    g.add_argument("--p", type=float)
-    g.add_argument("--s", type=float)
+    _add_model_args(g)
     g.add_argument("--hypothesis", choices=("null", "planted"), required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--stream", type=int, default=0)
@@ -292,11 +296,7 @@ def main(argv=None) -> int:
     t.add_argument("--stat", choices=tuple(TESTS), required=True)
     t.add_argument("--a", required=True)
     t.add_argument("--b", required=True)
-    t.add_argument("--model", choices=("gaussian", "er"), required=True)
-    t.add_argument("--n", type=int, required=True)
-    t.add_argument("--rho", type=float)
-    t.add_argument("--p", type=float)
-    t.add_argument("--s", type=float)
+    _add_model_args(t)
     t.add_argument("--threshold", default="auto")
     t.add_argument("--restarts", type=int, default=20)
     t.add_argument("--seed", type=int, default=0)
@@ -310,11 +310,7 @@ def main(argv=None) -> int:
     f.set_defaults(func=_cmd_gf)
 
     m = sub.add_parser("moments", help="second moment of the likelihood ratio")
-    m.add_argument("--model", choices=("gaussian", "er"), required=True)
-    m.add_argument("--n", type=int, required=True)
-    m.add_argument("--rho", type=float)
-    m.add_argument("--p", type=float)
-    m.add_argument("--s", type=float)
+    _add_model_args(m)
     m.add_argument("--trials", type=int, default=2000)
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--table", action="store_true")

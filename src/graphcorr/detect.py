@@ -40,6 +40,8 @@ __all__ = [
 QAP_EXACT_DEFAULT_LIMIT = 10
 LR_EXACT_DEFAULT_LIMIT = 7
 LOCAL_SEARCH_KICK = 3  # random transpositions per perturbation between climbs
+CLIMB_TOL = 1e-12  # smallest 2-swap gain that _climb takes
+PROFILE_DEPTH = 3  # neighborhood-profile iterations of the rank-matching start
 
 
 @dataclass(frozen=True)
@@ -101,19 +103,19 @@ def all_statistic_values(a, b) -> np.ndarray:
     return out
 
 
-def qap_exact(a, b, limit: int = QAP_EXACT_DEFAULT_LIMIT) -> tuple[float, Permutation]:
+def qap_exact(a, b) -> tuple[float, Permutation]:
     """Exact maximum of T_pi over all permutations with one maximizer.
 
     Enumerates in lexicographic order; ties return the lexicographically
-    smallest maximizer.  Refuses instances above ``limit`` (use
-    :func:`qap_local_search` there).
+    smallest maximizer.  Refuses instances above ``QAP_EXACT_DEFAULT_LIMIT``
+    (use :func:`qap_local_search` there).
     """
     n = a.n
     if a.n != b.n:
         raise ValueError("size mismatch")
-    if n > limit:
+    if n > QAP_EXACT_DEFAULT_LIMIT:
         raise ExactLimitError(
-            f"qap_exact enumerates all {n}! permutations; n={n} exceeds limit {limit}. "
+            f"qap_exact enumerates all {n}! permutations; n={n} exceeds limit {QAP_EXACT_DEFAULT_LIMIT}. "
             "Use qap_local_search for larger instances."
         )
     vals = all_statistic_values(a, b)
@@ -121,7 +123,7 @@ def qap_exact(a, b, limit: int = QAP_EXACT_DEFAULT_LIMIT) -> tuple[float, Permut
     return float(vals[idx]), Permutation(tuple(int(v) for v in permutation_table(n)[idx]))
 
 
-def _climb(am: np.ndarray, bm: np.ndarray, p: np.ndarray, tol: float = 1e-12):
+def _climb(am: np.ndarray, bm: np.ndarray, p: np.ndarray):
     """First-improvement 2-swap hill climbing from the permutation ``p``."""
     n = am.shape[0]
     p = p.copy()
@@ -130,7 +132,7 @@ def _climb(am: np.ndarray, bm: np.ndarray, p: np.ndarray, tol: float = 1e-12):
         g = am @ bp
         diag = np.diag(g)
         delta = g + g.T - diag[:, None] - diag[None, :] + 2 * am * bp
-        cand = np.triu(delta, 1) > tol
+        cand = np.triu(delta, 1) > CLIMB_TOL
         if not cand.any():
             break
         i, j = np.unravel_index(int(np.argmax(cand)), cand.shape)
@@ -139,10 +141,10 @@ def _climb(am: np.ndarray, bm: np.ndarray, p: np.ndarray, tol: float = 1e-12):
     return val, p
 
 
-def _profile_start(am: np.ndarray, bm: np.ndarray, depth: int = 3) -> np.ndarray:
+def _profile_start(am: np.ndarray, bm: np.ndarray) -> np.ndarray:
     """Rank-match vertices of the two graphs by iterated neighborhood profiles."""
     fa, fb = am.sum(axis=1), bm.sum(axis=1)
-    for _ in range(depth):
+    for _ in range(PROFILE_DEPTH):
         fa = am @ fa + 0.31 * fa
         fb = bm @ fb + 0.31 * fb
     ranks_a = np.argsort(np.argsort(-fa, kind="stable"), kind="stable")
@@ -196,14 +198,14 @@ def _log_kernel_er(p: float, s: float) -> tuple[float, float, float]:
     return l00, l10 - l00, l11 - 2 * l10 + l00
 
 
-def log_likelihood_ratio_exact(a, b, params, limit: int = LR_EXACT_DEFAULT_LIMIT) -> float:
+def log_likelihood_ratio_exact(a, b, params) -> float:
     """Log of the exact likelihood ratio (1/n!) sum over pi of prod L."""
     n = a.n
     if a.n != b.n:
         raise ValueError("size mismatch")
-    if n > limit:
+    if n > LR_EXACT_DEFAULT_LIMIT:
         raise ExactLimitError(
-            f"exact likelihood ratio averages over {n}! permutations; limit is {limit}"
+            f"exact likelihood ratio averages over {n}! permutations; limit is {LR_EXACT_DEFAULT_LIMIT}"
         )
     m = n * (n - 1) // 2
     if isinstance(params, GaussianParams):
@@ -240,9 +242,9 @@ def log_likelihood_ratio_exact(a, b, params, limit: int = LR_EXACT_DEFAULT_LIMIT
     return peak + math.log(float(np.exp(logs - peak).sum())) - math.lgamma(n + 1)
 
 
-def likelihood_ratio_exact(a, b, params, limit: int = LR_EXACT_DEFAULT_LIMIT) -> float:
+def likelihood_ratio_exact(a, b, params) -> float:
     """Exact likelihood ratio of the planted model against the null."""
-    return math.exp(log_likelihood_ratio_exact(a, b, params, limit=limit))
+    return math.exp(log_likelihood_ratio_exact(a, b, params))
 
 
 def threshold_gaussian(n: int, rho: float, a_n: float | None = None) -> float:

@@ -24,7 +24,6 @@ from .orbits import (
     GiantEdge,
     GiantNode,
     classify_orbit,
-    node_cycles,
 )
 
 __all__ = [
@@ -253,7 +252,7 @@ def _edge_label_assignments(edges, loops, t: int):
             yield edge_labels, loop_labels
 
 
-def _level_plans(ct, k, t, a, b, c, d, pseudo: bool):
+def _level_plans(ct, t, a, b, c, d, pseudo: bool):
     """Enumerate all stage choices at level t.
 
     Yields dicts with labeled matchings/loops, split node indices, rooted
@@ -342,7 +341,7 @@ def _stream(ct: CycleType, k: int, params: ConstructionParams, pseudo: bool):
         a, b, c, d = params.at(t)
         if not pseudo:
             d = 0
-        per_level.append(list(_level_plans(ct, k, t, a, b, c, d, pseudo)))
+        per_level.append(list(_level_plans(ct, t, a, b, c, d, pseudo)))
     for combo in itertools.product(*per_level):
         plans = dict(zip(levels, combo))
         gamma = _assemble(ct, k, plans)
@@ -372,7 +371,11 @@ def algorithm2_pseudoforests(ct: CycleType, k: int, params: ConstructionParams):
 
 
 def _level_structure(gamma: BackboneGraph, m: int):
-    """Components of the level-m subgraph with per-component bookkeeping."""
+    """Components of the level-m subgraph with per-component bookkeeping.
+
+    Each component record lists its member gids, level edge count, tree
+    flag, split count, and the bridges that leave it toward shorter levels.
+    """
     nodes = [nd.gid for nd in gamma.nodes if nd.length == m]
     index = {gid: i for i, gid in enumerate(nodes)}
     level_edges = gamma.level_edges(m)
@@ -390,21 +393,17 @@ def _level_structure(gamma: BackboneGraph, m: int):
                 "edges": ecount,
                 "is_tree": ecount == len(members) - 1,
                 "splits": sum(1 for g in members if g in splits),
+                "bridges": [],
             }
         )
+    for e in gamma.bridges_from(m):
+        info[comp_of[e.u if e.u[0] == m else e.v]]["bridges"].append(e)
     return comp_of, info
 
 
-def _is_plain_tree(gamma: BackboneGraph, m: int, comp_of, info, gid) -> bool:
-    ci = comp_of[gid]
-    c = info[ci]
-    if not c["is_tree"] or c["splits"]:
-        return False
-    members = c["members"]
-    return not any(
-        max(e.u[0], e.v[0]) == m and (e.u in members or e.v in members)
-        for e in gamma.bridges_from(m)
-    )
+def _is_plain_tree(comp_of, info, gid) -> bool:
+    c = info[comp_of[gid]]
+    return c["is_tree"] and not c["splits"] and not c["bridges"]
 
 
 def _common_checks(gamma: BackboneGraph) -> list[str]:
@@ -451,18 +450,10 @@ def validate_forest(gamma: BackboneGraph) -> tuple[bool, tuple[str, ...]]:
             if key in seen:
                 violations.append("parallel-giant-edges")
             seen.add(key)
-        comp_of, info = _level_structure(gamma, m)
-        for c in info:
+        for c in _level_structure(gamma, m)[1]:
             if c["edges"] > len(c["members"]) - 1:
                 violations.append("level-graph-not-forest")
-        bridges = gamma.bridges_from(m)
-        per_comp_bridges: dict[int, int] = {}
-        for e in bridges:
-            u = e.u if e.u[0] == m else e.v
-            ci = comp_of[u]
-            per_comp_bridges[ci] = per_comp_bridges.get(ci, 0) + 1
-        for ci, c in enumerate(info):
-            if c["splits"] + per_comp_bridges.get(ci, 0) > 1:
+            if c["splits"] + len(c["bridges"]) > 1:
                 violations.append("split-or-bridge-overload")
     violations = sorted(set(violations))
     return (not violations, tuple(violations))
@@ -481,18 +472,11 @@ def validate_pseudoforest(gamma: BackboneGraph) -> tuple[bool, tuple[str, ...]]:
     lengths = sorted({nd.length for nd in gamma.nodes})
     structure = {m: _level_structure(gamma, m) for m in lengths}
     for m in lengths:
-        comp_of, info = structure[m]
-        for c in info:
+        double_endpoints = []
+        for c in structure[m][1]:
+            blist = c["bridges"]
             if c["edges"] > len(c["members"]):
                 violations.append("level-graph-not-pseudoforest")
-        bridges = gamma.bridges_from(m)
-        per_comp: dict[int, list[GiantEdge]] = {}
-        for e in bridges:
-            u = e.u if e.u[0] == m else e.v
-            per_comp.setdefault(comp_of[u], []).append(e)
-        double_endpoints = []
-        for ci, c in enumerate(info):
-            blist = per_comp.get(ci, [])
             if not c["is_tree"] and (c["splits"] or blist):
                 violations.append("unicyclic-component-not-plain")
             if c["is_tree"] and c["splits"] > 2:
@@ -507,9 +491,7 @@ def validate_pseudoforest(gamma: BackboneGraph) -> tuple[bool, tuple[str, ...]]:
                     v = e.u if e.u[0] == l else e.v
                     if not (half_ok and l == m // 2):
                         violations.append("split-component-bridge-not-half-length")
-                    elif m // 2 in structure and not _is_plain_tree(
-                        gamma, m // 2, *structure[m // 2], v
-                    ):
+                    elif m // 2 in structure and not _is_plain_tree(*structure[m // 2], v):
                         violations.append("split-component-bridge-endpoint-not-plain-tree")
             if c["splits"] or len(blist) >= 2:
                 double_endpoints.extend(blist)
@@ -520,7 +502,7 @@ def validate_pseudoforest(gamma: BackboneGraph) -> tuple[bool, tuple[str, ...]]:
                 continue
             v = e.u if e.u[0] == l else e.v
             comp_of_l, info_l = structure[l]
-            if not _is_plain_tree(gamma, l, comp_of_l, info_l, v):
+            if not _is_plain_tree(comp_of_l, info_l, v):
                 violations.append("double-bridge-endpoint-not-plain-tree")
             endpoint_comps.append(comp_of_l[v])
         if len(endpoint_comps) != len(set(endpoint_comps)):
@@ -542,19 +524,14 @@ def params_from_backbone(gamma: BackboneGraph, k: int) -> ConstructionParams:
     lengths = sorted({nd.length for nd in gamma.nodes})
     for m in lengths:
         a[m] = len(gamma.level_edges(m))
-        comp_of, info = _level_structure(gamma, m)
-        b[m] = sum(1 for ci in info if ci["splits"] > 0)
-        per_comp: dict[int, list[GiantEdge]] = {}
-        for e in gamma.bridges_from(m):
-            u = e.u if e.u[0] == m else e.v
-            per_comp.setdefault(comp_of[u], []).append(e)
-        for ci, blist in per_comp.items():
-            busy = info[ci]["splits"] > 0 or len(blist) >= 2
-            for e in blist:
-                if busy:
-                    d[m // 2] = d.get(m // 2, 0) + 1
-                else:
-                    c[m] = c.get(m, 0) + 1
+        info = _level_structure(gamma, m)[1]
+        b[m] = sum(1 for comp in info if comp["splits"] > 0)
+        for comp in info:
+            nb = len(comp["bridges"])
+            if nb and (comp["splits"] > 0 or nb >= 2):
+                d[m // 2] = d.get(m // 2, 0) + nb
+            elif nb:
+                c[m] = c.get(m, 0) + nb
     return ConstructionParams(
         {t: v for t, v in a.items() if v},
         {t: v for t, v in b.items() if v},
@@ -574,16 +551,6 @@ class ComponentState:
     edge_orbits: tuple[EdgeOrbit, ...]
 
 
-def _orbit_graph_excess(node_orbit_sets, edge_orbits) -> int:
-    verts = set()
-    for orb in node_orbit_sets:
-        verts.update(orb)
-    edges = set()
-    for o in edge_orbits:
-        edges.update(o.edge_set())
-    return len(edges) - len(verts)
-
-
 def excess_operations_check(
     sigma: Permutation, component: ComponentState, op: EdgeOrbit
 ) -> int:
@@ -594,30 +561,12 @@ def excess_operations_check(
     Violating either law raises, as it indicates ``op`` is not a legal
     operation on the component.
     """
-    node_orbits, of_node = {}, {}
-    orbits, _ = node_cycles(sigma)
-    for idx, orb in enumerate(orbits):
-        node_orbits[idx] = orb
-        for v in orb:
-            of_node[v] = idx
-
     cls = classify_orbit(sigma, op)
-    before_nodes = list(component.node_orbits)
-    for o in component.edge_orbits:
-        for i, j in o.edges:
-            for v in (i, j):
-                orb = orbits[of_node[v]]
-                if orb not in before_nodes:
-                    before_nodes.append(orb)
-    before = _orbit_graph_excess(before_nodes, component.edge_orbits)
-    after_nodes = list(before_nodes)
-    for i, j in op.edges:
-        for v in (i, j):
-            orb = orbits[of_node[v]]
-            if orb not in after_nodes:
-                after_nodes.append(orb)
-    after = _orbit_graph_excess(after_nodes, component.edge_orbits + (op,))
-    delta = after - before
+    # an edge orbit covers the whole node cycles of its endpoints, so the
+    # orbit graph's vertices are the component's node orbits plus all endpoints
+    edges = set().union(*(o.edge_set() for o in component.edge_orbits))
+    verts = set().union(*component.node_orbits, *edges)
+    delta = len(op.edge_set() - edges) - len(set().union(*op.edges) - verts)
 
     if cls.kind == "S":
         if delta != cls.m // 2:

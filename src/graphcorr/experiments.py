@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 CSV_HEADER = "model,n,rho,p,s,test,trials,type1,type2,err_sum,ci,seed"
+P_STAR_TOL = 1e-10  # bracket width at which find_p_star stops bisecting
 
 
 @dataclass(frozen=True)
@@ -264,11 +265,11 @@ def exact_min_error_er(params: ErParams, statistic: str) -> float:
     return float(1.0 - max(0.0, candidates.max()))
 
 
-def find_p_star(tol: float = 1e-10) -> float:
+def find_p_star() -> float:
     """Density maximizing p(log(1/p) - 1 + p): the root of log(1/p) = 2(1-p)."""
     f = lambda p: math.log(1 / p) - 2 * (1 - p)
     lo, hi = 0.05, 0.5
-    while hi - lo > tol:
+    while hi - lo > P_STAR_TOL:
         mid = (lo + hi) / 2
         if f(mid) > 0:
             lo = mid

@@ -248,8 +248,8 @@ class BinaryGraph:
     def complete(n: int) -> "BinaryGraph":
         return BinaryGraph(n, frozenset(all_pairs(n)))
 
-    def to_dense(self, dtype=np.float64) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=dtype)
+    def to_dense(self) -> np.ndarray:
+        a = np.zeros((self.n, self.n))
         for i, j in self.edges:
             a[i, j] = a[j, i] = 1
         return a
@@ -277,8 +277,8 @@ class WeightedGraph:
     def n(self) -> int:
         return self.weight.shape[0]
 
-    def to_dense(self, dtype=np.float64) -> np.ndarray:
-        return np.asarray(self.weight, dtype=dtype)
+    def to_dense(self) -> np.ndarray:
+        return self.weight
 
 
 Graph = BinaryGraph | WeightedGraph

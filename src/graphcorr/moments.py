@@ -11,6 +11,7 @@ Poisson utilities used by the conditional arguments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +30,7 @@ from .orbits import (
     is_pseudoforest,
     orbits_up_to,
 )
-from .sampling import ErParams, GaussianParams, rho_er, rng_from_seed
+from .sampling import ErParams, GaussianParams, random_permutation, rho_er, rng_from_seed
 from .detect import kernel_er
 
 __all__ = [
@@ -61,7 +62,9 @@ __all__ = [
 ]
 
 GF_ORBIT_LIMIT = 24
-TV_BOX_LIMIT = 10**6  # keys of the (cutoff+1)^k box that cycle_type_tv_check may visit
+SECOND_MOMENT_EXACT_LIMIT = 8  # largest n whose cycle types second_moment_exact enumerates
+TV_CUTOFF = 30  # per-coordinate count beyond which cycle_type_tv_check folds Poisson mass
+TV_BOX_LIMIT = 10**6  # keys of the (TV_CUTOFF+1)^k box that cycle_type_tv_check may visit
 
 
 # -- per-orbit second-moment factors -------------------------------------------
@@ -223,16 +226,16 @@ def _orbit_factor_log(params, census: dict[int, int]) -> float:
     return sum(nk * math.log(f(k)) for k, nk in census.items())
 
 
-def second_moment_exact(params, limit: int = 8) -> SecondMomentReport:
+def second_moment_exact(params) -> SecondMomentReport:
     """Exact null second moment of the likelihood ratio.
 
     Averages the orbit-factor product over the uniform relative permutation,
-    grouped by cycle type.  Refuses n above ``limit``.
+    grouped by cycle type.  Refuses n above ``SECOND_MOMENT_EXACT_LIMIT``.
     """
     n = params.n
-    if n > limit:
+    if n > SECOND_MOMENT_EXACT_LIMIT:
         raise ExactLimitError(
-            f"exact second moment enumerates cycle types of S_n up to n={limit}; "
+            f"exact second moment enumerates cycle types of S_n up to n={SECOND_MOMENT_EXACT_LIMIT}; "
             "use second_moment_mc for larger n"
         )
     model = "gaussian" if isinstance(params, GaussianParams) else "er"
@@ -251,8 +254,7 @@ def second_moment_mc(params, trials: int = 2000, seed=0) -> SecondMomentReport:
     model = "gaussian" if isinstance(params, GaussianParams) else "er"
     vals = np.empty(trials)
     for t in range(trials):
-        sigma = Permutation(tuple(int(v) for v in rng.permutation(params.n)))
-        census = census_from_cycle_type(cycle_type(sigma))
+        census = census_from_cycle_type(cycle_type(random_permutation(params.n, rng)))
         vals[t] = math.exp(_orbit_factor_log(params, census))
     hw = 1.96 * float(vals.std(ddof=1)) / math.sqrt(trials)
     return SecondMomentReport(model, params.n, float(vals.mean()), (), hw)
@@ -277,11 +279,14 @@ def _code_weights(m: int, q: float) -> np.ndarray:
     return q**pop * (1 - q) ** (m - pop)
 
 
+@functools.lru_cache(maxsize=1)
 def exact_er_lr_table(params: ErParams) -> tuple[np.ndarray, np.ndarray]:
     """Likelihood-ratio and null-probability tables over all graph-pair codes.
 
-    Returns (lr, q) where lr[cA, cB] is the exact likelihood ratio and q[c]
-    the null probability of the graph with edge code c.  Feasible for n <= 4.
+    Returns read-only (lr, q) where lr[cA, cB] is the exact likelihood ratio
+    and q[c] the null probability of the graph with edge code c.  Feasible for
+    n <= 4.  The tables of the last ``params`` are cached, because the exact
+    error calculus asks for them several times in a row.
     """
     gcodes = edge_code_maps(params.n)  # refuses n > 4 before anything is allocated
     m = params.n * (params.n - 1) // 2
@@ -290,17 +295,18 @@ def exact_er_lr_table(params: ErParams) -> tuple[np.ndarray, np.ndarray]:
     for row in gcodes:
         lr += kmat[:, row]
     lr /= len(gcodes)
-    return lr, _code_weights(m, params.p * params.s)
+    q = _code_weights(m, params.p * params.s)
+    lr.flags.writeable = q.flags.writeable = False
+    return lr, q
 
 
-def second_moment_bruteforce_er(params: ErParams, limit: int = 4) -> float:
+def second_moment_bruteforce_er(params: ErParams) -> float:
     """Null second moment by direct summation over all graph pairs.
 
     Cross-checks :func:`second_moment_exact`; the likelihood ratio comes from
     the exact permutation average, independently of the orbit calculus.
+    Feasible for n <= 4, like :func:`exact_er_lr_table`.
     """
-    if params.n > limit:
-        raise ExactLimitError(f"graph-pair brute force supports n <= {limit}")
     lr, q = exact_er_lr_table(params)
     return float(q @ (lr**2) @ q)
 
@@ -449,9 +455,11 @@ def gf_bound_forest(ct: CycleType, k: int, s: float) -> float:
 
 
 _BRANCH_POINT = -math.exp(-1)
+LAMBERT_W_TOL = 1e-13  # relative Halley step size at which lambert_w stops
+LAMBERT_W_MAX_ITER = 80
 
 
-def lambert_w(x: float, tol: float = 1e-13, max_iter: int = 80) -> float:
+def lambert_w(x: float) -> float:
     """Principal branch of the Lambert W function on [-1/e, inf).
 
     Solves w * exp(w) = x by Halley iteration from a series or asymptotic
@@ -473,7 +481,7 @@ def lambert_w(x: float, tol: float = 1e-13, max_iter: int = 80) -> float:
         # series around the branch point
         pz = math.sqrt(2 * (math.e * x + 1))
         w = -1 + pz - pz * pz / 3 + 11 * pz**3 / 72
-    for _ in range(max_iter):
+    for _ in range(LAMBERT_W_MAX_ITER):
         ew = math.exp(w)
         f = w * ew - x
         if w != -1:
@@ -482,7 +490,7 @@ def lambert_w(x: float, tol: float = 1e-13, max_iter: int = 80) -> float:
             denom = ew * (w + 1)
         step = f / denom
         w -= step
-        if abs(step) <= tol * (1 + abs(w)):
+        if abs(step) <= LAMBERT_W_TOL * (1 + abs(w)):
             break
     return w
 
@@ -547,12 +555,10 @@ class TvCheckResult:
     trials: int
 
 
-def cycle_type_tv_check(
-    n: int, k: int, trials: int, seed=0, cutoff: int = 30
-) -> TvCheckResult:
+def cycle_type_tv_check(n: int, k: int, trials: int, seed=0) -> TvCheckResult:
     """Empirical TV distance between sampled (n_1..n_k) and independent Poissons.
 
-    The product-Poisson reference has means 1/l; mass beyond ``cutoff`` per
+    The product-Poisson reference has means 1/l; mass beyond ``TV_CUTOFF`` per
     coordinate is folded into the estimate.  The asymptotic decay bound
     F(n/k) is reported for context.
     """
@@ -560,9 +566,9 @@ def cycle_type_tv_check(
         raise ValueError("need 1 <= k < n")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if (cutoff + 1) ** k > TV_BOX_LIMIT:
+    if (TV_CUTOFF + 1) ** k > TV_BOX_LIMIT:
         raise ExactLimitError(
-            f"TV check visits (cutoff+1)^k = {(cutoff + 1) ** k} keys; limit is {TV_BOX_LIMIT}"
+            f"TV check visits (cutoff+1)^k = {(TV_CUTOFF + 1) ** k} keys; limit is {TV_BOX_LIMIT}"
         )
     rng = rng_from_seed(seed)
     counts: dict[tuple[int, ...], int] = {}
@@ -587,13 +593,13 @@ def cycle_type_tv_check(
     pmf_1d = []
     for l in range(1, k + 1):
         lam = 1.0 / l
-        row = np.array([math.exp(-lam) * lam**z / math.factorial(z) for z in range(cutoff + 1)])
+        row = np.array([math.exp(-lam) * lam**z / math.factorial(z) for z in range(TV_CUTOFF + 1)])
         pmf_1d.append(row)
 
     tv = 0.0
     pmf_mass = 0.0
     emp_seen = 0
-    for key in product(range(cutoff + 1), repeat=k):
+    for key in product(range(TV_CUTOFF + 1), repeat=k):
         pmf = math.prod(pmf_1d[l][key[l]] for l in range(k))
         emp = counts.get(key, 0) / trials
         tv += abs(emp - pmf)

@@ -253,20 +253,41 @@ class OrbitClass:
 
 
 def _orbit_lookup(sigma: Permutation):
+    """Node cycles of sigma and the map from each node to its cycle."""
     orbits, _ = node_cycles(sigma)
-    of_node = {}
-    for idx, orb in enumerate(orbits):
-        for v in orb:
-            of_node[v] = idx
-    return orbits, of_node
+    return orbits, {v: orb for orb in orbits for v in orb}
+
+
+def _oriented(a: tuple[int, ...], b: tuple[int, ...]):
+    """Two node-orbit traversals ordered shorter first, ties by smaller minimum."""
+    return (a, b) if (len(a), a[0]) <= (len(b), b[0]) else (b, a)
+
+
+def _type_and_label(of_node, pair: tuple[int, int]) -> tuple[OrbitClass, int | None]:
+    """Class and label of the edge orbit through ``pair``, read off the node cycles.
+
+    An orbit between node cycles P and R holds the edges (p_(a+t), r_(b+t))
+    for (p_a, r_b) = ``pair``, so every R-index paired with p_0 is congruent
+    to b - a modulo gcd(|P|, |R|); that residue is the M or B label.
+    """
+    i, j = pair
+    oi, oj = of_node[i], of_node[j]
+    if oi is oj:
+        m = len(oi)
+        d = (oi.index(j) - oi.index(i)) % m
+        if m % 2 == 0 and d == m // 2:
+            return OrbitClass("S", m), None
+        return OrbitClass("C", m), min(d, m - d)
+    pp, rr = _oriented(oi, oj)
+    p, r = (i, j) if pp is oi else (j, i)
+    l, m = len(pp), len(rr)
+    cls = OrbitClass("M", m) if l == m else OrbitClass("B", m, l)
+    return cls, 1 + (rr.index(r) - pp.index(p)) % math.gcd(l, m)
 
 
 def classify_orbit(sigma: Permutation, orbit: EdgeOrbit) -> OrbitClass:
     """Classify an edge orbit of sigma as M, B, C, or S."""
-    node_orbits, of_node = _orbit_lookup(sigma)
-    i, j = orbit.representative
-    oi, oj = node_orbits[of_node[i]], node_orbits[of_node[j]]
-    cls = _classify_endpoints(sigma, i, j, oi, oj)
+    cls, _ = _type_and_label(_orbit_lookup(sigma)[1], orbit.representative)
     if cls.orbit_length != len(orbit):
         raise ValueError(
             f"edge set of size {len(orbit)} is not an orbit of the given permutation"
@@ -281,19 +302,6 @@ def _check_is_orbit(sigma: Permutation, orbit: EdgeOrbit) -> None:
         raise ValueError("edge set is not an orbit of the given permutation")
 
 
-def _classify_endpoints(sigma, i, j, oi, oj) -> OrbitClass:
-    if oi is not oj:
-        l, m = len(oi), len(oj)
-        if l == m:
-            return OrbitClass("M", m)
-        return OrbitClass("B", max(l, m), min(l, m))
-    m = len(oi)
-    d = (oi.index(j) - oi.index(i)) % m
-    if m % 2 == 0 and d == m // 2:
-        return OrbitClass("S", m)
-    return OrbitClass("C", m)
-
-
 def orbit_label(sigma: Permutation, orbit: EdgeOrbit) -> int | None:
     """Canonical integer label of an edge orbit within its class.
 
@@ -304,45 +312,20 @@ def orbit_label(sigma: Permutation, orbit: EdgeOrbit) -> int | None:
     For a B orbit between the shorter traversal P and longer R the label is
     1 + (min R-index paired with p_0 mod gcd).  Splits carry no label.
     """
-    node_orbits, of_node = _orbit_lookup(sigma)
-    i, j = orbit.representative
-    oi, oj = node_orbits[of_node[i]], node_orbits[of_node[j]]
-    cls = _classify_endpoints(sigma, i, j, oi, oj)
-    if cls.kind == "S":
-        return None
-    if cls.kind == "C":
-        m = len(oi)
-        d = (oi.index(j) - oi.index(i)) % m
-        return min(d, m - d)
-    # two distinct node orbits; orient: P = shorter, ties by smaller minimum
-    if (len(oi), oi[0]) <= (len(oj), oj[0]):
-        pp, rr = oi, oj
-    else:
-        pp, rr = oj, oi
-    r_index = {v: t for t, v in enumerate(rr)}
-    partners = []
-    for a, b in orbit.edges:
-        if a == pp[0]:
-            partners.append(r_index[b])
-        elif b == pp[0]:
-            partners.append(r_index[a])
-    if cls.kind == "M":
-        return 1 + partners[0]
-    g = math.gcd(len(pp), len(rr))
-    return 1 + min(p % g for p in partners)
+    return _type_and_label(_orbit_lookup(sigma)[1], orbit.representative)[1]
 
 
 def orbits_up_to(sigma: Permutation, k: int) -> list[EdgeOrbit]:
     """Edge orbits of length <= k whose endpoint node orbits have length <= k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    node_orbits, of_node = _orbit_lookup(sigma)
+    _, of_node = _orbit_lookup(sigma)
     out = []
     for orbit in edge_orbits(sigma)[0]:
         if len(orbit) > k:
             continue
         i, j = orbit.representative
-        if len(node_orbits[of_node[i]]) <= k and len(node_orbits[of_node[j]]) <= k:
+        if len(of_node[i]) <= k and len(of_node[j]) <= k:
             out.append(orbit)
     return out
 
@@ -466,17 +449,14 @@ def backbone(sigma: Permutation, h: BinaryGraph, k: int) -> BackboneGraph:
         if not frozenset(cyc) <= remaining:
             raise ValueError("graph is not a union of complete edge orbits")
         remaining -= frozenset(cyc)
-        orbit = EdgeOrbit(cyc)
-        i, j = orbit.representative
-        oi, oj = node_orbits[of_node[i]], node_orbits[of_node[j]]
-        if max(len(oi), len(oj), len(orbit)) > k:
+        i, j = cyc[0]
+        oi, oj = of_node[i], of_node[j]
+        if max(len(oi), len(oj), len(cyc)) > k:
             raise ValueError("graph contains an orbit outside the length-k window")
-        cls = _classify_endpoints(sigma, i, j, oi, oj)
+        cls, label = _type_and_label(of_node, cyc[0])
         if cls.kind == "S":
             splits.add(gid_of_orbit[oi])
-            continue
-        label = orbit_label(sigma, orbit)
-        if cls.kind == "C":
+        elif cls.kind == "C":
             gid = gid_of_orbit[oi]
             giant_edges.append(GiantEdge("C", gid, gid, label))
         else:
@@ -505,10 +485,7 @@ def orbit_from_backbone_edge(
             canonical_pair(members_u[t], members_u[(t + label) % m]) for t in range(m)
         )
     # matching or bridge between two distinct orbits; orient shorter/min first
-    if (len(members_u), members_u[0]) <= (len(members_v), members_v[0]):
-        pp, rr = members_u, members_v
-    else:
-        pp, rr = members_v, members_u
+    pp, rr = _oriented(members_u, members_v)
     l, m = len(pp), len(rr)
     b = label - 1
     return frozenset(

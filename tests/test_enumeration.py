@@ -2,6 +2,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphcorr.graphs import BinaryGraph, Permutation
 from graphcorr.moments import enumerate_orbit_pseudoforests, _gf_dfs, _short_orbits_checked
@@ -37,6 +39,60 @@ from graphcorr.enumeration import (
 from graphcorr.sampling import rng_from_seed
 
 TABLE_SIGMA = Permutation.from_cycles(8, [(0, 1), (2, 3), (4, 5, 6, 7)])
+
+
+def _orbit_graph_excess(node_orbit_sets, edge_orbits) -> int:
+    verts = set()
+    for orb in node_orbit_sets:
+        verts.update(orb)
+    edges = set()
+    for o in edge_orbits:
+        edges.update(o.edge_set())
+    return len(edges) - len(verts)
+
+
+def excess_operations_oracle(
+    sigma: Permutation, component: ComponentState, op
+) -> int:
+    """Excess change with the vertex set built from an explicit node -> orbit map."""
+    node_orbits, of_node = {}, {}
+    orbits, _ = node_cycles(sigma)
+    for idx, orb in enumerate(orbits):
+        node_orbits[idx] = orb
+        for v in orb:
+            of_node[v] = idx
+
+    cls = classify_orbit(sigma, op)
+    before_nodes = list(component.node_orbits)
+    for o in component.edge_orbits:
+        for i, j in o.edges:
+            for v in (i, j):
+                orb = orbits[of_node[v]]
+                if orb not in before_nodes:
+                    before_nodes.append(orb)
+    before = _orbit_graph_excess(before_nodes, component.edge_orbits)
+    after_nodes = list(before_nodes)
+    for i, j in op.edges:
+        for v in (i, j):
+            orb = orbits[of_node[v]]
+            if orb not in after_nodes:
+                after_nodes.append(orb)
+    after = _orbit_graph_excess(after_nodes, component.edge_orbits + (op,))
+    delta = after - before
+
+    if cls.kind == "S":
+        if delta != cls.m // 2:
+            raise ValueError(f"split changed excess by {delta}, expected {cls.m // 2}")
+    elif cls.kind == "B":
+        floor = math.lcm(cls.ell, cls.m) - cls.ell
+        if delta < floor:
+            raise ValueError(f"bridge changed excess by {delta}, expected >= {floor}")
+    elif cls.kind == "C":
+        if delta != cls.m:
+            raise ValueError(f"cycle orbit changed excess by {delta}, expected {cls.m}")
+    else:
+        raise ValueError("only split, bridge, or cycle operations are supported")
+    return delta
 
 
 class TestRootedForestCount:
@@ -462,3 +518,25 @@ class TestExcessOperations:
         comp = ComponentState(((4, 5, 6, 7),), ())
         op = self.orbit_by_kind(TABLE_SIGMA, "C", m=4)
         assert excess_operations_check(TABLE_SIGMA, comp, op) == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(2, 9))
+    def test_matches_orbit_map_oracle(self, data, n):
+        sigma = Permutation(tuple(data.draw(st.permutations(range(n)))))
+        cycles, _ = node_cycles(sigma)
+        orbits, _ = edge_orbits(sigma)
+        picks = data.draw(st.sets(st.integers(0, len(orbits) - 1), max_size=4))
+        node_picks = data.draw(st.sets(st.integers(0, len(cycles) - 1)))
+        comp = ComponentState(
+            tuple(cycles[i] for i in sorted(node_picks)),
+            tuple(orbits[i] for i in sorted(picks)),
+        )
+        op = orbits[data.draw(st.integers(0, len(orbits) - 1))]
+
+        def outcome(check):
+            try:
+                return check(sigma, comp, op)
+            except ValueError as err:
+                return str(err)
+
+        assert outcome(excess_operations_check) == outcome(excess_operations_oracle)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from graphcorr import experiments, moments
 from graphcorr.experiments import (
     CSV_HEADER,
     ErrorEstimate,
@@ -173,6 +174,39 @@ class TestExactTv:
         qq = q[:, None] * q[None, :]
         assert float((qq * lr).sum()) == pytest.approx(1.0, abs=1e-9)
         assert float(qq.sum()) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestLrTableCache:
+    def test_one_lr_table_per_params(self, monkeypatch):
+        calls = {"moments": 0, "experiments": 0}
+        for name, module in (("moments", moments), ("experiments", experiments)):
+            real = module.edge_code_maps
+
+            def counted(n, name=name, real=real):
+                calls[name] += 1
+                return real(n)
+
+            monkeypatch.setattr(module, "edge_code_maps", counted)
+        exact_er_lr_table.cache_clear()
+        params = ErParams(4, 0.3, 0.7)
+        for statistic in ("lr", "qap", "edges"):
+            exact_min_error_er(params, statistic)
+        exact_tv_er(params)
+        # the LR table is built once; the qap statistic reads the code maps itself
+        assert calls == {"moments": 1, "experiments": 1}
+
+    def test_cached_tables_are_read_only_and_unchanged(self):
+        params = ErParams(3, 0.4, 0.6)
+        exact_er_lr_table.cache_clear()
+        lr, q = exact_er_lr_table(params)
+        assert exact_er_lr_table(params)[0] is lr
+        assert not lr.flags.writeable and not q.flags.writeable
+        with pytest.raises(ValueError):
+            lr[0, 0] = 0.0
+        exact_er_lr_table(ErParams(3, 0.4, 0.7))
+        lr2, q2 = exact_er_lr_table(params)
+        assert lr2 is not lr
+        assert np.array_equal(lr2, lr) and np.array_equal(q2, q)
 
 
 class TestLrDominance:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphcorr import orbits as orbits_module
 from graphcorr.graphs import BinaryGraph, Permutation, all_pairs
 from graphcorr.orbits import (
     BackboneGraph,
@@ -30,6 +31,26 @@ from graphcorr.orbits import (
 )
 
 TABLE_SIGMA = Permutation.from_cycles(8, [(0, 1), (2, 3), (4, 5, 6, 7)])
+
+
+def label_by_partner_walk(sigma, orbit):
+    """Orbit label by walking the orbit's edges for the partners of p_0 (the
+    definition in orbit_label's docstring), as an oracle for the shortcut
+    that reads the label off the representative pair."""
+    cycles, _ = node_cycles(sigma)
+    of_node = {v: c for c in cycles for v in c}
+    i, j = orbit.representative
+    oi, oj = of_node[i], of_node[j]
+    if oi is oj:
+        m = len(oi)
+        d = (oi.index(j) - oi.index(i)) % m
+        return None if m % 2 == 0 and d == m // 2 else min(d, m - d)
+    pp, rr = (oi, oj) if (len(oi), oi[0]) <= (len(oj), oj[0]) else (oj, oi)
+    partners = [rr.index(b if a == pp[0] else a) for a, b in orbit.edges if pp[0] in (a, b)]
+    if len(pp) == len(rr):
+        return 1 + partners[0]
+    g = math.gcd(len(pp), len(rr))
+    return 1 + min(p % g for p in partners)
 
 
 def two_orbit_sigma(l, m):
@@ -132,6 +153,19 @@ class TestClassification:
         with pytest.raises(ValueError):
             classify_orbit(TABLE_SIGMA, EdgeOrbit(((0, 2), (0, 3))))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(2, 7))
+    def test_rejects_any_non_orbit_edge_set(self, data, n):
+        sigma = Permutation(tuple(data.draw(st.permutations(range(n)))))
+        pairs = list(all_pairs(n))
+        edges = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6))
+        orbit = EdgeOrbit(tuple(edges))
+        real = {o.edge_set() for o in edge_orbits(sigma)[0]}
+        if orbit.edge_set() in real and len(set(edges)) == len(edges):
+            return
+        with pytest.raises(ValueError):
+            classify_orbit(sigma, orbit)
+
     @settings(max_examples=30, deadline=None)
     @given(st.data(), st.integers(3, 12))
     def test_structural_laws(self, data, n):
@@ -191,6 +225,13 @@ class TestClassification:
                 assert len(bridges) == math.gcd(l, m)
                 labels = sorted(orbit_label(sigma, o) for o in bridges)
                 assert labels == list(range(1, math.gcd(l, m) + 1))
+
+    def test_label_matches_partner_walk_on_all_of_s6(self):
+        for n in range(2, 7):
+            for p in itertools.permutations(range(n)):
+                sigma = Permutation(p)
+                for o in edge_orbits(sigma)[0]:
+                    assert orbit_label(sigma, o) == label_by_partner_walk(sigma, o)
 
     def test_bridge_acyclic_iff_divisor(self):
         for l in range(1, 10):
@@ -295,6 +336,15 @@ class TestBackbone:
         h = BinaryGraph(n, edges)
         gamma = backbone(sigma, h, n)
         assert reconstruct_orbit_graph(sigma, gamma) == h
+
+    def test_walks_node_cycles_once(self, monkeypatch):
+        calls = []
+        real = orbits_module.node_cycles
+        monkeypatch.setattr(orbits_module, "node_cycles", lambda s: calls.append(s) or real(s))
+        everything = frozenset(all_pairs(8))
+        gamma = backbone(TABLE_SIGMA, BinaryGraph(8, everything), 8)
+        assert len(gamma.edges) + sum(nd.split for nd in gamma.nodes) == 10
+        assert len(calls) == 1
 
 
 class TestExcessAndPredicates:
