@@ -216,32 +216,52 @@ def _cmd_enumerate(args) -> int:
     return 0 if total <= bound else 1
 
 
+def _tuple_of(kind):
+    return lambda text: tuple(kind(x) for x in text.split(","))
+
+
+# config key -> (SweepConfig field, parser); a key left out keeps the field's default
+_CONFIG_KEYS = {
+    "model": ("model", str),
+    "n": ("n_values", _tuple_of(int)),
+    "tests": ("tests", _tuple_of(str)),
+    "trials": ("trials", int),
+    "seed": ("master_seed", int),
+    "rho": ("rho_values", _tuple_of(float)),
+    "p": ("p_values", _tuple_of(float)),
+    "s": ("s_values", _tuple_of(float)),
+    "threshold": ("threshold_mode", str),
+    "restarts": ("restarts", int),
+    "ls_rounds": ("ls_rounds", int),
+}
+_REQUIRED_CONFIG_KEYS = ("model", "n", "tests", "trials")
+
+
 def _read_config(path) -> experiments.SweepConfig:
-    kv = {}
+    """Parse a flat ``key=value`` sweep config; ``#`` starts a comment."""
+    fields, seen, no = {}, {}, 0
     with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
+        for no, raw in enumerate(f, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
                 continue
-            key, val = line.split("=", 1)
-            kv[key.strip()] = val.strip()
-
-    def _floats(key):
-        return tuple(float(x) for x in kv[key].split(",")) if key in kv else ()
-
-    return experiments.SweepConfig(
-        model=kv["model"],
-        n_values=tuple(int(x) for x in kv["n"].split(",")),
-        tests=tuple(kv["tests"].split(",")),
-        trials=int(kv["trials"]),
-        master_seed=int(kv.get("seed", "0")),
-        rho_values=_floats("rho"),
-        p_values=_floats("p"),
-        s_values=_floats("s"),
-        threshold_mode=kv.get("threshold", "auto"),
-        restarts=int(kv.get("restarts", "20")),
-        ls_rounds=int(kv.get("ls_rounds", "10")),
-    )
+            key, eq, val = (part.strip() for part in line.partition("="))
+            if not eq:
+                raise ValueError(f"{path}:{no}: expected key=value, got {line!r}")
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"{path}:{no}: unknown key {key!r}")
+            if key in seen:
+                raise ValueError(f"{path}:{no}: duplicate key {key!r}, first set on line {seen[key]}")
+            seen[key] = no
+            field, parse = _CONFIG_KEYS[key]
+            try:
+                fields[field] = parse(val)
+            except ValueError as err:
+                raise ValueError(f"{path}:{no}: bad value for {key!r}: {err}") from None
+    missing = [key for key in _REQUIRED_CONFIG_KEYS if key not in seen]
+    if missing:
+        raise ValueError(f"{path}:{no}: missing required keys {', '.join(missing)}")
+    return experiments.SweepConfig(**fields)
 
 
 def _cmd_sweep(args) -> int:

@@ -8,6 +8,7 @@ configurations reproduce byte-identical CSV output, serial or parallel.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -55,7 +56,7 @@ class SweepConfig:
     n_values: tuple[int, ...]
     tests: tuple[str, ...]
     trials: int
-    master_seed: int
+    master_seed: int = 0
     rho_values: tuple[float, ...] = ()
     p_values: tuple[float, ...] = ()
     s_values: tuple[float, ...] = ()
@@ -233,6 +234,17 @@ def exact_tv_er(params: ErParams) -> float:
     return 0.5 * float(np.abs(qq * lr - qq).sum())
 
 
+@functools.lru_cache(maxsize=1)
+def _qap_stat_table(n: int) -> np.ndarray:
+    """Max over pi of the edge count of cA & pi(cB) per code pair (read-only; depends on n only)."""
+    m = n * (n - 1) // 2
+    codes = np.arange(1 << m, dtype=np.int64)
+    joint = codes[None, :, None] & edge_code_maps(n)[:, None, :]
+    table = code_edge_counts(m)[joint].max(axis=0).astype(float)
+    table.flags.writeable = False
+    return table
+
+
 def exact_min_error_er(params: ErParams, statistic: str) -> float:
     """Minimal type-I + type-II error of a threshold test, by full enumeration.
 
@@ -244,16 +256,12 @@ def exact_min_error_er(params: ErParams, statistic: str) -> float:
     lr, q = exact_er_lr_table(params)
     qq = q[:, None] * q[None, :]
     pp = qq * lr
-    m = params.n * (params.n - 1) // 2
-    pop = code_edge_counts(m)
     if statistic == "lr":
         stat = lr
     elif statistic == "qap":
-        # max over pi of the edge count of cA & pi(cB), for every pair of edge codes
-        codes = np.arange(1 << m, dtype=np.int64)
-        joint = codes[None, :, None] & edge_code_maps(params.n)[:, None, :]
-        stat = pop[joint].max(axis=0).astype(float)
+        stat = _qap_stat_table(params.n)
     else:
+        pop = code_edge_counts(params.n * (params.n - 1) // 2)
         stat = -np.abs(pop[:, None] - pop[None, :]).astype(float)
     flat = np.stack([stat.ravel(), pp.ravel(), qq.ravel()])
     order = np.argsort(-flat[0], kind="stable")

@@ -250,6 +250,8 @@ def second_moment_exact(params) -> SecondMomentReport:
 
 def second_moment_mc(params, trials: int = 2000, seed=0) -> SecondMomentReport:
     """Monte-Carlo estimate of the null second moment over random permutations."""
+    if trials < 2:
+        raise ValueError("trials must be >= 2 for a confidence half-width")
     rng = rng_from_seed(seed)
     model = "gaussian" if isinstance(params, GaussianParams) else "er"
     vals = np.empty(trials)
@@ -363,22 +365,18 @@ def _short_orbits_checked(sigma: Permutation, k: int, limit: int) -> list[EdgeOr
     return orbits
 
 
-def gf_orbit_pseudoforests_bruteforce(
-    sigma: Permutation, k: int, s: float, limit: int = GF_ORBIT_LIMIT
-) -> float:
+def gf_orbit_pseudoforests_bruteforce(sigma: Permutation, k: int, s: float) -> float:
     """Generating function sum of s^(2 e(H)) over orbit pseudoforests H.
 
     Enumerates subsets of the short orbits by depth-first search, pruning any
     branch whose union already has a component of positive excess.
     """
-    return _gf_dfs(_short_orbits_checked(sigma, k, limit), s, max_excess=0)
+    return _gf_dfs(_short_orbits_checked(sigma, k, GF_ORBIT_LIMIT), s, max_excess=0)
 
 
-def gf_orbit_forests_bruteforce(
-    sigma: Permutation, k: int, s: float, limit: int = GF_ORBIT_LIMIT
-) -> float:
+def gf_orbit_forests_bruteforce(sigma: Permutation, k: int, s: float) -> float:
     """Forest-restricted variant of the orbit generating function."""
-    return _gf_dfs(_short_orbits_checked(sigma, k, limit), s, max_excess=-1)
+    return _gf_dfs(_short_orbits_checked(sigma, k, GF_ORBIT_LIMIT), s, max_excess=-1)
 
 
 def gf_orbit_pseudoforests_unpruned(sigma: Permutation, k: int, s: float) -> float:

@@ -145,57 +145,42 @@ def sample_planted_gaussian(params: GaussianParams, seed: SeedSpec | int):
     a_flat = rng.standard_normal(m)
     z = rng.standard_normal(m)
     matched = rho * a_flat + math.sqrt(1 - rho * rho) * z
-    a = _symmetric_from_flat(n, a_flat)
-    # B_{pi(i)pi(j)} = matched(i, j)
-    b = np.zeros((n, n))
-    iu, ju = np.triu_indices(n, 1)
-    p = np.asarray(pi.mapping)
-    b[p[iu], p[ju]] = matched
-    b = b + b.T
-    return WeightedGraph(a), WeightedGraph(b), pi
+    # B_{pi(i)pi(j)} = matched(i, j), i.e. B = M[inv][:, inv] with inv = pi^-1
+    inv = np.asarray(pi.invert().mapping)
+    b = _symmetric_from_flat(n, matched)[np.ix_(inv, inv)]
+    return WeightedGraph(_symmetric_from_flat(n, a_flat)), WeightedGraph(b), pi
 
 
-def _sample_pair_indices(m: int, count: int, rng: np.random.Generator, forbidden=None) -> np.ndarray:
-    """``count`` distinct linear pair indices in [0, m), avoiding ``forbidden``.
+def _gnp_indices(m: int, q: float, rng: np.random.Generator, forbidden=None) -> np.ndarray:
+    """Linear pair indices of a G(m, q) draw over [0, m) minus ``forbidden``.
 
-    Batched rejection sampling that accepts first occurrences in draw order,
-    which keeps the resulting set uniform among admissible count-subsets.
+    Each admissible index is kept independently with probability q: a
+    Binomial count, then a uniform subset of that size from
+    ``Generator.choice``.  Rank r among the admissible indices maps to
+    r + #{forbidden f: f - (number of forbidden below f) <= r}.
     """
-    taken = np.asarray(forbidden if forbidden is not None else [], dtype=np.int64)
-    if count > m - len(taken):
-        raise ValueError("not enough admissible pairs")
-    picked = np.empty(0, dtype=np.int64)
-    need = count
-    while need > 0:
-        draw = rng.integers(0, m, size=max(64, int(1.2 * need) + 16))
-        uniq, first_pos = np.unique(draw, return_index=True)
-        if len(taken):
-            keep = ~np.isin(uniq, taken)
-            uniq, first_pos = uniq[keep], first_pos[keep]
-        accepted = uniq[np.argsort(first_pos)][:need]
-        picked = np.concatenate([picked, accepted])
-        taken = np.concatenate([taken, accepted])
-        need -= len(accepted)
-    return picked
+    f = np.sort(np.asarray(forbidden if forbidden is not None else [], dtype=np.int64))
+    admissible = m - len(f)
+    r = rng.choice(admissible, int(rng.binomial(admissible, q)), replace=False)
+    return r + np.searchsorted(f - np.arange(len(f)), r, side="right")
 
 
-def _sparse_gnp_indices(n: int, q: float, rng: np.random.Generator) -> np.ndarray:
-    m = n * (n - 1) // 2
-    k = int(rng.binomial(m, q))
-    return _sample_pair_indices(m, k, rng)
-
-
-def _indices_to_graph(n: int, idx: np.ndarray) -> BinaryGraph:
+def _indices_to_graph(n: int, idx: np.ndarray, pi: Permutation | None = None) -> BinaryGraph:
+    """Graph on the pairs ``idx``, each pair (i, j) placed at (pi(i), pi(j))."""
     i, j = pairs_from_indices(idx, n)
-    return BinaryGraph._from_canonical(n, frozenset(zip(i.tolist(), j.tolist())))
+    if pi is not None:
+        pm = np.asarray(pi.mapping)
+        i, j = pm[i], pm[j]
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    return BinaryGraph._from_canonical(n, frozenset(zip(lo.tolist(), hi.tolist())))
 
 
 def sample_null_er(params: ErParams, seed: SeedSpec | int):
     """Two independent G(n, ps) graphs."""
     rng = rng_from_seed(seed)
-    q = params.p * params.s
-    a = _indices_to_graph(params.n, _sparse_gnp_indices(params.n, q, rng))
-    b = _indices_to_graph(params.n, _sparse_gnp_indices(params.n, q, rng))
+    n, m, q = params.n, params.n * (params.n - 1) // 2, params.p * params.s
+    a = _indices_to_graph(n, _gnp_indices(m, q, rng))
+    b = _indices_to_graph(n, _gnp_indices(m, q, rng))
     return a, b
 
 
@@ -210,23 +195,10 @@ def sample_planted_er(params: ErParams, seed: SeedSpec | int):
     n, p, s = params.n, params.p, params.s
     m = n * (n - 1) // 2
     pi = random_permutation(n, rng)
-    a_idx = _sparse_gnp_indices(n, p * s, rng)
+    a_idx = _gnp_indices(m, p * s, rng)
     keep = a_idx[rng.random(len(a_idx)) < s]
-    q0 = p * s * (1 - s) / (1 - p * s)
-    k0 = int(rng.binomial(m - len(a_idx), q0))
-    fresh = _sample_pair_indices(m, k0, rng, forbidden=a_idx)
-    matched = np.concatenate([keep, fresh])
-    b = _push_through(n, matched, pi)
-    return _indices_to_graph(n, a_idx), b, pi
-
-
-def _push_through(n: int, matched_idx: np.ndarray, pi: Permutation) -> BinaryGraph:
-    """Graph whose value at (pi(i), pi(j)) is the matched value at (i, j)."""
-    i, j = pairs_from_indices(matched_idx, n)
-    pm = np.asarray(pi.mapping)
-    u, v = pm[i], pm[j]
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    return BinaryGraph._from_canonical(n, frozenset(zip(lo.tolist(), hi.tolist())))
+    fresh = _gnp_indices(m, p * s * (1 - s) / (1 - p * s), rng, forbidden=a_idx)
+    return _indices_to_graph(n, a_idx), _indices_to_graph(n, np.concatenate([keep, fresh]), pi), pi
 
 
 def sample_planted_er_parent(params: ErParams, seed: SeedSpec | int):
@@ -239,7 +211,7 @@ def sample_planted_er_parent(params: ErParams, seed: SeedSpec | int):
     rng = rng_from_seed(seed)
     n, p, s = params.n, params.p, params.s
     pi = random_permutation(n, rng)
-    parent = _sparse_gnp_indices(n, p, rng)
+    parent = _gnp_indices(n * (n - 1) // 2, p, rng)
     a_idx = parent[rng.random(len(parent)) < s]
     matched = parent[rng.random(len(parent)) < s]
-    return _indices_to_graph(n, a_idx), _push_through(n, matched, pi), pi
+    return _indices_to_graph(n, a_idx), _indices_to_graph(n, matched, pi), pi

@@ -1,8 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from graphcorr.cli import main
+from graphcorr.cli import _read_config, main
 from graphcorr.graphs import (
     Permutation,
     read_binary_graph,
@@ -146,6 +148,44 @@ class TestSweepCommand:
         out = tmp_path / "rows.csv"
         run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
         assert out.read_text() == text
+
+
+class TestSweepConfig:
+    def test_readme_example_parses(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = re.search(r"A sweep config file looks like:\n\n```\n(.*?)```", readme, re.S).group(1)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(block)
+        config = _read_config(cfg)
+        assert config.model == "er" and config.n_values == (30, 50)
+        assert config.tests == ("qap-ls", "edges") and config.s_values == (0.6, 1.0)
+        assert config.threshold_mode == "auto" and config.master_seed == 42
+
+    def test_defaults_come_from_sweep_config(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("# comment line\nmodel=er  # trailing\nn=8\ntests=edges\ntrials=5\np=0.4\ns=0.8\n")
+        config = _read_config(cfg)
+        assert (config.master_seed, config.threshold_mode, config.restarts, config.ls_rounds) == (
+            0, "auto", 20, 10,
+        )
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("model=er\nn=8\ntreshold=oracle\n", 3, "unknown key 'treshold'"),
+            ("model=er\nn=8\nmodel=gaussian\n", 3, "duplicate key 'model', first set on line 1"),
+            ("model=er\n\nn 8\n", 3, "expected key=value"),
+            ("model=er\nn=8\ntests=edges\np=0.4\ns=0.8\n# end\n", 6, "missing required keys trials"),
+            ("model=er\nn=8,x\n", 2, "bad value for 'n'"),
+        ],
+    )
+    def test_rejection_names_path_and_line(self, tmp_path, text, line, message):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(text)
+        with pytest.raises(ValueError) as err:
+            _read_config(cfg)
+        assert str(err.value).startswith(f"{cfg}:{line}: ")
+        assert message in str(err.value)
 
 
 class TestOtherCommands:

@@ -188,12 +188,28 @@ class TestLrTableCache:
 
             monkeypatch.setattr(module, "edge_code_maps", counted)
         exact_er_lr_table.cache_clear()
+        experiments._qap_stat_table.cache_clear()
         params = ErParams(4, 0.3, 0.7)
         for statistic in ("lr", "qap", "edges"):
             exact_min_error_er(params, statistic)
         exact_tv_er(params)
         # the LR table is built once; the qap statistic reads the code maps itself
         assert calls == {"moments": 1, "experiments": 1}
+
+    def test_one_qap_table_per_n(self, monkeypatch):
+        calls = []
+        real = experiments.edge_code_maps
+        monkeypatch.setattr(experiments, "edge_code_maps", lambda n: calls.append(n) or real(n))
+        experiments._qap_stat_table.cache_clear()
+        first = exact_min_error_er(ErParams(4, 0.3, 0.7), "qap")
+        second = exact_min_error_er(ErParams(4, 0.5, 0.4), "qap")
+        assert calls == [4]
+        table = experiments._qap_stat_table(4)
+        assert not table.flags.writeable
+        experiments._qap_stat_table.cache_clear()
+        assert exact_min_error_er(ErParams(4, 0.3, 0.7), "qap") == first
+        assert exact_min_error_er(ErParams(4, 0.5, 0.4), "qap") == second
+        assert np.array_equal(experiments._qap_stat_table(4), table)
 
     def test_cached_tables_are_read_only_and_unchanged(self):
         params = ErParams(3, 0.4, 0.6)

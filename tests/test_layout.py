@@ -3,7 +3,9 @@
 Every relative import sits at module top level and names only public
 objects, so each module's dependencies show in its header and no module
 reaches into another's private helpers.  Private helpers read every
-parameter they take, so no argument is passed only to be ignored.
+parameter they take, so no argument is passed only to be ignored.  No
+handler in the package or its tests catches ``Exception``,
+``BaseException`` or everything, so no fallback hides a bug.
 """
 
 import ast
@@ -13,6 +15,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "graphcorr"
 MODULES = sorted(SRC.glob("*.py"))
+TEST_FILES = sorted(Path(__file__).resolve().parent.glob("*.py"))
+BROAD = {"Exception", "BaseException"}
 
 
 def _relative_imports(tree):
@@ -73,3 +77,27 @@ def test_private_functions_read_every_parameter(path):
 def test_unread_parameter_rule_catches_one():
     tree = ast.parse("def _f(a, b, *args, c=1, **kw):\n    return a + c + len(kw)\n")
     assert _unread_parameters(tree.body[0]) == ["b", "args"]
+
+
+def _broad_handlers(tree):
+    """Line numbers of bare ``except:`` and of handlers naming a type in BROAD."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler):
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(t is None or isinstance(t, ast.Name) and t.id in BROAD for t in types):
+                yield node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_no_broad_except(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bad = [f"{path.name}:{no}: broad exception handler" for no in _broad_handlers(tree)]
+    assert not bad, "\n".join(bad)
+
+
+def test_broad_except_rule_catches_each_form():
+    src = "\n".join(
+        f"try:\n    pass\nexcept {t}:\n    pass"
+        for t in ("", "Exception", "BaseException as e", "(ValueError, Exception)", "ValueError")
+    )
+    assert list(_broad_handlers(ast.parse(src))) == [3, 7, 11, 15]

@@ -159,6 +159,11 @@ class TestSecondMoment:
         report = second_moment_mc(params, trials=4000, seed=2)
         assert abs(report.value - exact) < 3 * report.mc_halfwidth
 
+    def test_mc_needs_two_trials(self):
+        with pytest.raises(ValueError):
+            second_moment_mc(ErParams(6, 0.3, 0.6), trials=1)
+        assert math.isfinite(second_moment_mc(ErParams(6, 0.3, 0.6), trials=2).mc_halfwidth)
+
     def test_refusal(self):
         with pytest.raises(ExactLimitError):
             second_moment_exact(GaussianParams(9, 0.1))

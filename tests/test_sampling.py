@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from graphcorr.graphs import intersect, relabel
+from graphcorr import sampling
 from graphcorr.sampling import (
     ErParams,
     GaussianParams,
     SeedSpec,
     er_joint_pmf,
+    random_permutation,
     rho_er,
     rng_from_seed,
     sample_null_er,
@@ -32,6 +36,20 @@ def aligned_pairs_er(params, seed, sampler, draws):
         m = params.n * (params.n - 1) // 2
         counts += np.array([[m - a.edge_count - b_only, b_only], [a_only, both]])
     return counts
+
+
+def planted_gaussian_oracle(params, seed):
+    """The zeros, scatter and transpose construction of B, on the sampler's stream."""
+    rng = rng_from_seed(seed)
+    n, m, rho = params.n, params.n * (params.n - 1) // 2, params.rho
+    pi = random_permutation(n, rng)
+    a_flat = rng.standard_normal(m)
+    matched = rho * a_flat + math.sqrt(1 - rho * rho) * rng.standard_normal(m)
+    b = np.zeros((n, n))
+    iu, ju = np.triu_indices(n, 1)
+    p = np.asarray(pi.mapping)
+    b[p[iu], p[ju]] = matched
+    return b + b.T, pi
 
 
 class TestParams:
@@ -130,6 +148,46 @@ class TestGaussian:
         x = a.weight[iu]
         y = relabel(b, pi).weight[iu]
         assert abs(np.corrcoef(x, y)[0, 1]) < 0.05
+
+
+    def test_planted_b_matches_scatter_oracle(self):
+        for n in (1, 2, 5, 9, 30):
+            for t in range(6):
+                params = GaussianParams(n, 0.7)
+                _, b, pi = sample_planted_gaussian(params, SeedSpec(13, t))
+                b_ref, pi_ref = planted_gaussian_oracle(params, SeedSpec(13, t))
+                assert pi == pi_ref
+                assert b.weight.tobytes() == b_ref.tobytes()
+
+
+class TestGnpIndices:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(0, 60),
+        q=st.floats(0, 1),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_distinct_in_range_and_admissible(self, m, q, data, seed):
+        forbidden = data.draw(st.lists(st.integers(0, max(m - 1, 0)), unique=True, max_size=m))
+        idx = sampling._gnp_indices(m, q, rng_from_seed(seed), forbidden=forbidden)
+        assert len(set(idx.tolist())) == len(idx)
+        assert all(0 <= v < m for v in idx.tolist())
+        assert not set(idx.tolist()) & set(forbidden)
+        if q == 1:
+            assert sorted(idx.tolist()) == sorted(set(range(m)) - set(forbidden))
+
+    def test_inclusion_patterns_uniform(self):
+        # q = 1/2: each admissible index an independent fair coin, so all 2^5
+        # inclusion patterns of {0, 2, 3, 5, 6} are equally likely
+        admissible = [0, 2, 3, 5, 6]
+        rng = rng_from_seed(SeedSpec(14, 0))
+        counts = np.zeros(32, dtype=np.int64)
+        for _ in range(32 * 200):
+            idx = set(sampling._gnp_indices(7, 0.5, rng, forbidden=[4, 1]).tolist())
+            counts[sum(1 << b for b, v in enumerate(admissible) if v in idx)] += 1
+        assert counts.sum() == 32 * 200
+        assert stats.chisquare(counts).pvalue > 1e-4
 
 
 class TestEr:
