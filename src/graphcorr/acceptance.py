@@ -454,7 +454,7 @@ def criterion_determinism(seed=DEFAULT_SEED) -> tuple[bool, str]:
     mc2 = cycle_type_tv_check(30, 2, trials=2000, seed=SeedSpec(seed, 12)).tv_estimate
     g1 = sample_planted_er(ErParams(100, 0.2, 0.7), SeedSpec(seed, 121))
     g2 = sample_planted_er(ErParams(100, 0.2, 0.7), SeedSpec(seed, 121))
-    samples_ok = g1[0].edges == g2[0].edges and g1[1].edges == g2[1].edges and g1[2] == g2[2]
+    samples_ok = g1 == g2
     ok = sweeps_ok and mc1 == mc2 and samples_ok
     return ok, f"sweep serial==serial==parallel: {sweeps_ok}; MC repeat equal: {mc1 == mc2}; samples equal: {samples_ok}"
 

@@ -167,7 +167,10 @@ def _cmd_moments(args) -> int:
     try:
         report = second_moment_exact(params)
     except ExactLimitError:
-        report = second_moment_mc(params, trials=args.trials, seed=args.seed)
+        try:
+            report = second_moment_mc(params, trials=args.trials, seed=args.seed)
+        except ValueError as err:
+            raise SystemExit(str(err)) from None
     print("model,n,value,exact,halfwidth")
     hw = "" if report.mc_halfwidth is None else f"{report.mc_halfwidth:.6g}"
     print(f"{report.model},{report.n},{report.value:.12g},{report.is_exact},{hw}")
@@ -235,10 +238,14 @@ _CONFIG_KEYS = {
     "ls_rounds": ("ls_rounds", int),
 }
 _REQUIRED_CONFIG_KEYS = ("model", "n", "tests", "trials")
+_CONFIG_KEY_OF_FIELD = {field: key for key, (field, _) in _CONFIG_KEYS.items()}
 
 
 def _read_config(path) -> experiments.SweepConfig:
-    """Parse a flat ``key=value`` sweep config; ``#`` starts a comment."""
+    """Parse a flat ``key=value`` sweep config; ``#`` starts a comment.
+
+    A rejection names ``path:line`` of the offending key, or the last line.
+    """
     fields, seen, no = {}, {}, 0
     with open(path) as f:
         for no, raw in enumerate(f, 1):
@@ -261,11 +268,18 @@ def _read_config(path) -> experiments.SweepConfig:
     missing = [key for key in _REQUIRED_CONFIG_KEYS if key not in seen]
     if missing:
         raise ValueError(f"{path}:{no}: missing required keys {', '.join(missing)}")
-    return experiments.SweepConfig(**fields)
+    try:
+        return experiments.SweepConfig(**fields)
+    except ValueError as err:
+        key = _CONFIG_KEY_OF_FIELD.get(getattr(err, "field", None))
+        raise ValueError(f"{path}:{seen.get(key, no)}: {err}") from None
 
 
 def _cmd_sweep(args) -> int:
-    config = _read_config(args.config)
+    try:
+        config = _read_config(args.config)
+    except ValueError as err:
+        raise SystemExit(str(err)) from None
     text = experiments.run_sweep(config, out_path=args.out)
     if args.out is None:
         sys.stdout.write(text)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExactLimitError
-from .graphs import BinaryGraph, Permutation, edge_image_blocks, permutation_table
+from .graphs import BinaryGraph, Permutation, edge_image_blocks, map_pair_indices, permutation_table
 from .sampling import ErParams, GaussianParams, rng_from_seed
 
 __all__ = [
@@ -83,13 +83,10 @@ def statistic_given_pi(a, b, pi: Permutation) -> float:
     if a.n != b.n or pi.n != a.n:
         raise ValueError("size mismatch")
     if isinstance(a, BinaryGraph) and isinstance(b, BinaryGraph):
-        pm = pi.mapping
-        return float(
-            sum(1 for i, j in a.edges if b.has_edge(pm[i], pm[j]))
-        )
+        images = map_pair_indices(a.index, a.n, pi.array)
+        return float(len(np.intersect1d(images, b.index, assume_unique=True)))
     am, bm = a.to_dense(), b.to_dense()
-    p = np.asarray(pi.mapping)
-    return float(np.triu(am * bm[np.ix_(p, p)], 1).sum())
+    return float(np.triu(am * bm[np.ix_(pi.array, pi.array)], 1).sum())
 
 
 def all_statistic_values(a, b) -> np.ndarray:
@@ -120,7 +117,7 @@ def qap_exact(a, b) -> tuple[float, Permutation]:
         )
     vals = all_statistic_values(a, b)
     idx = int(np.argmax(vals))
-    return float(vals[idx]), Permutation(tuple(int(v) for v in permutation_table(n)[idx]))
+    return float(vals[idx]), Permutation(permutation_table(n)[idx])
 
 
 def _climb(am: np.ndarray, bm: np.ndarray, p: np.ndarray):
@@ -183,7 +180,7 @@ def qap_local_search(
                 cur_val, cur_p = val, p
         if cur_val > best_val:
             best_val, best_p = cur_val, cur_p
-    return best_val, Permutation(tuple(int(v) for v in best_p))
+    return best_val, Permutation(best_p)
 
 
 def _log_kernel_er(p: float, s: float) -> tuple[float, float, float]:

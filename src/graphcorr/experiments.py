@@ -18,6 +18,7 @@ from itertools import product
 import numpy as np
 
 from .detect import TESTS
+from .errors import FieldError
 from .graphs import code_edge_counts, edge_code_maps
 from .moments import exact_er_lr_table
 from .sampling import (
@@ -66,18 +67,21 @@ class SweepConfig:
 
     def __post_init__(self):
         if self.model not in ("gaussian", "er"):
-            raise ValueError("model must be 'gaussian' or 'er'")
+            raise FieldError("model", "model must be 'gaussian' or 'er'")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise FieldError("trials", "trials must be >= 1")
         bad = [t for t in self.tests if t not in TESTS]
         if bad:
-            raise ValueError(f"unknown tests: {bad}")
+            raise FieldError("tests", f"unknown tests: {bad}")
         for t in self.tests:
-            TESTS[t].check(self.model, max(self.n_values, default=0))
+            try:
+                TESTS[t].check(self.model, max(self.n_values, default=0))
+            except ValueError as err:
+                raise FieldError("tests", str(err)) from None
         if self.threshold_mode not in ("auto", "oracle"):
-            raise ValueError("threshold_mode must be 'auto' or 'oracle'")
+            raise FieldError("threshold_mode", "threshold_mode must be 'auto' or 'oracle'")
         if not self.cells():
-            raise ValueError("empty parameter grid")
+            raise FieldError(None, "empty parameter grid")
         if self.threshold_mode == "auto":
             for params in self.cells():
                 for t in self.tests:

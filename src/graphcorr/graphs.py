@@ -1,8 +1,11 @@
 """Graph and permutation value types.
 
-Binary graphs are stored as frozen sets of canonically ordered vertex pairs,
-weighted graphs as read-only symmetric numpy arrays, permutations as tuples.
-All values are immutable after construction and safe to share across threads.
+A binary graph stores its edge set as one sorted, distinct, read-only int64
+array of pair indices (``index``, ranked as in :func:`pair_index`); ``edges``
+is a frozen set of canonical vertex pairs derived from it on first use.
+Weighted graphs are read-only symmetric numpy arrays.  Permutations are
+tuples with a read-only int64 array view.  All values are immutable after
+construction and safe to share across threads.
 
 Vertices are 0-based internally; the text file formats are 1-based.
 """
@@ -26,6 +29,8 @@ __all__ = [
     "pair_index",
     "pair_from_index",
     "pairs_from_indices",
+    "map_pair_indices",
+    "symmetric_from_flat",
     "all_pairs",
     "permutation_table",
     "edge_image_blocks",
@@ -93,20 +98,25 @@ def all_pairs(n: int):
 class Permutation:
     """A bijection on ``{0, ..., n-1}`` in one-line notation.
 
-    ``mapping[i]`` is the image of node ``i``.  The composition convention is
+    ``mapping[i]`` is the image of node ``i``; ``array`` is the same map as a
+    read-only int64 array.  The composition convention is
     ``(pi o tau)(i) = pi(tau(i))``.
     """
 
     mapping: tuple[int, ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            m = tuple(operator.index(v) for v in self.mapping)
-        except TypeError:
-            raise ValueError("mapping entries must be integers") from None
-        object.__setattr__(self, "mapping", m)
-        if sorted(m) != list(range(len(m))):
+        arr = np.asarray(self.mapping)
+        # an integer dtype rules out 0.5, '1' and None rather than truncate or parse them
+        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+            raise ValueError("mapping entries must be integers")
+        arr = arr.astype(np.int64)
+        if not np.array_equal(np.sort(arr), np.arange(len(arr))):
             raise ValueError("mapping is not a bijection on {0,...,n-1}")
+        arr.flags.writeable = False
+        object.__setattr__(self, "mapping", tuple(arr.tolist()))
+        object.__setattr__(self, "array", arr)
 
     @property
     def n(self) -> int:
@@ -132,16 +142,13 @@ class Permutation:
         return Permutation(tuple(m))
 
     def invert(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, v in enumerate(self.mapping):
-            inv[v] = i
-        return Permutation(tuple(inv))
+        return Permutation(np.argsort(self.array))
 
     def compose(self, other: "Permutation") -> "Permutation":
         """Return ``self o other``, i.e. ``i -> self(other(i))``."""
         if self.n != other.n:
             raise ValueError("size mismatch in composition")
-        return Permutation(tuple(self.mapping[other.mapping[i]] for i in range(self.n)))
+        return Permutation(self.array[other.array])
 
     def to_one_based(self) -> tuple[int, ...]:
         return tuple(v + 1 for v in self.mapping)
@@ -203,56 +210,117 @@ def code_edge_counts(m: int) -> np.ndarray:
     return np.array([bin(c).count("1") for c in range(1 << m)], dtype=np.int64)
 
 
-@dataclass(frozen=True)
+def _pair_indices(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """:func:`pair_index` of each pair ``lo[t] <= hi[t]``; rejects self-loops and vertices outside [n]."""
+    if (lo == hi).any():
+        raise ValueError("self-loops are not allowed")
+    outside = (lo < 0) | (hi >= n)
+    if outside.any():
+        t = outside.argmax()
+        raise ValueError(f"edge ({lo[t]},{hi[t]}) out of range for n={n}")
+    return lo * (2 * n - lo - 1) // 2 + (hi - lo - 1)
+
+
+def map_pair_indices(idx: np.ndarray, n: int, node_map: np.ndarray) -> np.ndarray:
+    """Pair indices of ``{node_map[i], node_map[j]}`` for the pairs ``{i, j}`` indexed by ``idx``, in order."""
+    i, j = pairs_from_indices(idx, n)
+    u, v = node_map[i], node_map[j]
+    return _pair_indices(n, np.minimum(u, v), np.maximum(u, v))
+
+
+def symmetric_from_flat(n: int, flat: np.ndarray) -> np.ndarray:
+    """Symmetric (n, n) float64 matrix, zero diagonal, with ``flat`` above the diagonal in pair-index order."""
+    w = np.zeros((n, n))
+    w[np.triu_indices(n, 1)] = flat
+    return w + w.T
+
+
 class BinaryGraph:
-    """A simple undirected graph on ``n`` labeled vertices, no self-loops."""
+    """A simple undirected graph on ``n`` labeled vertices, no self-loops.
 
-    n: int
-    edges: frozenset = field(default_factory=frozenset)
+    ``BinaryGraph(n, pairs)`` takes vertex pairs in either orientation;
+    :meth:`from_indices` takes pair indices.  Both validate their input.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("n", "index", "_edges")
+
+    def __init__(self, n: int, edges=frozenset()):
         try:
             # unlike int(), operator.index rejects 0.5 and '1' rather than truncate or parse them
-            canon = frozenset(
-                canonical_pair(operator.index(i), operator.index(j)) for i, j in self.edges
-            )
+            canon = frozenset(canonical_pair(operator.index(i), operator.index(j)) for i, j in edges)
         except TypeError:
             raise ValueError("edges must be pairs of integer vertices") from None
-        for i, j in canon:
-            if i == j:
-                raise ValueError("self-loops are not allowed")
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
-        object.__setattr__(self, "edges", canon)
+        ij = np.array(list(canon)).reshape(-1, 2)  # object dtype if a vertex overflows int64
+        self._init(n, _pair_indices(n, ij[:, 0], ij[:, 1]), canon)
+
+    @classmethod
+    def from_indices(cls, n: int, idx) -> "BinaryGraph":
+        """The graph whose edges have the distinct pair indices ``idx``, given in any order."""
+        g = cls.__new__(cls)
+        g._init(n, idx, None)
+        return g
+
+    def _init(self, n: int, idx, edges: frozenset | None) -> None:
+        idx = np.asarray(idx)
+        if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+            raise ValueError("pair indices must be a one-dimensional integer array")
+        idx = np.sort(idx.astype(np.int64))
+        if idx.size and (idx[0] < 0 or idx[-1] >= n * (n - 1) // 2):
+            raise ValueError(f"pair index out of range for n={n}")
+        if (idx[1:] == idx[:-1]).any():
+            raise ValueError("duplicate pair index")
+        idx.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "index", idx)
+        object.__setattr__(self, "_edges", edges)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BinaryGraph is immutable")
+
+    def __reduce__(self):
+        return BinaryGraph.from_indices, (self.n, self.index)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BinaryGraph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.index, other.index)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.index.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"BinaryGraph({self.n}, {sorted(self.edges)})"
+
+    @property
+    def edges(self) -> frozenset:
+        """The edges as canonical ``(i, j)`` pairs of Python ints, ``i < j``; built on first use."""
+        if self._edges is None:
+            i, j = pairs_from_indices(self.index, self.n)
+            object.__setattr__(self, "_edges", frozenset(zip(i.tolist(), j.tolist())))
+        return self._edges
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.index)
 
     def has_edge(self, i: int, j: int) -> bool:
-        return canonical_pair(i, j) in self.edges
-
-    @classmethod
-    def _from_canonical(cls, n: int, edges: frozenset) -> "BinaryGraph":
-        """Trusted fast path: edges must already be canonical (i < j) pairs."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "edges", edges)
-        return g
+        i, j = canonical_pair(i, j)
+        k = pair_index(i, j, self.n) if 0 <= i < j < self.n else -1
+        t = np.searchsorted(self.index, k)
+        return bool(t < len(self.index) and self.index[t] == k)
 
     @staticmethod
     def empty(n: int) -> "BinaryGraph":
-        return BinaryGraph(n, frozenset())
+        return BinaryGraph.from_indices(n, ())
 
     @staticmethod
     def complete(n: int) -> "BinaryGraph":
-        return BinaryGraph(n, frozenset(all_pairs(n)))
+        return BinaryGraph.from_indices(n, np.arange(n * (n - 1) // 2))
 
     def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = a[j, i] = 1
-        return a
+        flat = np.zeros(self.n * (self.n - 1) // 2)
+        flat[self.index] = 1
+        return symmetric_from_flat(self.n, flat)
 
 
 @dataclass(frozen=True)
@@ -289,11 +357,8 @@ def relabel(g: Graph, pi: Permutation) -> Graph:
     if pi.n != g.n:
         raise ValueError(f"permutation size {pi.n} != graph size {g.n}")
     if isinstance(g, BinaryGraph):
-        inv = pi.invert()
-        edges = frozenset(canonical_pair(inv(u), inv(v)) for u, v in g.edges)
-        return BinaryGraph(g.n, edges)
-    p = np.asarray(pi.mapping)
-    return WeightedGraph(g.weight[np.ix_(p, p)])
+        return BinaryGraph.from_indices(g.n, map_pair_indices(g.index, g.n, pi.invert().array))
+    return WeightedGraph(g.weight[np.ix_(pi.array, pi.array)])
 
 
 def intersect(a: Graph, b: Graph) -> Graph:
@@ -301,18 +366,20 @@ def intersect(a: Graph, b: Graph) -> Graph:
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} != {b.n}")
     if isinstance(a, BinaryGraph) and isinstance(b, BinaryGraph):
-        return BinaryGraph(a.n, a.edges & b.edges)
+        return BinaryGraph.from_indices(a.n, np.intersect1d(a.index, b.index, assume_unique=True))
     return WeightedGraph(a.to_dense() * b.to_dense())
 
 
 def induced_edge_weight(g: Graph, nodes) -> float:
     """Total edge weight of the subgraph induced by the node set."""
-    s = set(nodes)
-    if any(not 0 <= v < g.n for v in s):
+    idx = sorted(set(nodes))
+    if idx and not (0 <= idx[0] and idx[-1] < g.n):
         raise ValueError("node set not contained in [n]")
     if isinstance(g, BinaryGraph):
-        return float(sum(1 for i, j in g.edges if i in s and j in s))
-    idx = sorted(s)
+        inside = np.zeros(g.n, dtype=bool)
+        inside[idx] = True
+        i, j = pairs_from_indices(g.index, g.n)
+        return float(np.count_nonzero(inside[i] & inside[j]))
     sub = g.weight[np.ix_(idx, idx)]
     return float(np.triu(sub, 1).sum())
 
@@ -321,10 +388,10 @@ def induced_edge_weight(g: Graph, nodes) -> float:
 
 
 def write_binary_graph(g: BinaryGraph, path) -> None:
+    i, j = pairs_from_indices(g.index, g.n)
     with open(path, "w") as f:
         f.write(f"{g.n}\n")
-        for i, j in sorted(g.edges):
-            f.write(f"{i + 1} {j + 1}\n")
+        np.savetxt(f, np.column_stack([i + 1, j + 1]), fmt="%d")
 
 
 def _numbered_lines(path) -> list[tuple[int, str]]:
@@ -336,16 +403,17 @@ def _numbered_lines(path) -> list[tuple[int, str]]:
 def read_binary_graph(path) -> BinaryGraph:
     lines = _numbered_lines(path)
     n = int(lines[0][1])
-    edges = set()
     for no, ln in lines[1:]:
-        tokens = ln.split()
-        if len(tokens) != 2:
+        if len(ln.split()) != 2:
             raise ValueError(f"{path}:{no}: expected two vertex numbers, got {ln!r}")
-        pair = canonical_pair(int(tokens[0]) - 1, int(tokens[1]) - 1)
-        if pair in edges:
-            raise ValueError(f"{path}:{no}: duplicate edge {ln!r}")
-        edges.add(pair)
-    return BinaryGraph(n, frozenset(edges))
+    ij = np.array([[int(t) - 1 for t in ln.split()] for _, ln in lines[1:]]).reshape(-1, 2)
+    ij = np.sort(ij, axis=1)
+    order = np.lexsort((ij[:, 1], ij[:, 0]))  # stable: equal pairs keep their line order
+    repeats = order[1:][np.all(ij[order[1:]] == ij[order[:-1]], axis=1)]
+    if repeats.size:
+        no, ln = lines[1 + repeats.min()]
+        raise ValueError(f"{path}:{no}: duplicate edge {ln!r}")
+    return BinaryGraph.from_indices(n, _pair_indices(n, ij[:, 0], ij[:, 1]))
 
 
 def write_weighted_graph(g: WeightedGraph, path) -> None:

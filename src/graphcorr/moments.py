@@ -20,14 +20,13 @@ from itertools import product
 import numpy as np
 
 from .errors import ExactLimitError
-from .graphs import BinaryGraph, Permutation, code_edge_counts, edge_code_maps
+from .graphs import Permutation, code_edge_counts, edge_code_maps
 from .orbits import (
     ComponentUnion,
     CycleType,
     EdgeOrbit,
     census_from_cycle_type,
     cycle_type,
-    is_pseudoforest,
     orbits_up_to,
 )
 from .sampling import ErParams, GaussianParams, random_permutation, rho_er, rng_from_seed
@@ -48,7 +47,6 @@ __all__ = [
     "partitions_as_cycle_types",
     "gf_orbit_pseudoforests_bruteforce",
     "gf_orbit_forests_bruteforce",
-    "gf_orbit_pseudoforests_unpruned",
     "enumerate_orbit_pseudoforests",
     "gf_bound_pseudoforest",
     "gf_bound_forest",
@@ -377,23 +375,6 @@ def gf_orbit_pseudoforests_bruteforce(sigma: Permutation, k: int, s: float) -> f
 def gf_orbit_forests_bruteforce(sigma: Permutation, k: int, s: float) -> float:
     """Forest-restricted variant of the orbit generating function."""
     return _gf_dfs(_short_orbits_checked(sigma, k, GF_ORBIT_LIMIT), s, max_excess=-1)
-
-
-def gf_orbit_pseudoforests_unpruned(sigma: Permutation, k: int, s: float) -> float:
-    """Independent oracle: test every subset of short orbits without pruning."""
-    orbits = orbits_up_to(sigma, k)
-    if len(orbits) > 16:
-        raise ExactLimitError("unpruned oracle supports at most 16 orbits")
-    total = 0.0
-    for mask in range(1 << len(orbits)):
-        edges = set()
-        for j in range(len(orbits)):
-            if mask >> j & 1:
-                edges |= orbits[j].edge_set()
-        g = BinaryGraph(sigma.n, frozenset(edges))
-        if is_pseudoforest(g):
-            total += s ** (2 * len(edges))
-    return total
 
 
 def enumerate_orbit_pseudoforests(sigma: Permutation, k: int, limit: int = GF_ORBIT_LIMIT):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import BinaryGraph, Permutation, WeightedGraph, pairs_from_indices
+from .graphs import BinaryGraph, Permutation, WeightedGraph, map_pair_indices, symmetric_from_flat
 
 __all__ = [
     "GaussianParams",
@@ -30,7 +30,6 @@ __all__ = [
     "sample_planted_gaussian",
     "sample_null_er",
     "sample_planted_er",
-    "sample_planted_er_parent",
     "random_permutation",
 ]
 
@@ -113,14 +112,7 @@ def er_joint_pmf(p: float, s: float) -> dict[tuple[int, int], float]:
 
 
 def random_permutation(n: int, rng: np.random.Generator) -> Permutation:
-    return Permutation(tuple(int(v) for v in rng.permutation(n)))
-
-
-def _symmetric_from_flat(n: int, flat: np.ndarray) -> np.ndarray:
-    w = np.zeros((n, n))
-    iu = np.triu_indices(n, 1)
-    w[iu] = flat
-    return w + w.T
+    return Permutation(rng.permutation(n))
 
 
 def sample_null_gaussian(params: GaussianParams, seed: SeedSpec | int):
@@ -129,7 +121,7 @@ def sample_null_gaussian(params: GaussianParams, seed: SeedSpec | int):
     n, m = params.n, params.n * (params.n - 1) // 2
     a = rng.standard_normal(m)
     b = rng.standard_normal(m)
-    return WeightedGraph(_symmetric_from_flat(n, a)), WeightedGraph(_symmetric_from_flat(n, b))
+    return WeightedGraph(symmetric_from_flat(n, a)), WeightedGraph(symmetric_from_flat(n, b))
 
 
 def sample_planted_gaussian(params: GaussianParams, seed: SeedSpec | int):
@@ -146,9 +138,9 @@ def sample_planted_gaussian(params: GaussianParams, seed: SeedSpec | int):
     z = rng.standard_normal(m)
     matched = rho * a_flat + math.sqrt(1 - rho * rho) * z
     # B_{pi(i)pi(j)} = matched(i, j), i.e. B = M[inv][:, inv] with inv = pi^-1
-    inv = np.asarray(pi.invert().mapping)
-    b = _symmetric_from_flat(n, matched)[np.ix_(inv, inv)]
-    return WeightedGraph(_symmetric_from_flat(n, a_flat)), WeightedGraph(b), pi
+    inv = pi.invert().array
+    b = symmetric_from_flat(n, matched)[np.ix_(inv, inv)]
+    return WeightedGraph(symmetric_from_flat(n, a_flat)), WeightedGraph(b), pi
 
 
 def _gnp_indices(m: int, q: float, rng: np.random.Generator, forbidden=None) -> np.ndarray:
@@ -167,12 +159,7 @@ def _gnp_indices(m: int, q: float, rng: np.random.Generator, forbidden=None) -> 
 
 def _indices_to_graph(n: int, idx: np.ndarray, pi: Permutation | None = None) -> BinaryGraph:
     """Graph on the pairs ``idx``, each pair (i, j) placed at (pi(i), pi(j))."""
-    i, j = pairs_from_indices(idx, n)
-    if pi is not None:
-        pm = np.asarray(pi.mapping)
-        i, j = pm[i], pm[j]
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    return BinaryGraph._from_canonical(n, frozenset(zip(lo.tolist(), hi.tolist())))
+    return BinaryGraph.from_indices(n, idx if pi is None else map_pair_indices(idx, n, pi.array))
 
 
 def sample_null_er(params: ErParams, seed: SeedSpec | int):
@@ -200,18 +187,3 @@ def sample_planted_er(params: ErParams, seed: SeedSpec | int):
     fresh = _gnp_indices(m, p * s * (1 - s) / (1 - p * s), rng, forbidden=a_idx)
     return _indices_to_graph(n, a_idx), _indices_to_graph(n, np.concatenate([keep, fresh]), pi), pi
 
-
-def sample_planted_er_parent(params: ErParams, seed: SeedSpec | int):
-    """Correlated pair via the parent-graph construction (cross-check oracle).
-
-    A parent G(n, p) is drawn and independently subsampled twice with
-    probability s; the second subsample is pushed through pi.  Realizes the
-    same per-edge joint law as :func:`sample_planted_er`.
-    """
-    rng = rng_from_seed(seed)
-    n, p, s = params.n, params.p, params.s
-    pi = random_permutation(n, rng)
-    parent = _gnp_indices(n * (n - 1) // 2, p, rng)
-    a_idx = parent[rng.random(len(parent)) < s]
-    matched = parent[rng.random(len(parent)) < s]
-    return _indices_to_graph(n, a_idx), _indices_to_graph(n, matched, pi), pi

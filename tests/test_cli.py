@@ -151,6 +151,13 @@ class TestSweepCommand:
 
 
 class TestSweepConfig:
+    def test_rejected_config_exits_with_one_line(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("model=er\nn=8\ntests=edges\ntrials=0\np=0.4\ns=0.8\n")
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--config", str(cfg)])
+        assert err.value.code == f"{cfg}:4: trials must be >= 1"
+
     def test_readme_example_parses(self, tmp_path):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         block = re.search(r"A sweep config file looks like:\n\n```\n(.*?)```", readme, re.S).group(1)
@@ -177,6 +184,13 @@ class TestSweepConfig:
             ("model=er\n\nn 8\n", 3, "expected key=value"),
             ("model=er\nn=8\ntests=edges\np=0.4\ns=0.8\n# end\n", 6, "missing required keys trials"),
             ("model=er\nn=8,x\n", 2, "bad value for 'n'"),
+            (
+                "model=er\nn=8\nthreshold=oracel\ntests=edges\ntrials=5\np=0.4\ns=0.8\n",
+                3,
+                "threshold_mode must be 'auto' or 'oracle'",
+            ),
+            ("model=er\nn=8\ntests=edges,qap\ntrials=5\np=0.4\ns=0.8\n", 3, "unknown tests: ['qap']"),
+            ("model=er\nn=8\ntests=edges\ntrials=5\np=0.4\n# no s\n", 6, "empty parameter grid"),
         ],
     )
     def test_rejection_names_path_and_line(self, tmp_path, text, line, message):
@@ -209,6 +223,11 @@ class TestOtherCommands:
             "--trials", "50",
         )
         assert code == 0 and out.splitlines()[1].split(",")[3] == "False"
+
+    def test_moments_rejects_one_trial_with_one_line(self):
+        with pytest.raises(SystemExit) as err:
+            main(["moments", "--model", "er", "--n", "9", "--p", "0.3", "--s", "0.5", "--trials", "1"])
+        assert err.value.code == "trials must be >= 2 for a confidence half-width"
 
     def test_moments_does_not_hide_other_errors(self, monkeypatch):
         from graphcorr import cli

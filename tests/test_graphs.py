@@ -1,11 +1,13 @@
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphcorr.detect import statistic_given_pi
 from graphcorr.errors import ExactLimitError
 from graphcorr.graphs import (
     BinaryGraph,
@@ -18,6 +20,7 @@ from graphcorr.graphs import (
     edge_image_blocks,
     intersect,
     induced_edge_weight,
+    map_pair_indices,
     pair_from_index,
     pair_index,
     pairs_from_indices,
@@ -220,6 +223,140 @@ class TestValidation:
         wg = WeightedGraph(np.zeros((3, 3)))
         with pytest.raises(ValueError):
             wg.weight[0, 1] = 5.0
+
+
+# The frozen-set implementations that the array representation replaced, kept as oracles.
+
+
+def dense_oracle(g):
+    a = np.zeros((g.n, g.n))
+    for i, j in g.edges:
+        a[i, j] = a[j, i] = 1
+    return a
+
+
+def has_edge_oracle(g, i, j):
+    return canonical_pair(i, j) in g.edges
+
+
+def relabel_oracle(g, pi):
+    inv = pi.invert()
+    return frozenset(canonical_pair(inv(u), inv(v)) for u, v in g.edges)
+
+
+def intersect_oracle(a, b):
+    return a.edges & b.edges
+
+
+def induced_edge_weight_oracle(g, nodes):
+    s = set(nodes)
+    return float(sum(1 for i, j in g.edges if i in s and j in s))
+
+
+def statistic_given_pi_oracle(a, b, pi):
+    pm = pi.mapping
+    return float(sum(1 for i, j in a.edges if has_edge_oracle(b, pm[i], pm[j])))
+
+
+def invert_oracle(pi):
+    inv = [0] * pi.n
+    for i, v in enumerate(pi.mapping):
+        inv[v] = i
+    return tuple(inv)
+
+
+@st.composite
+def graph_pairs_and_permutation(draw):
+    n = draw(st.integers(0, 12))
+    pairs = list(all_pairs(n))
+    edge_sets = st.sets(st.sampled_from(pairs)) if pairs else st.just(set())
+    a, b = BinaryGraph(n, draw(edge_sets)), BinaryGraph(n, draw(edge_sets))
+    pi = Permutation(tuple(draw(st.permutations(range(n)))))
+    return a, b, pi
+
+
+class TestArrayAgainstSetOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(graph_pairs_and_permutation(), st.data())
+    def test_operations_agree(self, graphs, data):
+        a, b, pi = graphs
+        n = a.n
+        assert np.array_equal(a.to_dense(), dense_oracle(a))
+        for i, j in itertools.product(range(-1, n + 1), repeat=2):
+            assert a.has_edge(i, j) is has_edge_oracle(a, i, j)
+        assert relabel(a, pi).edges == relabel_oracle(a, pi)
+        assert intersect(a, b).edges == intersect_oracle(a, b)
+        nodes = data.draw(st.sets(st.integers(0, n - 1))) if n else set()
+        assert induced_edge_weight(a, nodes) == induced_edge_weight_oracle(a, nodes)
+        assert statistic_given_pi(a, b, pi) == statistic_given_pi_oracle(a, b, pi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph_pairs_and_permutation())
+    def test_index_is_the_sorted_pair_indices(self, graphs):
+        a, _, pi = graphs
+        assert a.index.tolist() == sorted(pair_index(i, j, a.n) for i, j in a.edges)
+        assert a.index.dtype == np.int64 and not a.index.flags.writeable
+        assert a.edge_count == len(a.edges)
+        shuffled = BinaryGraph.from_indices(a.n, a.index[::-1].copy())
+        assert shuffled == a and hash(shuffled) == hash(a) and shuffled.edges == a.edges
+        assert BinaryGraph(a.n, set(a.edges)) == a and hash(BinaryGraph(a.n, set(a.edges))) == hash(a)
+        moved = map_pair_indices(a.index, a.n, pi.array)
+        assert sorted(moved.tolist()) == sorted(
+            pair_index(pi(i), pi(j), a.n) for i, j in a.edges
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 12).flatmap(lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
+    def test_permutation_array_invert_compose(self, perms):
+        pi, tau = Permutation(tuple(perms[0])), Permutation(tuple(perms[1]))
+        assert pi.array.tolist() == list(pi.mapping) and pi.array.dtype == np.int64
+        assert not pi.array.flags.writeable
+        assert all(type(v) is int for v in pi.mapping)
+        assert pi.invert().mapping == invert_oracle(pi)
+        assert pi.compose(tau).mapping == tuple(pi.mapping[tau.mapping[i]] for i in range(pi.n))
+
+
+class TestBinaryGraphValue:
+    def test_from_indices_rejects_duplicates(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            BinaryGraph.from_indices(4, [0, 3, 0])
+
+    @pytest.mark.parametrize("idx", [[-1], [6], [0, 6], [2**40]])
+    def test_from_indices_rejects_out_of_range(self, idx):
+        with pytest.raises(ValueError, match="out of range"):
+            BinaryGraph.from_indices(4, idx)
+
+    @pytest.mark.parametrize("idx", [[0.0, 1.0], [[0, 1]], ["1"]])
+    def test_from_indices_rejects_non_integer_or_nested(self, idx):
+        with pytest.raises(ValueError, match="integer"):
+            BinaryGraph.from_indices(4, idx)
+
+    def test_from_indices_sorts_and_copies(self):
+        idx = np.array([5, 0, 3])
+        g = BinaryGraph.from_indices(4, idx)
+        idx[0] = 1
+        assert g.index.tolist() == [0, 3, 5]
+        assert g.edges == frozenset({(0, 1), (1, 2), (2, 3)})
+
+    def test_equal_graphs_equal_hashes(self):
+        a = BinaryGraph(5, [(0, 4), (2, 1)])
+        b = BinaryGraph.from_indices(5, [pair_index(1, 2, 5), pair_index(0, 4, 5)])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != BinaryGraph(6, [(0, 4), (1, 2)])
+        assert a != BinaryGraph(5, [(0, 4)])
+        assert a != a.edges
+
+    def test_immutable_and_picklable(self):
+        g = BinaryGraph(4, [(0, 1), (2, 3)])
+        with pytest.raises(AttributeError):
+            g.n = 5
+        with pytest.raises(ValueError):
+            g.index[0] = 1
+        assert pickle.loads(pickle.dumps(g)) == g
+
+    def test_empty_and_complete(self):
+        assert BinaryGraph.empty(5).edge_count == 0 and BinaryGraph.empty(1).edges == frozenset()
+        assert BinaryGraph.complete(5).edges == frozenset(all_pairs(5))
 
 
 class TestFileFormats:

@@ -17,7 +17,6 @@ from graphcorr.moments import (
     gf_bound_pseudoforest,
     gf_orbit_forests_bruteforce,
     gf_orbit_pseudoforests_bruteforce,
-    gf_orbit_pseudoforests_unpruned,
     incomplete_orbit_moment_er,
     incomplete_orbit_moment_er_oracle,
     lambert_w,
@@ -33,7 +32,7 @@ from graphcorr.moments import (
     second_moment_exact,
     second_moment_mc,
 )
-from graphcorr.orbits import census_from_cycle_type, cycle_type, edge_orbits
+from graphcorr.orbits import census_from_cycle_type, cycle_type, edge_orbits, is_pseudoforest, orbits_up_to
 from graphcorr.sampling import ErParams, GaussianParams, SeedSpec, rho_er, rng_from_seed
 
 TABLE_SIGMA = Permutation.from_cycles(8, [(0, 1), (2, 3), (4, 5, 6, 7)])
@@ -169,6 +168,23 @@ class TestSecondMoment:
             second_moment_exact(GaussianParams(9, 0.1))
         with pytest.raises(ExactLimitError):
             second_moment_bruteforce_er(ErParams(5, 0.3, 0.5))
+
+
+def gf_orbit_pseudoforests_unpruned(sigma: Permutation, k: int, s: float) -> float:
+    """Independent oracle: test every subset of short orbits without pruning."""
+    orbits = orbits_up_to(sigma, k)
+    if len(orbits) > 16:
+        raise ExactLimitError("unpruned oracle supports at most 16 orbits")
+    total = 0.0
+    for mask in range(1 << len(orbits)):
+        edges = set()
+        for j in range(len(orbits)):
+            if mask >> j & 1:
+                edges |= orbits[j].edge_set()
+        g = BinaryGraph(sigma.n, frozenset(edges))
+        if is_pseudoforest(g):
+            total += s ** (2 * len(edges))
+    return total
 
 
 class TestGeneratingFunctions:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from graphcorr.graphs import intersect, relabel
+from graphcorr.graphs import BinaryGraph, intersect, relabel
 from graphcorr import sampling
 from graphcorr.sampling import (
     ErParams,
@@ -19,7 +20,6 @@ from graphcorr.sampling import (
     sample_null_er,
     sample_null_gaussian,
     sample_planted_er,
-    sample_planted_er_parent,
     sample_planted_gaussian,
 )
 
@@ -36,6 +36,22 @@ def aligned_pairs_er(params, seed, sampler, draws):
         m = params.n * (params.n - 1) // 2
         counts += np.array([[m - a.edge_count - b_only, b_only], [a_only, both]])
     return counts
+
+
+def sample_planted_er_parent(params, seed):
+    """Correlated pair via the parent-graph construction (cross-check oracle).
+
+    A parent G(n, p) is drawn and independently subsampled twice with
+    probability s; the second subsample is pushed through pi.  Realizes the
+    same per-edge joint law as :func:`sample_planted_er`.
+    """
+    rng = rng_from_seed(seed)
+    n, p, s = params.n, params.p, params.s
+    pi = random_permutation(n, rng)
+    parent = sampling._gnp_indices(n * (n - 1) // 2, p, rng)
+    a_idx = parent[rng.random(len(parent)) < s]
+    matched = parent[rng.random(len(parent)) < s]
+    return sampling._indices_to_graph(n, a_idx), sampling._indices_to_graph(n, matched, pi), pi
 
 
 def planted_gaussian_oracle(params, seed):
@@ -104,6 +120,23 @@ class TestDeterminism:
         g2 = rng_from_seed(SeedSpec(5, (1, 2, 3))).integers(0, 1 << 30, 4)
         g3 = rng_from_seed(SeedSpec(5, (1, 2, 4))).integers(0, 1 << 30, 4)
         assert np.array_equal(g1, g2) and not np.array_equal(g1, g3)
+
+
+# sha256 over the sorted edges and the alignments of the three ER samplers at
+# 3 seeds and n in {30, 2000}; the value pins the ER streams across changes to
+# how graphs are stored.
+ER_STREAM_SHA256 = "c485a58463315aa91eb8f8cd1a01a253ed120f08e63aa22fbbd657ed4c89296d"
+
+
+class TestStreamPin:
+    def test_er_streams_unchanged(self):
+        h = hashlib.sha256()
+        for sampler in (sample_null_er, sample_planted_er, sample_planted_er_parent):
+            for n, p in ((30, 0.3), (2000, 0.01)):
+                for seed in (0, 1, 2):
+                    for x in sampler(ErParams(n, p, 0.8), SeedSpec(seed, 5)):
+                        h.update(repr(sorted(x.edges) if isinstance(x, BinaryGraph) else x.mapping).encode())
+        assert h.hexdigest() == ER_STREAM_SHA256
 
 
 class TestGaussian:
