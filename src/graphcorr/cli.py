@@ -59,13 +59,16 @@ from .sampling import (
 
 
 def _model_params(args) -> GaussianParams | ErParams:
-    if args.model == "gaussian":
-        if args.rho is None:
-            raise SystemExit("--rho is required for the gaussian model")
-        return GaussianParams(args.n, args.rho)
-    if args.p is None or args.s is None:
-        raise SystemExit("--p and --s are required for the er model")
-    return ErParams(args.n, args.p, args.s)
+    try:
+        if args.model == "gaussian":
+            if args.rho is None:
+                raise SystemExit("--rho is required for the gaussian model")
+            return GaussianParams(args.n, args.rho)
+        if args.p is None or args.s is None:
+            raise SystemExit("--p and --s are required for the er model")
+        return ErParams(args.n, args.p, args.s)
+    except ValueError as err:
+        raise SystemExit(str(err)) from None
 
 
 def _add_model_args(parser) -> None:
@@ -138,7 +141,14 @@ def _cmd_test(args) -> int:
     except ValueError as err:
         raise SystemExit(str(err)) from None
     reader = read_weighted_graph if args.model == "gaussian" else read_binary_graph
-    a, b = reader(args.a), reader(args.b)
+    try:
+        a, b = reader(args.a), reader(args.b)
+    except ValueError as err:
+        raise SystemExit(str(err)) from None
+    if a.n != args.n or b.n != args.n:
+        raise SystemExit(
+            f"--n {args.n} does not match the graph files: {args.a} has n={a.n}, {args.b} has n={b.n}"
+        )
     stat, argmax = test.statistic(a, b, params, restarts=args.restarts, seed=args.seed)
     tau = test.threshold(params) if args.threshold == "auto" else float(args.threshold)
     decision = "planted" if stat >= tau else "null"

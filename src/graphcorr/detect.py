@@ -9,6 +9,7 @@ with the analytic thresholds for each model.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExactLimitError
-from .graphs import BinaryGraph, Permutation, edge_image_blocks, map_pair_indices, permutation_table
+from .graphs import BinaryGraph, Permutation, map_pair_indices, permutation_table
 from .sampling import ErParams, GaussianParams, rng_from_seed
 
 __all__ = [
@@ -42,6 +43,7 @@ LR_EXACT_DEFAULT_LIMIT = 7
 LOCAL_SEARCH_KICK = 3  # random transpositions per perturbation between climbs
 CLIMB_TOL = 1e-12  # smallest 2-swap gain that _climb takes
 PROFILE_DEPTH = 3  # neighborhood-profile iterations of the rank-matching start
+SUFFIX = 5  # trailing positions whose orders all_statistic_values covers with one matmul per prefix
 
 
 @dataclass(frozen=True)
@@ -89,15 +91,56 @@ def statistic_given_pi(a, b, pi: Permutation) -> float:
     return float(np.triu(am * bm[np.ix_(pi.array, pi.array)], 1).sum())
 
 
+def _prefixes(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Length-q prefixes of the permutations of [n] in lexicographic order, and the values each leaves.
+
+    Returns ``(pre, rest)``: ``pre[k]`` is the k-th prefix and ``rest[k]`` its
+    n − q unused values in increasing order, both as intp arrays.
+    """
+    count = math.perm(n, q)
+    pre = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(n), q)), dtype=np.intp, count=count * q
+    ).reshape(count, q)
+    free = np.ones((count, n), dtype=bool)
+    np.put_along_axis(free, pre, False, axis=1)
+    return pre, np.nonzero(free)[1].reshape(count, n - q)
+
+
 def all_statistic_values(a, b) -> np.ndarray:
-    """T_pi for every permutation, in lexicographic order of pi."""
+    """T_pi for every permutation, in lexicographic order of pi.
+
+    Splits pi into a prefix of q = n − r positions and a suffix of the last
+    r = min(SUFFIX, n).  For each prefix, in lexicographic order, the pairs
+    inside it are one gather of B weighted by A.  Every pair that touches the
+    suffix is linear in one row of B entries: B[pi(i), R_c] for the prefix
+    positions i and the prefix's sorted remaining values R, then B[R_c, R_d]
+    for c < d.  One constant weight matrix, built from A and
+    ``permutation_table(r)``, maps that row to the values of all r! suffix
+    orders, which follow the prefix in lexicographic order.
+    """
     n = a.n
-    a_flat = a.to_dense()[np.triu_indices(n, 1)]
-    b_flat = b.to_dense().ravel()
-    out = np.empty(math.factorial(n))
-    for start, k in edge_image_blocks(n):
-        out[start : start + len(k)] = b_flat[k] @ a_flat
-    return out
+    r = min(SUFFIX, n)
+    q = n - r
+    am, bm = a.to_dense(), b.to_dense()
+    pre, rest = _prefixes(n, q)
+    ip, jp = np.triu_indices(q, 1)
+    ir, jr = np.triu_indices(r, 1)
+    t_pp = bm[pre[:, ip], pre[:, jp]] @ am[ip, jp]
+    feats = np.concatenate(
+        [bm[pre[:, :, None], rest[:, None, :]].reshape(len(pre), q * r), bm[rest[:, ir], rest[:, jr]]],
+        axis=1,
+    )
+    # pos[s, c]: the suffix position that suffix order s gives the value R_c
+    pos = np.argsort(permutation_table(r), axis=1)
+    w = np.concatenate(
+        [
+            am[:q, q:][:, pos].transpose(0, 2, 1).reshape(q * r, math.factorial(r)),
+            am[q:, q:][pos[:, ir], pos[:, jr]].T,
+        ]
+    )
+    out = feats @ w
+    out += t_pp[:, None]
+    return out.ravel()
 
 
 def qap_exact(a, b) -> tuple[float, Permutation]:
@@ -117,7 +160,11 @@ def qap_exact(a, b) -> tuple[float, Permutation]:
         )
     vals = all_statistic_values(a, b)
     idx = int(np.argmax(vals))
-    return float(vals[idx]), Permutation(permutation_table(n)[idx])
+    r = min(SUFFIX, n)
+    k, s = divmod(idx, math.factorial(r))
+    prefix = next(itertools.islice(itertools.permutations(range(n), n - r), k, None))
+    rest = sorted(set(range(n)).difference(prefix))
+    return float(vals[idx]), Permutation(prefix + tuple(rest[c] for c in permutation_table(r)[s]))
 
 
 def _climb(am: np.ndarray, bm: np.ndarray, p: np.ndarray):

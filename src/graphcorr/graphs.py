@@ -33,7 +33,6 @@ __all__ = [
     "symmetric_from_flat",
     "all_pairs",
     "permutation_table",
-    "edge_image_blocks",
     "edge_code_maps",
     "code_edge_counts",
     "relabel",
@@ -154,9 +153,7 @@ class Permutation:
         return tuple(v + 1 for v in self.mapping)
 
 
-# -- the one walk over S_n, in lexicographic order, shared by every exact routine --
-
-EDGE_IMAGE_BLOCK = 1 << 17  # permutations per edge-image block: 36 MB of intp at n = 9
+# -- the lexicographic order of S_n that every exact routine follows --
 
 _PERMUTATION_TABLES: dict[int, np.ndarray] = {}
 
@@ -174,19 +171,6 @@ def permutation_table(n: int) -> np.ndarray:
     return _PERMUTATION_TABLES[n]
 
 
-def edge_image_blocks(n: int):
-    """Yield blocks ``(start, k)`` of flat (n, n) edge-image positions over the permutation table.
-
-    ``k[t, e] = pi(i) * n + pi(j)`` for pi = permutation_table(n)[start + t] and
-    (i, j) the pair with linear index e.  Not cached: the full index takes gigabytes at n = 10.
-    """
-    perms = permutation_table(n)
-    iu, ju = np.triu_indices(n, 1)
-    for start in range(0, len(perms), EDGE_IMAGE_BLOCK):
-        block = perms[start : start + EDGE_IMAGE_BLOCK].astype(np.intp)
-        yield start, block[:, iu] * n + block[:, ju]
-
-
 def edge_code_maps(n: int) -> np.ndarray:
     """(n!, 2^m) array: row t maps each edge code c to its image under permutation_table(n)[t].
 
@@ -199,7 +183,8 @@ def edge_code_maps(n: int) -> np.ndarray:
     iu, ju = np.triu_indices(n, 1)
     pair_of = np.zeros(n * n, dtype=np.intp)
     pair_of[iu * n + ju] = pair_of[ju * n + iu] = np.arange(m)
-    src = np.concatenate([pair_of[k] for _, k in edge_image_blocks(n)])
+    perms = permutation_table(n).astype(np.intp)
+    src = pair_of[perms[:, iu] * n + perms[:, ju]]
     codes = np.arange(1 << m, dtype=np.int64)
     bits = (codes[None, None, :] >> src[:, :, None]) & 1
     return (bits << np.arange(m, dtype=np.int64)[None, :, None]).sum(axis=1)
@@ -325,7 +310,12 @@ class BinaryGraph:
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """A weighted undirected graph: symmetric real matrix, zero diagonal."""
+    """A weighted undirected graph: symmetric real matrix, zero diagonal.
+
+    A matrix that is symmetric with zero diagonal up to ``np.allclose`` is
+    accepted and stored as its strict upper triangle mirrored, so every
+    routine reads the same weight for a pair, whichever triangle it indexes.
+    """
 
     weight: np.ndarray
 
@@ -337,7 +327,8 @@ class WeightedGraph:
             raise ValueError("weight matrix must be symmetric")
         if not np.allclose(np.diag(w), 0.0):
             raise ValueError("weight matrix must have zero diagonal")
-        w = w.copy()
+        w = np.triu(w, 1)
+        w = w + w.T
         w.flags.writeable = False
         object.__setattr__(self, "weight", w)
 
@@ -395,9 +386,12 @@ def write_binary_graph(g: BinaryGraph, path) -> None:
 
 
 def _numbered_lines(path) -> list[tuple[int, str]]:
-    """(1-based line number, stripped text) of the non-blank lines of a file."""
+    """(line number, stripped text) of the non-blank lines of a graph file; an empty file is rejected."""
     with open(path) as f:
-        return [(no, ln.strip()) for no, ln in enumerate(f, 1) if ln.strip()]
+        lines = [(no, ln.strip()) for no, ln in enumerate(f, 1) if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}:1: empty file, expected the number of vertices")
+    return lines
 
 
 def read_binary_graph(path) -> BinaryGraph:

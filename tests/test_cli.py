@@ -6,6 +6,7 @@ import pytest
 
 from graphcorr.cli import _read_config, main
 from graphcorr.graphs import (
+    BinaryGraph,
     Permutation,
     read_binary_graph,
     read_permutation,
@@ -108,6 +109,50 @@ class TestTestCommand:
                 "--b", str(tmp_path / "b.txt"), "--model", "gaussian", "--n", "6",
                 "--rho", "0.5",
             ])
+
+
+    def test_size_mismatch_exits_with_one_line(self, tmp_path):
+        for name in ("a.txt", "b.txt"):
+            write_binary_graph(BinaryGraph.complete(5), tmp_path / name)
+        with pytest.raises(SystemExit) as err:
+            main([
+                "test", "--stat", "edges", "--a", str(tmp_path / "a.txt"),
+                "--b", str(tmp_path / "b.txt"), "--model", "er", "--n", "7",
+                "--p", "0.3", "--s", "0.5",
+            ])
+        assert err.value.code == (
+            f"--n 7 does not match the graph files: {tmp_path / 'a.txt'} has n=5, {tmp_path / 'b.txt'} has n=5"
+        )
+
+    def test_unreadable_graph_file_exits_with_one_line(self, tmp_path):
+        write_binary_graph(BinaryGraph.complete(5), tmp_path / "a.txt")
+        (tmp_path / "b.txt").write_text("")
+        with pytest.raises(SystemExit) as err:
+            main([
+                "test", "--stat", "edges", "--a", str(tmp_path / "a.txt"),
+                "--b", str(tmp_path / "b.txt"), "--model", "er", "--n", "5",
+                "--p", "0.3", "--s", "0.5",
+            ])
+        assert str(err.value.code).startswith(f"{tmp_path / 'b.txt'}:1: ")
+        assert "\n" not in str(err.value.code)
+
+
+class TestModelParams:
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["generate", "--model", "er", "--n", "5", "--p", "2", "--s", "0.5",
+              "--hypothesis", "null", "--out", "unused"], "p must lie in (0, 1)"),
+            (["test", "--stat", "edges", "--a", "unused", "--b", "unused", "--model", "er",
+              "--n", "5", "--p", "0.3", "--s", "1.5"], "s must lie in (0, 1]"),
+            (["moments", "--model", "gaussian", "--n", "5", "--rho", "1"], "rho must lie in [0, 1)"),
+            (["moments", "--model", "er", "--n", "0", "--p", "0.3", "--s", "0.5"], "n must be positive"),
+        ],
+    )
+    def test_rejected_parameters_exit_with_one_line(self, command, message):
+        with pytest.raises(SystemExit) as err:
+            main(command)
+        assert err.value.code == message
 
 
 class TestGfCommand:

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from graphcorr.errors import ExactLimitError
-from graphcorr.graphs import BinaryGraph, Permutation, WeightedGraph, relabel
+from graphcorr.graphs import (
+    BinaryGraph,
+    Permutation,
+    WeightedGraph,
+    all_pairs,
+    permutation_table,
+    relabel,
+    symmetric_from_flat,
+)
 from graphcorr import detect
 from graphcorr.detect import (
     TESTS,
@@ -168,6 +176,111 @@ class TestQapExact:
         v1, _ = qap_exact(a, b)
         v2, _ = qap_exact(relabel(a, tau), relabel(b, ups))
         assert v1 == v2
+
+
+EDGE_IMAGE_BLOCK = 1 << 17  # permutations per edge-image block of the reference engine
+
+
+def edge_image_blocks(n):
+    """Reference engine: blocks ``(start, k)`` of flat (n, n) edge-image positions.
+
+    ``k[t, e] = pi(i) * n + pi(j)`` for pi = permutation_table(n)[start + t] and
+    (i, j) the pair with linear index e.
+    """
+    perms = permutation_table(n)
+    iu, ju = np.triu_indices(n, 1)
+    for start in range(0, len(perms), EDGE_IMAGE_BLOCK):
+        block = perms[start : start + EDGE_IMAGE_BLOCK].astype(np.intp)
+        yield start, block[:, iu] * n + block[:, ju]
+
+
+def all_statistic_values_oracle(a, b):
+    """Reference engine: one gather of all C(n, 2) entries of B per permutation."""
+    n = a.n
+    a_flat = a.to_dense()[np.triu_indices(n, 1)]
+    b_flat = b.to_dense().ravel()
+    out = np.empty(math.factorial(n))
+    for start, k in edge_image_blocks(n):
+        out[start : start + len(k)] = b_flat[k] @ a_flat
+    return out
+
+
+def _edge_images(pi, n):
+    return [pi[i] * n + pi[j] for i, j in all_pairs(n)]
+
+
+def _draws(n, weighted, seed):
+    """An independent pair, a relabeled copy and a self pair on n vertices from a fixed seed."""
+    rng = np.random.default_rng(seed)
+    m = n * (n - 1) // 2
+    if weighted:
+        graph = lambda: WeightedGraph(symmetric_from_flat(n, rng.standard_normal(m)))
+    else:
+        graph = lambda: BinaryGraph.from_indices(n, np.flatnonzero(rng.random(m) < 0.4))
+    a = graph()
+    return [(a, graph()), (a, relabel(a, Permutation(rng.permutation(n)))), (a, a)]
+
+
+class TestSplitEngine:
+    """The prefix x suffix engine against the edge-image engine it replaced."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_edge_image_blocks_match_loop(self, n):
+        blocks = list(edge_image_blocks(n))
+        assert [start for start, _ in blocks] == [0]
+        k = np.concatenate([k for _, k in blocks])
+        want = [_edge_images(pi, n) for pi in itertools.permutations(range(n))]
+        assert k.tolist() == want
+
+    def test_edge_image_block_seams_at_n9(self):
+        n = 9
+        table = permutation_table(n)
+        seams = {0, 131071, 131072, 262143, 262144, math.factorial(n) - 1}
+        starts = []
+        for start, k in edge_image_blocks(n):
+            starts.append(start)
+            for t in seams:
+                if start <= t < start + len(k):
+                    assert k[t - start].tolist() == _edge_images(table[t].tolist(), n)
+        assert starts == [0, 131072, 262144]
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_er_values_equal_oracle(self, n):
+        for a, b in _draws(n, weighted=False, seed=100 + n):
+            want = all_statistic_values_oracle(a, b)
+            got = all_statistic_values(a, b)
+            np.testing.assert_array_equal(got, want)
+            idx = int(np.argmax(want))
+            val, arg = qap_exact(a, b)
+            assert val == want[idx]
+            assert arg.mapping == tuple(permutation_table(n)[idx].tolist())
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_gaussian_values_match_oracle(self, n):
+        for a, b in _draws(n, weighted=True, seed=200 + n):
+            want = all_statistic_values_oracle(a, b)
+            got = all_statistic_values(a, b)
+            scale = max(1.0, float(np.abs(want).max()))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+            idx = int(np.argmax(want))
+            assert int(np.argmax(got)) == idx
+            _, arg = qap_exact(a, b)
+            assert arg.mapping == tuple(permutation_table(n)[idx].tolist())
+
+    def test_nearly_symmetric_weights_match_oracle(self):
+        # asymmetry within np.allclose: the engine and the oracle read different triangles of B
+        a, b = _draws(7, weighted=True, seed=400)[0]
+        lower = np.tril(np.ones((7, 7), dtype=bool), -1)
+        b = WeightedGraph(np.where(lower, b.weight * (1 + 5e-6), b.weight))
+        want = all_statistic_values_oracle(a, b)
+        got = all_statistic_values(a, b)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_n10_value_is_attained_by_argmax(self, weighted):
+        for a, b in _draws(10, weighted, seed=300)[:2]:
+            val, arg = qap_exact(a, b)
+            assert val == pytest.approx(statistic_given_pi(a, b, arg), rel=1e-12, abs=1e-12)
 
 
 class TestQapLocalSearch:
