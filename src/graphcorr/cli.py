@@ -149,7 +149,10 @@ def _cmd_test(args) -> int:
         raise SystemExit(
             f"--n {args.n} does not match the graph files: {args.a} has n={a.n}, {args.b} has n={b.n}"
         )
-    stat, argmax = test.statistic(a, b, params, restarts=args.restarts, seed=args.seed)
+    try:
+        stat, argmax = test.statistic(a, b, params, restarts=args.restarts, seed=args.seed)
+    except ValueError as err:
+        raise SystemExit(str(err)) from None
     tau = test.threshold(params) if args.threshold == "auto" else float(args.threshold)
     decision = "planted" if stat >= tau else "null"
     print(f"statistic {stat:.6g} threshold {tau:.6g} decision {decision}")

@@ -42,6 +42,7 @@ QAP_EXACT_DEFAULT_LIMIT = 10
 LR_EXACT_DEFAULT_LIMIT = 7
 LOCAL_SEARCH_KICK = 3  # random transpositions per perturbation between climbs
 CLIMB_TOL = 1e-12  # smallest 2-swap gain that _climb takes
+CLIMB_BLOCK = 1 << 18  # entries per (rows, n, n) array of one batched climb; more starts climb in turn
 PROFILE_DEPTH = 3  # neighborhood-profile iterations of the rank-matching start
 SUFFIX = 5  # trailing positions whose orders all_statistic_values covers with one matmul per prefix
 
@@ -167,22 +168,55 @@ def qap_exact(a, b) -> tuple[float, Permutation]:
     return float(vals[idx]), Permutation(prefix + tuple(rest[c] for c in permutation_table(r)[s]))
 
 
-def _climb(am: np.ndarray, bm: np.ndarray, p: np.ndarray):
-    """First-improvement 2-swap hill climbing from the permutation ``p``."""
-    n = am.shape[0]
-    p = p.copy()
-    while True:
-        bp = bm[np.ix_(p, p)]
-        g = am @ bp
-        diag = np.diag(g)
-        delta = g + g.T - diag[:, None] - diag[None, :] + 2 * am * bp
-        cand = np.triu(delta, 1) > CLIMB_TOL
-        if not cand.any():
-            break
-        i, j = np.unravel_index(int(np.argmax(cand)), cand.shape)
-        p[i], p[j] = p[j], p[i]
-    val = float(np.triu(am * bm[np.ix_(p, p)], 1).sum())
-    return val, p
+def _climb(am: np.ndarray, bm: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First-improvement 2-swap hill climbing from every row of the (k, n) starts ``p`` at once.
+
+    Each row climbs as it would alone: a step swaps the row's first pair i < j,
+    in row-major order, whose gain exceeds ``CLIMB_TOL``.  The gains are read
+    off g = A @ bp with bp = B[p][:, p].  A swap changes g by the rank-one term
+    (A[:, i] − A[:, j]) (bp[j] − bp[i])ᵀ followed by swapping columns i and j,
+    so neither the gather nor the matmul is redone.  A row with no improving
+    pair leaves the batch.  Returns the (k,) values T_p and the (k, n) climbed
+    permutations.
+    """
+    k, n = p.shape
+    block = max(1, CLIMB_BLOCK // max(1, n * n))
+    if k > block:
+        parts = [_climb(am, bm, p[lo : lo + block]) for lo in range(0, k, block)]
+        return np.concatenate([v for v, _ in parts]), np.concatenate([q for _, q in parts])
+    out, p = p.copy(), p.copy()
+    live = np.arange(k if n > 1 else 0)  # below two vertices there is no pair to swap
+    bp = bm[p[:, :, None], p[:, None, :]]
+    g = am @ bp
+    iu, ju = np.triu_indices(n, 1)
+    up, low, diag = iu * n + ju, ju * n + iu, np.arange(n) * (n + 1)  # flat positions in an (n, n) matrix
+    am2 = 2 * am.ravel()[up]
+    while live.size:
+        rows = np.arange(len(live))
+        gf, bf = g.reshape(len(live), n * n), bp.reshape(len(live), n * n)
+        d = gf[:, diag]
+        delta = gf[:, up]
+        delta += gf[:, low]
+        delta -= d[:, iu]
+        delta -= d[:, ju]
+        delta += am2 * bf[:, up]
+        cand = delta > CLIMB_TOL
+        first = cand.argmax(axis=1)
+        moving = cand[rows, first]
+        if not moving.all():
+            out[live[~moving]] = p[~moving]
+            live, p, first, rows = live[moving], p[moving], first[moving], rows[: moving.sum()]
+            # gf and bf are views of g and bp: rebinding both frees each old array before the next copy
+            g = gf = gf[moving].reshape(len(live), n, n)
+            bp = bf = bf[moving].reshape(len(live), n, n)
+        i, j = iu[first], ju[first]
+        # am is symmetric, so its rows i and j are the columns A[:, i] and A[:, j]
+        g += (am[i] - am[j])[:, :, None] * (bp[rows, j] - bp[rows, i])[:, None, :]
+        g[rows, :, i], g[rows, :, j] = g[rows, :, j], g[rows, :, i]
+        bp[rows, i], bp[rows, j] = bp[rows, j], bp[rows, i]
+        bp[rows, :, i], bp[rows, :, j] = bp[rows, :, j], bp[rows, :, i]
+        p[rows, i], p[rows, j] = p[rows, j], p[rows, i]
+    return np.triu(am * bm[out[:, :, None], out[:, None, :]], 1).sum(axis=(1, 2)), out
 
 
 def _profile_start(am: np.ndarray, bm: np.ndarray) -> np.ndarray:
@@ -200,34 +234,41 @@ def qap_local_search(
 ) -> tuple[float, Permutation]:
     """Best value of T_pi found by iterated 2-swap local search.
 
-    Starts from the identity, a neighborhood-profile rank matching, and
-    seeded random permutations; each start is refined by first-improvement
-    2-swap climbs interleaved with ``rounds`` small random perturbations.
-    Deterministic under a fixed seed; the result is at least the identity
-    statistic and never exceeds the exact maximum.
+    Takes ``restarts`` starts: the identity, a neighborhood-profile rank
+    matching, then seeded random permutations.  Each start is refined by a
+    first-improvement 2-swap climb, then ``rounds`` times by a kick of
+    ``LOCAL_SEARCH_KICK`` random transpositions and a climb, kept when no
+    worse.  No kick depends on a climb, so every kick is drawn up front and
+    all starts climb as one batch per round; under a seed the result equals
+    that of searching the starts one after another, the first best start
+    winning.  The result is at least the identity statistic and never
+    exceeds the exact maximum.  Raises ValueError for ``restarts < 1`` or
+    ``rounds < 0``.
     """
     if a.n != b.n:
         raise ValueError("size mismatch")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if rounds < 0:
+        raise ValueError(f"rounds must be >= 0, got {rounds}")
     n = a.n
     am, bm = a.to_dense(), b.to_dense()
     rng = rng_from_seed(seed)
-    starts = [np.arange(n), _profile_start(am, bm)]
-    while len(starts) < max(1, restarts):
-        starts.append(rng.permutation(n))
-    best_val, best_p = -math.inf, np.arange(n)
-    for p0 in starts[: max(1, restarts)]:
-        cur_val, cur_p = _climb(am, bm, p0)
-        for _ in range(rounds):
-            p = cur_p.copy()
-            for _ in range(LOCAL_SEARCH_KICK):
-                i, j = rng.integers(0, n, 2)
-                p[i], p[j] = p[j], p[i]
-            val, p = _climb(am, bm, p)
-            if val >= cur_val:
-                cur_val, cur_p = val, p
-        if cur_val > best_val:
-            best_val, best_p = cur_val, cur_p
-    return best_val, Permutation(best_p)
+    starts = [np.arange(n), _profile_start(am, bm)][:restarts]
+    starts += [rng.permutation(n) for _ in range(restarts - len(starts))]
+    kicks = [rng.integers(0, n, 2) for _ in range(restarts * rounds * LOCAL_SEARCH_KICK)]
+    kicks = np.array(kicks, dtype=np.intp).reshape(restarts, rounds, LOCAL_SEARCH_KICK, 2)
+    cur_val, cur_p = _climb(am, bm, np.array(starts, dtype=np.intp))
+    r = np.arange(restarts)
+    for t in range(rounds):
+        p = cur_p.copy()
+        for i, j in kicks[:, t].transpose(1, 2, 0):
+            p[r, i], p[r, j] = p[r, j], p[r, i]
+        val, p = _climb(am, bm, p)
+        keep = val >= cur_val
+        cur_val[keep], cur_p[keep] = val[keep], p[keep]
+    best = int(np.argmax(cur_val))
+    return float(cur_val[best]), Permutation(cur_p[best])
 
 
 def _log_kernel_er(p: float, s: float) -> tuple[float, float, float]:

@@ -78,6 +78,10 @@ class SweepConfig:
                 TESTS[t].check(self.model, max(self.n_values, default=0))
             except ValueError as err:
                 raise FieldError("tests", str(err)) from None
+        if self.restarts < 1:
+            raise FieldError("restarts", "restarts must be >= 1")
+        if self.ls_rounds < 0:
+            raise FieldError("ls_rounds", "ls_rounds must be >= 0")
         if self.threshold_mode not in ("auto", "oracle"):
             raise FieldError("threshold_mode", "threshold_mode must be 'auto' or 'oracle'")
         if not self.cells():

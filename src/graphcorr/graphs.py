@@ -246,6 +246,8 @@ class BinaryGraph:
         return g
 
     def _init(self, n: int, idx, edges: frozenset | None) -> None:
+        if n < 0:
+            raise ValueError(f"the number of vertices must be >= 0, got {n}")
         idx = np.asarray(idx)
         if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
             raise ValueError("pair indices must be a one-dimensional integer array")
@@ -385,23 +387,36 @@ def write_binary_graph(g: BinaryGraph, path) -> None:
         np.savetxt(f, np.column_stack([i + 1, j + 1]), fmt="%d")
 
 
-def _numbered_lines(path) -> list[tuple[int, str]]:
-    """(line number, stripped text) of the non-blank lines of a graph file; an empty file is rejected."""
+def _read_graph_lines(path) -> tuple[int, list[tuple[int, str]]]:
+    """Vertex count and (line number, text) of the non-blank lines of a graph file, header first.
+
+    An empty file, a count that is not an integer and a negative count are
+    rejected with ``path:line``.
+    """
     with open(path) as f:
         lines = [(no, ln.strip()) for no, ln in enumerate(f, 1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}:1: empty file, expected the number of vertices")
-    return lines
+    no, text = lines[0]
+    try:
+        n = int(text)
+    except ValueError:
+        raise ValueError(f"{path}:{no}: expected the number of vertices, got {text!r}") from None
+    if n < 0:
+        raise ValueError(f"{path}:{no}: the number of vertices must be >= 0, got {n}")
+    return n, lines
 
 
 def read_binary_graph(path) -> BinaryGraph:
-    lines = _numbered_lines(path)
-    n = int(lines[0][1])
+    n, lines = _read_graph_lines(path)
+    pairs = []
     for no, ln in lines[1:]:
-        if len(ln.split()) != 2:
-            raise ValueError(f"{path}:{no}: expected two vertex numbers, got {ln!r}")
-    ij = np.array([[int(t) - 1 for t in ln.split()] for _, ln in lines[1:]]).reshape(-1, 2)
-    ij = np.sort(ij, axis=1)
+        try:
+            u, v = (int(t) - 1 for t in ln.split())
+        except ValueError:
+            raise ValueError(f"{path}:{no}: expected two vertex numbers, got {ln!r}") from None
+        pairs.append((u, v))
+    ij = np.sort(np.array(pairs).reshape(-1, 2), axis=1)
     order = np.lexsort((ij[:, 1], ij[:, 0]))  # stable: equal pairs keep their line order
     repeats = order[1:][np.all(ij[order[1:]] == ij[order[:-1]], axis=1)]
     if repeats.size:
@@ -418,14 +433,16 @@ def write_weighted_graph(g: WeightedGraph, path) -> None:
 
 
 def read_weighted_graph(path) -> WeightedGraph:
-    lines = _numbered_lines(path)
-    n = int(lines[0][1])
+    n, lines = _read_graph_lines(path)
     if len(lines) != n + 1:
         no = lines[min(n + 1, len(lines) - 1)][0]
         raise ValueError(f"{path}:{no}: expected {n} rows, found {len(lines) - 1}")
     rows = []
     for no, ln in lines[1:]:
-        row = [float(t) for t in ln.split(",")]
+        try:
+            row = [float(t) for t in ln.split(",")]
+        except ValueError:
+            raise ValueError(f"{path}:{no}: expected {n} comma-separated weights, got {ln!r}") from None
         if len(row) != n:
             raise ValueError(f"{path}:{no}: expected {n} entries, found {len(row)}")
         rows.append(row)

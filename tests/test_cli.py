@@ -124,6 +124,17 @@ class TestTestCommand:
             f"--n 7 does not match the graph files: {tmp_path / 'a.txt'} has n=5, {tmp_path / 'b.txt'} has n=5"
         )
 
+    def test_bad_restarts_exit_with_one_line(self, tmp_path):
+        for name in ("a.txt", "b.txt"):
+            write_binary_graph(BinaryGraph.complete(5), tmp_path / name)
+        with pytest.raises(SystemExit) as err:
+            main([
+                "test", "--stat", "qap-ls", "--a", str(tmp_path / "a.txt"),
+                "--b", str(tmp_path / "b.txt"), "--model", "er", "--n", "5",
+                "--p", "0.3", "--s", "0.5", "--restarts", "0",
+            ])
+        assert err.value.code == "restarts must be >= 1, got 0"
+
     def test_unreadable_graph_file_exits_with_one_line(self, tmp_path):
         write_binary_graph(BinaryGraph.complete(5), tmp_path / "a.txt")
         (tmp_path / "b.txt").write_text("")
@@ -236,6 +247,8 @@ class TestSweepConfig:
             ),
             ("model=er\nn=8\ntests=edges,qap\ntrials=5\np=0.4\ns=0.8\n", 3, "unknown tests: ['qap']"),
             ("model=er\nn=8\ntests=edges\ntrials=5\np=0.4\n# no s\n", 6, "empty parameter grid"),
+            ("model=er\nn=8\ntests=qap-ls\nrestarts=0\ntrials=5\np=0.4\ns=0.8\n", 4, "restarts must be >= 1"),
+            ("model=er\nn=8\nls_rounds=-1\ntests=qap-ls\ntrials=5\np=0.4\ns=0.8\n", 3, "ls_rounds must be >= 0"),
         ],
     )
     def test_rejection_names_path_and_line(self, tmp_path, text, line, message):

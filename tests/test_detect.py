@@ -1,5 +1,6 @@
 import itertools
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from graphcorr.sampling import (
     ErParams,
     GaussianParams,
     SeedSpec,
+    rng_from_seed,
     sample_null_er,
     sample_null_gaussian,
     sample_planted_er,
@@ -309,6 +311,119 @@ class TestQapLocalSearch:
         r1 = qap_local_search(a, b, restarts=10, seed=42, rounds=4)
         r2 = qap_local_search(a, b, restarts=10, seed=42, rounds=4)
         assert r1 == r2
+
+
+def _climb_oracle(am, bm, p):
+    """Reference climb: one start at a time, B[p][:, p] gathered and A @ bp recomputed per swap."""
+    n = am.shape[0]
+    p = p.copy()
+    while True:
+        bp = bm[np.ix_(p, p)]
+        g = am @ bp
+        diag = np.diag(g)
+        delta = g + g.T - diag[:, None] - diag[None, :] + 2 * am * bp
+        cand = np.triu(delta, 1) > detect.CLIMB_TOL
+        if not cand.any():
+            break
+        i, j = np.unravel_index(int(np.argmax(cand)), cand.shape)
+        p[i], p[j] = p[j], p[i]
+    val = float(np.triu(am * bm[np.ix_(p, p)], 1).sum())
+    return val, p
+
+
+def qap_local_search_oracle(a, b, restarts=20, seed=0, rounds=30):
+    """Reference search: each start climbed and kicked in turn, kicks drawn as they are used."""
+    if a.n != b.n:
+        raise ValueError("size mismatch")
+    n = a.n
+    am, bm = a.to_dense(), b.to_dense()
+    rng = rng_from_seed(seed)
+    starts = [np.arange(n), detect._profile_start(am, bm)]
+    while len(starts) < max(1, restarts):
+        starts.append(rng.permutation(n))
+    best_val, best_p = -math.inf, np.arange(n)
+    for p0 in starts[: max(1, restarts)]:
+        cur_val, cur_p = _climb_oracle(am, bm, p0)
+        for _ in range(rounds):
+            p = cur_p.copy()
+            for _ in range(detect.LOCAL_SEARCH_KICK):
+                i, j = rng.integers(0, n, 2)
+                p[i], p[j] = p[j], p[i]
+            val, p = _climb_oracle(am, bm, p)
+            if val >= cur_val:
+                cur_val, cur_p = val, p
+        if cur_val > best_val:
+            best_val, best_p = cur_val, cur_p
+    return best_val, Permutation(best_p)
+
+
+def _search_pairs(model, n):
+    """A null pair, a planted pair and a self pair on n vertices from fixed seeds."""
+    if model == "er":
+        params = ErParams(n, 0.3, 0.8)
+        a, b = sample_null_er(params, SeedSpec(31, n))
+        c, d, _ = sample_planted_er(params, SeedSpec(32, n))
+    else:
+        params = GaussianParams(n, 0.7)
+        a, b = sample_null_gaussian(params, SeedSpec(33, n))
+        c, d, _ = sample_planted_gaussian(params, SeedSpec(34, n))
+    return [(a, b), (c, d), (c, c)]
+
+
+# (restarts, rounds) settings; the larger instances run the first three only
+SEARCH_SETTINGS = [(1, 0), (2, 1), (20, 10), (1, 10), (20, 0), (20, 1), (2, 10)]
+
+
+@pytest.fixture
+def time_limit():
+    """Fail a test that runs past two minutes: a climb that misreads its gains can cycle for ever."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the search did not finish within 120 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("time_limit")
+class TestBatchedSearch:
+    """The batched climb and search against the sequential ones they replaced."""
+
+    @pytest.mark.parametrize(
+        "model,n",
+        [("er", n) for n in (1, 2, 3, 8, 30, 50)] + [("gaussian", n) for n in (2, 9, 30)],
+    )
+    def test_search_equals_oracle(self, model, n):
+        small = n <= 9
+        for a, b in _search_pairs(model, n):
+            for restarts, rounds in SEARCH_SETTINGS if small else SEARCH_SETTINGS[:3]:
+                for seed in (0, 5, SeedSpec(9, n)) if small else (0, 5):
+                    want = qap_local_search_oracle(a, b, restarts=restarts, seed=seed, rounds=rounds)
+                    got = qap_local_search(a, b, restarts=restarts, seed=seed, rounds=rounds)
+                    assert got == want, (model, n, restarts, rounds, seed)
+
+    @pytest.mark.parametrize("model,n", [("er", 12), ("gaussian", 12)])
+    @pytest.mark.parametrize("block", [detect.CLIMB_BLOCK, 300])  # 300 entries: blocks of 2 rows at n=12
+    def test_climb_rows_equal_single_climbs(self, model, n, block, monkeypatch):
+        monkeypatch.setattr(detect, "CLIMB_BLOCK", block)
+        rng = np.random.default_rng(n)
+        for a, b in _search_pairs(model, n):
+            am, bm = a.to_dense(), b.to_dense()
+            starts = np.array([rng.permutation(n) for _ in range(7)])
+            vals, ps = detect._climb(am, bm, starts)
+            for row, start in enumerate(starts):
+                val, p = _climb_oracle(am, bm, start)
+                assert vals[row] == val
+                assert ps[row].tolist() == p.tolist()
+
+    @pytest.mark.parametrize("restarts,rounds", [(0, 10), (-1, 10), (1, -1)])
+    def test_rejects_bad_settings(self, restarts, rounds):
+        a, b = sample_null_er(ErParams(6, 0.4, 0.8), SeedSpec(1, 0))
+        with pytest.raises(ValueError, match="restarts must be >= 1|rounds must be >= 0"):
+            qap_local_search(a, b, restarts=restarts, rounds=rounds)
 
 
 class TestLikelihoodRatio:

@@ -336,6 +336,11 @@ class TestBinaryGraphValue:
         with pytest.raises(ValueError, match="integer"):
             BinaryGraph.from_indices(4, idx)
 
+    @pytest.mark.parametrize("make", [lambda: BinaryGraph(-3), lambda: BinaryGraph.from_indices(-1, [])])
+    def test_rejects_negative_vertex_count(self, make):
+        with pytest.raises(ValueError, match="number of vertices must be >= 0"):
+            make()
+
     def test_from_indices_sorts_and_copies(self):
         idx = np.array([5, 0, 3])
         g = BinaryGraph.from_indices(4, idx)
@@ -416,7 +421,10 @@ class TestFileFormats:
             ("4\n1 2\n\n2 1\n", 4),  # the same edge written twice
             ("4\n1 2\n3 4 1\n", 3),  # three tokens
             ("4\n1 2\n3\n", 3),  # one token
+            ("4\n1 2\n1 x\n", 3),  # a vertex that is not an integer
             ("", 1),  # an empty file
+            ("abc\n1 2\n", 1),  # a header that is not an integer
+            ("-3\n", 1),  # a negative number of vertices
         ],
     )
     def test_binary_reader_rejects_with_line_number(self, tmp_path, text, line):
@@ -432,7 +440,10 @@ class TestFileFormats:
             ("2\n0,1\n", 2),  # a missing row
             ("2\n0,1\n1,0,0\n", 3),  # a long row
             ("2\n0\n1,0\n", 2),  # a short row
+            ("2\n0,x\n1,0\n", 2),  # a weight that is not a number
             ("\n \n", 1),  # blank lines only
+            ("abc\n", 1),  # a header that is not an integer
+            ("-3\n", 1),  # a negative number of vertices
         ],
     )
     def test_weighted_reader_rejects_with_line_number(self, tmp_path, text, line):
