@@ -8,6 +8,7 @@ module.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -58,8 +59,17 @@ from .sampling import (
 )
 
 
-def _model_params(args) -> GaussianParams | ErParams:
+@contextlib.contextmanager
+def _one_line_errors():
+    """Turn a ValueError raised on the user's input into a one-line exit."""
     try:
+        yield
+    except ValueError as err:
+        raise SystemExit(str(err)) from None
+
+
+def _model_params(args) -> GaussianParams | ErParams:
+    with _one_line_errors():
         if args.model == "gaussian":
             if args.rho is None:
                 raise SystemExit("--rho is required for the gaussian model")
@@ -67,8 +77,6 @@ def _model_params(args) -> GaussianParams | ErParams:
         if args.p is None or args.s is None:
             raise SystemExit("--p and --s are required for the er model")
         return ErParams(args.n, args.p, args.s)
-    except ValueError as err:
-        raise SystemExit(str(err)) from None
 
 
 def _add_model_args(parser) -> None:
@@ -99,11 +107,12 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    sigma = read_permutation(args.sigma)
-    orbits, census = edge_orbits(sigma)
+    with _one_line_errors():
+        sigma = read_permutation(args.sigma)
+        orbits, census = edge_orbits(sigma)
+        if args.k is not None:
+            orbits = orbits_up_to(sigma, args.k)
     ct = cycle_type(sigma)
-    if args.k is not None:
-        orbits = orbits_up_to(sigma, args.k)
     rows = []
     for o in orbits:
         cls = classify_orbit(sigma, o)
@@ -121,8 +130,9 @@ def _cmd_orbit(args) -> int:
     }
     print(json.dumps(dump))
     if args.backbone:
-        h = read_binary_graph(args.backbone)
-        gamma = backbone(sigma, h, args.k if args.k is not None else sigma.n)
+        with _one_line_errors():
+            h = read_binary_graph(args.backbone)
+            gamma = backbone(sigma, h, args.k if args.k is not None else sigma.n)
         print("backbone nodes:")
         for nd in gamma.nodes:
             flag = " split" if nd.split else ""
@@ -136,23 +146,16 @@ def _cmd_orbit(args) -> int:
 def _cmd_test(args) -> int:
     params = _model_params(args)
     test = TESTS[args.stat]
-    try:
-        test.check(args.model, args.n)
-    except ValueError as err:
-        raise SystemExit(str(err)) from None
     reader = read_weighted_graph if args.model == "gaussian" else read_binary_graph
-    try:
+    with _one_line_errors():
+        test.check(args.model, args.n)
         a, b = reader(args.a), reader(args.b)
-    except ValueError as err:
-        raise SystemExit(str(err)) from None
     if a.n != args.n or b.n != args.n:
         raise SystemExit(
             f"--n {args.n} does not match the graph files: {args.a} has n={a.n}, {args.b} has n={b.n}"
         )
-    try:
+    with _one_line_errors():
         stat, argmax = test.statistic(a, b, params, restarts=args.restarts, seed=args.seed)
-    except ValueError as err:
-        raise SystemExit(str(err)) from None
     tau = test.threshold(params) if args.threshold == "auto" else float(args.threshold)
     decision = "planted" if stat >= tau else "null"
     print(f"statistic {stat:.6g} threshold {tau:.6g} decision {decision}")
@@ -162,14 +165,15 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_gf(args) -> int:
-    sigma = read_permutation(args.sigma)
-    ct = cycle_type(sigma)
-    if args.forest:
-        brute = gf_orbit_forests_bruteforce(sigma, args.k, args.s)
-        bound = gf_bound_forest(ct, args.k, args.s)
-    else:
-        brute = gf_orbit_pseudoforests_bruteforce(sigma, args.k, args.s)
-        bound = gf_bound_pseudoforest(ct, args.k, args.s)
+    with _one_line_errors():
+        sigma = read_permutation(args.sigma)
+        ct = cycle_type(sigma)
+        if args.forest:
+            brute = gf_orbit_forests_bruteforce(sigma, args.k, args.s)
+            bound = gf_bound_forest(ct, args.k, args.s)
+        else:
+            brute = gf_orbit_pseudoforests_bruteforce(sigma, args.k, args.s)
+            bound = gf_bound_pseudoforest(ct, args.k, args.s)
     kind = "forest" if args.forest else "pseudoforest"
     print(f"{kind} generating function: brute {brute:.12g}  bound {bound:.12g}  margin {bound - brute:.6g}")
     return 0 if brute <= bound + 1e-12 else 1
@@ -180,10 +184,8 @@ def _cmd_moments(args) -> int:
     try:
         report = second_moment_exact(params)
     except ExactLimitError:
-        try:
+        with _one_line_errors():
             report = second_moment_mc(params, trials=args.trials, seed=args.seed)
-        except ValueError as err:
-            raise SystemExit(str(err)) from None
     print("model,n,value,exact,halfwidth")
     hw = "" if report.mc_halfwidth is None else f"{report.mc_halfwidth:.6g}"
     print(f"{report.model},{report.n},{report.value:.12g},{report.is_exact},{hw}")
@@ -289,10 +291,8 @@ def _read_config(path) -> experiments.SweepConfig:
 
 
 def _cmd_sweep(args) -> int:
-    try:
+    with _one_line_errors():
         config = _read_config(args.config)
-    except ValueError as err:
-        raise SystemExit(str(err)) from None
     text = experiments.run_sweep(config, out_path=args.out)
     if args.out is None:
         sys.stdout.write(text)

@@ -252,6 +252,8 @@ def qap_local_search(
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
     n = a.n
+    if n < 2:
+        rounds = 0  # no pair to swap, so no kick
     am, bm = a.to_dense(), b.to_dense()
     rng = rng_from_seed(seed)
     starts = [np.arange(n), _profile_start(am, bm)][:restarts]

@@ -85,7 +85,8 @@ def _forests(n: int, a: int, pseudo: bool):
     """Yield (edges, components) of every forest on [n] with a edges.
 
     With ``pseudo`` the edges are multisets over unordered pairs and
-    self-loops, each used at most twice, and components may carry one cycle.
+    self-loops, and components may carry one cycle; the excess bound keeps
+    each pair to at most two copies and each loop to one.
     """
     if pseudo:
         slots = [(i, i) for i in range(n)] + list(itertools.combinations(range(n), 2))
@@ -96,8 +97,6 @@ def _forests(n: int, a: int, pseudo: bool):
     else:
         graphs = itertools.combinations(itertools.combinations(range(n), 2), a)
     for edges in graphs:
-        if pseudo and any(edges.count(e) > 2 for e in set(edges)):
-            continue
         comps = _components_within(n, edges, 0 if pseudo else -1)
         if comps is not None:
             yield edges, comps
@@ -241,15 +240,11 @@ def _edge_label_assignments(edges, loops, t: int):
         list(itertools.combinations(range(1, loop_range + 1), loop_groups[v]))
         for v in loop_keys
     ]
-    for edge_combo in itertools.product(*per_group):
-        edge_labels = tuple(
-            (e, lab) for e, labs in zip(keys, edge_combo) for lab in labs
-        )
-        for loop_combo in itertools.product(*per_loop):
-            loop_labels = tuple(
-                (v, lab) for v, labs in zip(loop_keys, loop_combo) for lab in labs
-            )
-            yield edge_labels, loop_labels
+    for combo in itertools.product(*per_group, *per_loop):
+        edge_combo, loop_combo = combo[: len(keys)], combo[len(keys) :]
+        edge_labels = tuple((e, lab) for e, labs in zip(keys, edge_combo) for lab in labs)
+        loop_labels = tuple((v, lab) for v, labs in zip(loop_keys, loop_combo) for lab in labs)
+        yield edge_labels, loop_labels
 
 
 def _level_plans(ct, t, a, b, c, d, pseudo: bool):

@@ -455,6 +455,16 @@ def write_permutation(pi: Permutation, path) -> None:
 
 
 def read_permutation(path) -> Permutation:
+    """Read a 1-based one-line permutation; a non-integer token or a non-bijection names the file."""
+    images = []
     with open(path) as f:
-        tokens = f.read().split()
-    return Permutation(tuple(int(t) - 1 for t in tokens))
+        for no, line in enumerate(f, 1):
+            for token in line.split():
+                try:
+                    images.append(int(token) - 1)
+                except ValueError:
+                    raise ValueError(f"{path}:{no}: expected a vertex number, got {token!r}") from None
+    try:
+        return Permutation(tuple(images))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

@@ -314,44 +314,34 @@ def second_moment_bruteforce_er(params: ErParams) -> float:
 # -- generating functions of orbit (pseudo)forests -------------------------------
 
 
-def _try_add_orbit(uf: ComponentUnion, orbit: EdgeOrbit, max_excess: int) -> int | None:
-    """Add a whole orbit if the touched components keep excess <= max_excess.
+def _with_orbit(uf: ComponentUnion, orbit: EdgeOrbit, max_excess: int) -> ComponentUnion | None:
+    """Extend a copy of ``uf`` by a whole orbit.
 
-    Returns a rollback mark on success, None (state restored) on failure.
+    Returns None when a touched component then has excess above max_excess.
     """
-    mark = uf.snapshot()
-    touched = set()
+    uf = uf.copy()
     for u, v in orbit.edges:
         uf.add_edge(u, v)
-        touched.add(u)
-    if all(uf.component_excess(v) <= max_excess for v in touched):
-        return mark
-    uf.rollback(mark)
-    return None
+    return uf if all(uf.component_excess(u) <= max_excess for u, _ in orbit.edges) else None
 
 
-def _gf_dfs(orbits: list[EdgeOrbit], s: float, max_excess: int, collect=None) -> float:
-    total = 1.0  # the empty union
-    uf = ComponentUnion()
-    chosen: list[int] = []
+def _orbit_unions(orbits: list[EdgeOrbit], max_excess: int):
+    """Orbit subsets whose union keeps every component's excess <= max_excess.
 
-    def rec(start: int, edge_count: int):
-        nonlocal total
+    Yields (indices, edge count) per nonempty subset, depth first in index
+    order, each subset before its extensions; a subset that fails prunes
+    every superset that extends it.
+    """
+
+    def rec(uf: ComponentUnion, start: int, chosen: tuple[int, ...], edge_count: int):
         for j in range(start, len(orbits)):
-            mark = _try_add_orbit(uf, orbits[j], max_excess)
-            if mark is None:
-                continue
-            chosen.append(j)
-            new_count = edge_count + len(orbits[j])
-            total += s ** (2 * new_count)
-            if collect is not None:
-                collect(tuple(chosen))
-            rec(j + 1, new_count)
-            chosen.pop()
-            uf.rollback(mark)
+            extended = _with_orbit(uf, orbits[j], max_excess)
+            if extended is not None:
+                subset, count = chosen + (j,), edge_count + len(orbits[j])
+                yield subset, count
+                yield from rec(extended, j + 1, subset, count)
 
-    rec(0, 0)
-    return total
+    return rec(ComponentUnion(), 0, (), 0)
 
 
 def _short_orbits_checked(sigma: Permutation, k: int, limit: int) -> list[EdgeOrbit]:
@@ -369,23 +359,28 @@ def gf_orbit_pseudoforests_bruteforce(sigma: Permutation, k: int, s: float) -> f
     Enumerates subsets of the short orbits by depth-first search, pruning any
     branch whose union already has a component of positive excess.
     """
-    return _gf_dfs(_short_orbits_checked(sigma, k, GF_ORBIT_LIMIT), s, max_excess=0)
+    total = 1.0  # the empty union
+    for _, count in _orbit_unions(_short_orbits_checked(sigma, k, GF_ORBIT_LIMIT), max_excess=0):
+        total += s ** (2 * count)
+    return total
 
 
 def gf_orbit_forests_bruteforce(sigma: Permutation, k: int, s: float) -> float:
     """Forest-restricted variant of the orbit generating function."""
-    return _gf_dfs(_short_orbits_checked(sigma, k, GF_ORBIT_LIMIT), s, max_excess=-1)
+    total = 1.0  # the empty union
+    for _, count in _orbit_unions(_short_orbits_checked(sigma, k, GF_ORBIT_LIMIT), max_excess=-1):
+        total += s ** (2 * count)
+    return total
 
 
 def enumerate_orbit_pseudoforests(sigma: Permutation, k: int, limit: int = GF_ORBIT_LIMIT):
     """Yield every orbit pseudoforest (as a list of orbits) assembled from short orbits.
 
-    The empty union is not yielded.
+    Subsets come lazily, depth first in orbit order; the empty union is not
+    yielded.
     """
     orbits = _short_orbits_checked(sigma, k, limit)
-    found: list[tuple[int, ...]] = []
-    _gf_dfs(orbits, 0.0, max_excess=0, collect=found.append)
-    for subset in found:
+    for subset, _ in _orbit_unions(orbits, max_excess=0):
         yield [orbits[j] for j in subset]
 
 

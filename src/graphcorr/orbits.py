@@ -154,14 +154,13 @@ class EdgeOrbitCensus:
 
 
 def _orbit_of_pair(sigma: Permutation, pair: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+    """The edge orbit through ``pair`` in traversal order, starting at ``pair``."""
     edges = [pair]
     cur = canonical_pair(sigma(pair[0]), sigma(pair[1]))
     while cur != pair:
         edges.append(cur)
         cur = canonical_pair(sigma(cur[0]), sigma(cur[1]))
-    # rotate so the lexicographically smallest pair leads
-    k = edges.index(min(edges))
-    return tuple(edges[k:] + edges[:k])
+    return tuple(edges)
 
 
 def edge_orbits(sigma: Permutation) -> tuple[list[EdgeOrbit], EdgeOrbitCensus]:
@@ -177,7 +176,6 @@ def edge_orbits(sigma: Permutation) -> tuple[list[EdgeOrbit], EdgeOrbitCensus]:
         seen.update(cyc)
         orbits.append(EdgeOrbit(cyc))
         by_length[len(cyc)] = by_length.get(len(cyc), 0) + 1
-    orbits.sort(key=lambda o: o.representative)
     return orbits, EdgeOrbitCensus(n, by_length)
 
 
@@ -510,42 +508,28 @@ def reconstruct_orbit_graph(sigma: Permutation, gamma: BackboneGraph) -> BinaryG
 
 
 class ComponentUnion:
-    """Union-find over vertices with per-component vertex/edge counts and undo.
+    """Union-find over vertices with per-component vertex/edge counts.
 
     Self-loops and parallel edges count as edges, so a component's excess
     (edges minus vertices) is -1 for a tree and 0 for a unicyclic component.
+    ``copy`` forks an independent union, so a search can extend a copy and
+    drop it rather than undo its edits.
     """
 
     def __init__(self):
         self.parent: dict[int, int] = {}
         self.verts: dict[int, int] = {}
         self.edges: dict[int, int] = {}
-        self.log: list = []
+
+    def copy(self) -> "ComponentUnion":
+        fork = ComponentUnion()
+        fork.parent, fork.verts, fork.edges = self.parent.copy(), self.verts.copy(), self.edges.copy()
+        return fork
 
     def find(self, v: int) -> int:
         while self.parent[v] != v:
             v = self.parent[v]
         return v
-
-    def snapshot(self) -> int:
-        return len(self.log)
-
-    def rollback(self, mark: int) -> None:
-        while len(self.log) > mark:
-            op = self.log.pop()
-            if op[0] == "new":
-                _, v = op
-                del self.parent[v], self.verts[v], self.edges[v]
-            elif op[0] == "merge":
-                _, child, rv, re = op
-                root = self.parent[child]
-                self.parent[child] = child
-                self.verts[root] -= self.verts[child]
-                self.edges[root] -= self.edges[child]
-                self.verts[child], self.edges[child] = rv, re
-            else:  # edge count bump
-                _, root = op
-                self.edges[root] -= 1
 
     def add_vertex(self, v: int) -> None:
         """Activate ``v`` as an isolated vertex unless it is already present."""
@@ -553,25 +537,18 @@ class ComponentUnion:
             self.parent[v] = v
             self.verts[v] = 1
             self.edges[v] = 0
-            self.log.append(("new", v))
 
     def add_edge(self, u: int, v: int) -> int:
         """Insert an edge, activating endpoints as needed; returns the new root."""
-        for w in (u, v):
-            if w not in self.parent:
-                self.parent[w] = w
-                self.verts[w] = 1
-                self.edges[w] = 0
-                self.log.append(("new", w))
+        self.add_vertex(u)
+        self.add_vertex(v)
         ru, rv = self.find(u), self.find(v)
         if ru != rv:
             if self.verts[ru] < self.verts[rv]:
                 ru, rv = rv, ru
-            self.log.append(("merge", rv, self.verts[rv], self.edges[rv]))
             self.parent[rv] = ru
             self.verts[ru] += self.verts[rv]
             self.edges[ru] += self.edges[rv]
-        self.log.append(("edge", ru))
         self.edges[ru] += 1
         return ru
 

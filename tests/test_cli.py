@@ -56,6 +56,24 @@ class TestOrbitCommand:
         dump = json.loads(out.strip().splitlines()[-1])
         assert dump["census"] == {"1": 2, "2": 3, "4": 5}
 
+    def test_rejected_inputs_exit_with_one_line(self, tmp_path):
+        sig = tmp_path / "sigma.txt"
+        write_permutation(Permutation.from_cycles(4, [(0, 1)]), sig)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1 x 2\n")
+        h = tmp_path / "h.txt"
+        write_binary_graph(BinaryGraph(4, frozenset({(0, 2)})), h)  # half of the orbit {02, 12}
+        cases = [
+            (["--sigma", str(bad)], f"{bad}:1: expected a vertex number, got 'x'"),
+            (["--sigma", str(sig), "--k", "0"], "k must be >= 1"),
+            (["--sigma", str(sig), "--backbone", str(bad)], f"{bad}:1: "),
+            (["--sigma", str(sig), "--backbone", str(h)], "graph is not a union of complete edge orbits"),
+        ]
+        for argv, message in cases:
+            with pytest.raises(SystemExit) as err:
+                main(["orbit", *argv])
+            assert str(err.value.code).startswith(message) and "\n" not in err.value.code
+
 
 class TestTestCommand:
     def test_qap_exact_decision(self, tmp_path, capsys):
@@ -174,6 +192,22 @@ class TestGfCommand:
         assert code == 0 and "margin" in out
         code, out = run(capsys, "gf", "--sigma", str(sig), "--k", "4", "--s", "0.3", "--forest")
         assert code == 0
+
+    def test_rejected_inputs_exit_with_one_line(self, tmp_path):
+        sig = tmp_path / "sigma.txt"
+        write_permutation(Permutation.identity(10), sig)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1 1 2\n")
+        cases = [
+            (["--sigma", str(sig), "--k", "1", "--s", "0.3"], "45 short orbits exceed the brute-force limit"),
+            (["--sigma", str(sig), "--k", "1", "--s", "0.3", "--forest"], "45 short orbits exceed"),
+            (["--sigma", str(bad), "--k", "1", "--s", "0.3"], f"{bad}: mapping is not a bijection"),
+            (["--sigma", str(sig), "--k", "0", "--s", "0.3"], "k must be >= 1"),
+        ]
+        for argv, message in cases:
+            with pytest.raises(SystemExit) as err:
+                main(["gf", *argv])
+            assert str(err.value.code).startswith(message) and "\n" not in err.value.code
 
 
 class TestEnumerateCommand:

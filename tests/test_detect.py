@@ -425,6 +425,11 @@ class TestBatchedSearch:
         with pytest.raises(ValueError, match="restarts must be >= 1|rounds must be >= 0"):
             qap_local_search(a, b, restarts=restarts, rounds=rounds)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_pair_to_swap(self, n):
+        for a in (BinaryGraph(n), WeightedGraph(np.zeros((n, n)))):
+            assert qap_local_search(a, a, restarts=3, rounds=3) == (0.0, Permutation.identity(n))
+
 
 class TestLikelihoodRatio:
     def test_n2_equals_kernel(self):

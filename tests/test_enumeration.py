@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from graphcorr.errors import ExactLimitError
 from graphcorr.graphs import BinaryGraph, Permutation
-from graphcorr.moments import enumerate_orbit_pseudoforests, _gf_dfs, _short_orbits_checked
+from graphcorr import moments
+from graphcorr.moments import enumerate_orbit_pseudoforests, _orbit_unions, _short_orbits_checked
 from graphcorr.orbits import (
     BackboneGraph,
     CycleType,
@@ -363,19 +364,27 @@ class TestBruteForceAgreement:
             sigma = Permutation(tuple(int(v) for v in rng.permutation(n)))
             k = 4
             orbits = _short_orbits_checked(sigma, k, 24)
-            found = []
-            _gf_dfs(orbits, 0.0, max_excess=0, collect=found.append)
+            found = [subset for subset, _ in _orbit_unions(orbits, max_excess=0)]
             for subset in found:
                 union = frozenset().union(*(orbits[j].edge_set() for j in subset))
                 gamma = backbone(sigma, BinaryGraph(n, union), k)
                 assert validate_pseudoforest(gamma)[0]
-            trees = []
-            _gf_dfs(orbits, 0.0, max_excess=-1, collect=trees.append)
+            trees = [subset for subset, _ in _orbit_unions(orbits, max_excess=-1)]
             for subset in trees:
                 union = frozenset().union(*(orbits[j].edge_set() for j in subset))
                 assert is_forest(BinaryGraph(n, union))
                 gamma = backbone(sigma, BinaryGraph(n, union), k)
                 assert validate_forest(gamma)[0]
+
+    def test_pseudoforests_come_lazily(self, monkeypatch):
+        sigma = Permutation.from_cycles(8, [(0, 1), (2, 3), (4, 5, 6, 7)])
+        added = []
+        real = moments._with_orbit
+        monkeypatch.setattr(moments, "_with_orbit", lambda uf, o, x: added.append(o) or real(uf, o, x))
+        stream = enumerate_orbit_pseudoforests(sigma, 4)
+        assert next(stream) == added  # one orbit added, one subset out
+        assert len(added) == 1
+        assert len(list(stream)) > 100 and len(added) > 100
 
     def test_containment_in_stream(self):
         rng = rng_from_seed(22)
@@ -422,8 +431,7 @@ class TestLemmaPlainPredicate:
             node_orbs, _ = node_cycles(sigma)
             of_node = {v: orb for orb in node_orbs for v in orb}
             orbits = _short_orbits_checked(sigma, k, 24)
-            found = [()]
-            _gf_dfs(orbits, 0.0, max_excess=0, collect=found.append)
+            found = [()] + [subset for subset, _ in _orbit_unions(orbits, max_excess=0)]
             for subset in found[: 40]:
                 union = (
                     frozenset().union(*(orbits[j].edge_set() for j in subset))

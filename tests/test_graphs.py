@@ -459,6 +459,23 @@ class TestFileFormats:
         assert path.read_text().strip() == "3 1 4 2"
         assert read_permutation(path) == pi
 
+    @pytest.mark.parametrize(
+        "text, where, message",
+        [
+            ("1 x 2\n", "pi.txt:1:", "expected a vertex number, got 'x'"),
+            ("2 1\n3 0.5\n", "pi.txt:2:", "expected a vertex number, got '0.5'"),
+            ("1 1 2\n", "pi.txt:", "mapping is not a bijection"),
+            ("1 4\n", "pi.txt:", "mapping is not a bijection"),
+        ],
+    )
+    def test_permutation_reader_names_the_file(self, tmp_path, text, where, message):
+        path = tmp_path / "pi.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            read_permutation(path)
+        assert str(err.value).startswith(f"{path}:") and where in str(err.value)
+        assert message in str(err.value)
+
 
 def _edge_perm_codes_loop(n):
     """Reference oracle: the per-permutation Python loop over edges and pair_index."""

@@ -382,17 +382,19 @@ class TestComponentUnion:
             uf.add_edge(u, v)
         assert uf.components() == [((0, 1), 2), ((2, 4), 2), ((3,), 0), ((5,), 0)]
 
-    def test_rollback_restores_components(self):
+    def test_copy_edits_do_not_reach_the_original(self):
         uf = ComponentUnion()
         uf.add_edge(0, 1)
         before = uf.components()
-        mark = uf.snapshot()
-        uf.add_vertex(7)
-        uf.add_edge(1, 2)
-        uf.add_edge(2, 0)
-        assert uf.component_excess(0) == 0
-        uf.rollback(mark)
+        fork = uf.copy()
+        fork.add_vertex(7)
+        fork.add_edge(1, 2)
+        fork.add_edge(2, 0)
+        assert fork.component_excess(0) == 0
+        assert fork.components() == [((0, 1, 2), 3), ((7,), 0)]
         assert uf.components() == before and uf.component_excess(1) == -1
+        uf.add_edge(3, 0)
+        assert fork.components() == [((0, 1, 2), 3), ((7,), 0)]
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.integers(2, 9))
