@@ -197,23 +197,22 @@ def _cmd_moments(args) -> int:
     return 0
 
 
-def _parse_counts(text: str) -> dict[int, int]:
+def _parse_counts(flag: str, text: str) -> dict[int, int]:
+    """Parse ``length:count,...``; a rejection names the flag and the bad item."""
     out: dict[int, int] = {}
-    if not text:
-        return out
-    for item in text.split(","):
-        key, val = item.split(":")
-        out[int(key)] = int(val)
+    for item in text.split(",") if text else ():
+        parts = item.split(":")
+        if len(parts) != 2 or not all(part.strip().isdecimal() for part in parts):
+            raise ValueError(f"{flag}: expected length:count of nonnegative integers, got {item!r}")
+        out[int(parts[0])] = int(parts[1])
     return out
 
 
 def _cmd_enumerate(args) -> int:
-    counts = _parse_counts(args.cycle_type)
-    n = sum(m * c for m, c in counts.items())
-    ct = CycleType.from_counts(n, counts)
-    params = ConstructionParams(
-        _parse_counts(args.a), _parse_counts(args.b), _parse_counts(args.c), _parse_counts(args.d)
-    )
+    with _one_line_errors():
+        counts = _parse_counts("--cycle-type", args.cycle_type)
+        ct = CycleType.from_counts(sum(m * c for m, c in counts.items()), counts)
+        params = ConstructionParams(*(_parse_counts(f"--{x}", getattr(args, x)) for x in "abcd"))
     if args.forest:
         stream = algorithm1_forests(ct, args.k, params)
         bound = stream_bound_forest(ct, args.k, params)
@@ -302,13 +301,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_tv(args) -> int:
-    tv = experiments.exact_tv_er(ErParams(args.n, args.p, args.s))
+    with _one_line_errors():
+        tv = experiments.exact_tv_er(ErParams(args.n, args.p, args.s))
     print(f"exact TV {tv:.12g}; minimal error sum {1 - tv:.12g}")
     return 0
 
 
 def _cmd_curves(args) -> int:
-    for row in experiments.threshold_curves(args.model, args.n_min, args.n_max, p=args.p):
+    with _one_line_errors():
+        rows = experiments.threshold_curves(args.model, args.n_min, args.n_max, p=args.p)
+    for row in rows:
         print(row)
     return 0
 

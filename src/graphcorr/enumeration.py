@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .graphs import Permutation
@@ -155,7 +156,7 @@ class ConstructionParams:
                 return False
             if d and (not allow_backward or 2 * t > k):
                 return False
-            if a + b + c + d > ct.count(t) or (a and a > ct.count(t)):
+            if a + b + c + d > ct.count(t):
                 return False
         return True
 
@@ -210,136 +211,86 @@ def stream_bound_pseudoforest(ct: CycleType, k: int, params: ConstructionParams)
     return total
 
 
-def _bridge_targets(ct: CycleType, t: int) -> list[tuple[int, int, int]]:
-    """Forward-bridge options from level t: (shorter length, node index, label)."""
-    out = []
-    for l in range(1, t):
-        if t % l or ct.count(l) == 0:
-            continue
-        for v in range(ct.count(l)):
-            for lab in range(1, l + 1):
-                out.append((l, v, lab))
-    return out
+def _labeled_level_edges(edges, t: int):
+    """Every labeling of a level-t multigraph, as lists of giant edges.
 
-
-def _edge_label_assignments(edges, loops, t: int):
-    """All label assignments: distinct labels on parallel edges, loops from the C range."""
-    groups: dict[tuple[int, int], int] = {}
-    for e in edges:
-        groups[e] = groups.get(e, 0) + 1
-    keys = sorted(groups)
-    per_group = [
-        list(itertools.combinations(range(1, t + 1), groups[e])) for e in keys
-    ]
-    loop_groups: dict[int, int] = {}
-    for v in loops:
-        loop_groups[v] = loop_groups.get(v, 0) + 1
-    loop_keys = sorted(loop_groups)
-    loop_range = (t - 1) // 2
-    per_loop = [
-        list(itertools.combinations(range(1, loop_range + 1), loop_groups[v]))
-        for v in loop_keys
-    ]
-    for combo in itertools.product(*per_group, *per_loop):
-        edge_combo, loop_combo = combo[: len(keys)], combo[len(keys) :]
-        edge_labels = tuple((e, lab) for e, labs in zip(keys, edge_combo) for lab in labs)
-        loop_labels = tuple((v, lab) for v, labs in zip(loop_keys, loop_combo) for lab in labs)
-        yield edge_labels, loop_labels
+    Copies of a pair get distinct M labels from [1, t], copies of a loop
+    distinct C labels from [1, (t-1)//2]; pairs vary slowest, then loops.
+    """
+    groups = sorted(Counter(edges).items(), key=lambda g: (g[0][0] == g[0][1], g[0]))
+    per_group = []
+    for (u, v), count in groups:
+        kind, top = ("C", (t - 1) // 2) if u == v else ("M", t)
+        per_group.append(
+            [
+                [GiantEdge(kind, (t, u), (t, v), lab) for lab in labs]
+                for labs in itertools.combinations(range(1, top + 1), count)
+            ]
+        )
+    for combo in itertools.product(*per_group):
+        yield [e for group in combo for e in group]
 
 
 def _level_plans(ct, t, a, b, c, d, pseudo: bool):
     """Enumerate all stage choices at level t.
 
-    Yields dicts with labeled matchings/loops, split node indices, rooted
-    components, and bridge assignments (targets resolved across levels).
+    Yields (giant edges, split gids, root gids): the labeled matchings and
+    loops of the level plus its forward and backward bridges, each bridge
+    attached at a component root.
     """
-    fwd_targets = _bridge_targets(ct, t)
-    bwd_range = ct.count(2 * t)
+    fwd_targets = [  # (shorter length l | t, node index, label)
+        (l, v, lab) for l in range(1, t) if t % l == 0 for v in range(ct.count(l)) for lab in range(1, l + 1)
+    ]
+    bwd_targets = list(itertools.product(range(ct.count(2 * t)), range(1, t + 1)))
 
     for edges, comps in _forests(ct.count(t), a, pseudo):
-        plain_edges = [e for e in edges if e[0] != e[1]]
-        loops = [e[0] for e in edges if e[0] == e[1]]
         tree_idx = [ci for ci, (vs, e) in enumerate(comps) if e == len(vs) - 1]
         if b + c + d > len(tree_idx):
             continue
         comp_nodes = [vs for vs, _ in comps]
-        for labels in _edge_label_assignments(tuple(plain_edges), loops, t):
-            edge_labels, loop_labels = labels
+        for level_edges in _labeled_level_edges(edges, t):
             for roots in itertools.product(*comp_nodes):
+                root_gids = [(t, r) for r in roots]
                 for split_cis in itertools.combinations(tree_idx, b):
-                    split_nodes_opts = []
-                    for ci in split_cis:
-                        if pseudo:
-                            split_nodes_opts.append(list(comp_nodes[ci]))
-                        else:
-                            split_nodes_opts.append([roots[ci]])
-                    for split_choice in itertools.product(*split_nodes_opts):
-                        splits = set()
-                        for ci, chosen_node in zip(split_cis, split_choice):
-                            splits.add(roots[ci])
-                            splits.add(chosen_node)
+                    split_opts = [comp_nodes[ci] if pseudo else (roots[ci],) for ci in split_cis]
+                    for split_choice in itertools.product(*split_opts):
+                        splits = {
+                            (t, v) for ci, w in zip(split_cis, split_choice) for v in (roots[ci], w)
+                        }
                         rem = [ci for ci in tree_idx if ci not in split_cis]
                         for fwd_cis in itertools.combinations(rem, c):
+                            rem2 = [ci for ci in rem if ci not in fwd_cis]
                             for fwd_assign in itertools.product(fwd_targets, repeat=c):
-                                rem2 = [ci for ci in rem if ci not in fwd_cis]
+                                fwd = [
+                                    GiantEdge("B", (l, v), (t, roots[ci]), lab)
+                                    for ci, (l, v, lab) in zip(fwd_cis, fwd_assign)
+                                ]
                                 for bwd_cis in itertools.combinations(rem2, d):
-                                    bwd_opts = itertools.product(
-                                        itertools.product(range(bwd_range), range(1, t + 1)),
-                                        repeat=d,
-                                    )
-                                    for bwd_assign in bwd_opts:
-                                        yield {
-                                            "edges": tuple(edge_labels),
-                                            "loops": tuple(loop_labels),
-                                            "roots": roots,
-                                            "splits": frozenset(splits),
-                                            "fwd": tuple(
-                                                (roots[ci], tgt)
-                                                for ci, tgt in zip(fwd_cis, fwd_assign)
-                                            ),
-                                            "bwd": tuple(
-                                                (roots[ci], tgt)
-                                                for ci, tgt in zip(bwd_cis, bwd_assign)
-                                            ),
-                                        }
-
-
-def _assemble(ct: CycleType, k: int, plans: dict) -> BackboneGraph:
-    nodes = []
-    split_sets = {t: plan["splits"] for t, plan in plans.items()}
-    for t in range(1, k + 1):
-        for i in range(ct.count(t)):
-            nodes.append(GiantNode((t, i), i in split_sets.get(t, frozenset())))
-    edges = []
-    roots = []
-    for t, plan in plans.items():
-        for (u, v), lab in plan["edges"]:
-            edges.append(GiantEdge("M", (t, u), (t, v), lab))
-        for v, lab in plan["loops"]:
-            edges.append(GiantEdge("C", (t, v), (t, v), lab))
-        for src, (l, v, lab) in plan["fwd"]:
-            edges.append(GiantEdge("B", (l, v), (t, src), lab))
-        for src, (v, lab) in plan["bwd"]:
-            edges.append(GiantEdge("B", (t, src), (2 * t, v), lab))
-        roots.extend((t, r) for r in plan["roots"])
-    edges.sort(key=lambda e: (e.endpoints_key(), e.kind, e.label))
-    return BackboneGraph(tuple(nodes), tuple(edges), tuple(sorted(roots)))
+                                    for bwd_assign in itertools.product(bwd_targets, repeat=d):
+                                        bwd = [
+                                            GiantEdge("B", (t, roots[ci]), (2 * t, v), lab)
+                                            for ci, (v, lab) in zip(bwd_cis, bwd_assign)
+                                        ]
+                                        yield level_edges + fwd + bwd, splits, root_gids
 
 
 def _stream(ct: CycleType, k: int, params: ConstructionParams, pseudo: bool):
-    if not params.check(ct, k, allow_backward=pseudo):
+    """Merge one plan per level into a backbone; levels vary like nested loops, level 1 slowest."""
+    if not params.check(ct, k, allow_backward=pseudo):  # so forests have d = 0 at every level
         return
     validate = validate_pseudoforest if pseudo else validate_forest
-    levels = [t for t in range(1, k + 1)]
-    per_level = []
-    for t in levels:
-        a, b, c, d = params.at(t)
-        if not pseudo:
-            d = 0
-        per_level.append(list(_level_plans(ct, t, a, b, c, d, pseudo)))
+    per_level = [list(_level_plans(ct, t, *params.at(t), pseudo)) for t in range(1, k + 1)]
     for combo in itertools.product(*per_level):
-        plans = dict(zip(levels, combo))
-        gamma = _assemble(ct, k, plans)
+        edges = sorted(
+            (e for level_edges, _, _ in combo for e in level_edges),
+            key=lambda e: (e.endpoints_key(), e.kind, e.label),
+        )
+        splits = set().union(*(s for _, s, _ in combo))
+        nodes = tuple(
+            GiantNode((t, i), (t, i) in splits) for t in range(1, k + 1) for i in range(ct.count(t))
+        )
+        roots = tuple(sorted(r for _, _, level_roots in combo for r in level_roots))
+        gamma = BackboneGraph(nodes, tuple(edges), roots)
         ok, violations = validate(gamma)
         yield GeneratedBackbone(gamma, ok, violations)
 

@@ -10,6 +10,7 @@ pseudoforest predicates that drive the second-moment enumeration machinery.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -72,6 +73,8 @@ class CycleType:
     def from_counts(n: int, counts: dict[int, int]) -> "CycleType":
         arr = [0] * n
         for m, c in counts.items():
+            if m < 1 or c < 0:
+                raise ValueError(f"need orbit length >= 1 and count >= 0, got {m}:{c}")
             arr[m - 1] = c
         ct = CycleType(tuple(arr))
         if ct.n != n:
@@ -256,6 +259,12 @@ def _orbit_lookup(sigma: Permutation):
     return orbits, {v: orb for orb in orbits for v in orb}
 
 
+@functools.lru_cache(maxsize=1)
+def _cycle_of_node(sigma: Permutation) -> dict:
+    """The node -> cycle map of the last sigma (read-only), for classifying its orbits in turn."""
+    return _orbit_lookup(sigma)[1]
+
+
 def _oriented(a: tuple[int, ...], b: tuple[int, ...]):
     """Two node-orbit traversals ordered shorter first, ties by smaller minimum."""
     return (a, b) if (len(a), a[0]) <= (len(b), b[0]) else (b, a)
@@ -283,21 +292,21 @@ def _type_and_label(of_node, pair: tuple[int, int]) -> tuple[OrbitClass, int | N
     return cls, 1 + (rr.index(r) - pp.index(p)) % math.gcd(l, m)
 
 
-def classify_orbit(sigma: Permutation, orbit: EdgeOrbit) -> OrbitClass:
-    """Classify an edge orbit of sigma as M, B, C, or S."""
-    cls, _ = _type_and_label(_orbit_lookup(sigma)[1], orbit.representative)
+def _class_and_label(sigma: Permutation, orbit: EdgeOrbit) -> tuple[OrbitClass, int | None]:
+    """Class and label of ``orbit``; raises unless it is an edge orbit of sigma."""
+    cls, label = _type_and_label(_cycle_of_node(sigma), orbit.representative)
     if cls.orbit_length != len(orbit):
         raise ValueError(
             f"edge set of size {len(orbit)} is not an orbit of the given permutation"
         )
-    _check_is_orbit(sigma, orbit)
-    return cls
-
-
-def _check_is_orbit(sigma: Permutation, orbit: EdgeOrbit) -> None:
-    expected = _orbit_of_pair(sigma, orbit.representative)
-    if frozenset(expected) != orbit.edge_set():
+    if frozenset(_orbit_of_pair(sigma, orbit.representative)) != orbit.edge_set():
         raise ValueError("edge set is not an orbit of the given permutation")
+    return cls, label
+
+
+def classify_orbit(sigma: Permutation, orbit: EdgeOrbit) -> OrbitClass:
+    """Classify an edge orbit of sigma as M, B, C, or S."""
+    return _class_and_label(sigma, orbit)[0]
 
 
 def orbit_label(sigma: Permutation, orbit: EdgeOrbit) -> int | None:
@@ -310,7 +319,7 @@ def orbit_label(sigma: Permutation, orbit: EdgeOrbit) -> int | None:
     For a B orbit between the shorter traversal P and longer R the label is
     1 + (min R-index paired with p_0 mod gcd).  Splits carry no label.
     """
-    return _type_and_label(_orbit_lookup(sigma)[1], orbit.representative)[1]
+    return _class_and_label(sigma, orbit)[1]
 
 
 def orbits_up_to(sigma: Permutation, k: int) -> list[EdgeOrbit]:

@@ -74,6 +74,18 @@ class TestOrbitCommand:
                 main(["orbit", *argv])
             assert str(err.value.code).startswith(message) and "\n" not in err.value.code
 
+    def test_walks_node_cycles_a_bounded_number_of_times(self, tmp_path, capsys, monkeypatch):
+        from graphcorr import orbits
+
+        sig = tmp_path / "sigma.txt"
+        write_permutation(Permutation.identity(30), sig)
+        calls = []
+        real = orbits.node_cycles
+        monkeypatch.setattr(orbits, "node_cycles", lambda s: calls.append(s) or real(s))
+        code, out = run(capsys, "orbit", "--sigma", str(sig))
+        assert code == 0 and json.loads(out.splitlines()[-1])["orbit_count"] == 435
+        assert len(calls) <= 2  # cycle_type, and one lookup shared by all 435 orbits
+
 
 class TestTestCommand:
     def test_qap_exact_decision(self, tmp_path, capsys):
@@ -220,6 +232,23 @@ class TestEnumerateCommand:
         assert code == 0
         assert "stream length" in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--cycle-type", "2"], "--cycle-type: expected length:count of nonnegative integers, got '2'"),
+            (["--cycle-type", "2:1,x:1"], "--cycle-type: expected length:count of nonnegative integers, got 'x:1'"),
+            (["--cycle-type", "3:-1"], "--cycle-type: expected length:count of nonnegative integers, got '3:-1'"),
+            (["--cycle-type", "2:1", "--a", "2"], "--a: expected length:count of nonnegative integers, got '2'"),
+            (["--cycle-type", "2:2", "--a", "2:-1"], "--a: expected length:count of nonnegative integers, got '2:-1'"),
+            (["--cycle-type", "2:1", "--d", "2:1:1"], "--d: expected length:count of nonnegative integers, got '2:1:1'"),
+            (["--cycle-type", "0:1"], "need orbit length >= 1 and count >= 0, got 0:1"),
+        ],
+    )
+    def test_rejected_counts_exit_with_one_line(self, argv, message):
+        with pytest.raises(SystemExit) as err:
+            main(["enumerate", "--k", "2", *argv])
+        assert err.value.code == message
+
 
 class TestSweepCommand:
     def test_config_file(self, tmp_path, capsys):
@@ -302,6 +331,25 @@ class TestOtherCommands:
     def test_curves(self, capsys):
         code, out = run(capsys, "curves", "--model", "gaussian", "--n-min", "10", "--n-max", "12")
         assert code == 0 and len(out.strip().splitlines()) == 4
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["tv", "--n", "3", "--p", "2", "--s", "0.5"], "p must lie in (0, 1)"),
+            (["tv", "--n", "5", "--p", "0.3", "--s", "0.5"],
+             "exact enumeration over graph pairs supports n <= 4, got n=5"),
+            (["curves", "--model", "er", "--n-min", "2", "--n-max", "3"],
+             "er curves need a density p in (0,1)"),
+            (["curves", "--model", "gaussian", "--n-min", "1", "--n-max", "3"],
+             "curves need n_min >= 2, got 1"),
+            (["curves", "--model", "er", "--p", "0.1", "--n-min", "1", "--n-max", "3"],
+             "curves need n_min >= 2, got 1"),
+        ],
+    )
+    def test_rejected_tv_and_curves_exit_with_one_line(self, command, message):
+        with pytest.raises(SystemExit) as err:
+            main(command)
+        assert err.value.code == message
 
     def test_moments(self, capsys):
         code, out = run(

@@ -25,6 +25,8 @@ from graphcorr.orbits import (
 from graphcorr.enumeration import (
     ComponentState,
     ConstructionParams,
+    GeneratedBackbone,
+    _forests,
     algorithm1_forests,
     algorithm2_pseudoforests,
     count_rooted_forests,
@@ -230,6 +232,176 @@ class TestAlgorithm2:
         for it in items:
             ok, viol = validate_pseudoforest(it.backbone)
             assert ok == it.valid and viol == it.violations
+
+
+# -- the dict-plan stream builder that _level_plans/_stream replaced, kept as the oracle
+
+
+def _bridge_targets_oracle(ct: CycleType, t: int) -> list[tuple[int, int, int]]:
+    out = []
+    for l in range(1, t):
+        if t % l or ct.count(l) == 0:
+            continue
+        for v in range(ct.count(l)):
+            for lab in range(1, l + 1):
+                out.append((l, v, lab))
+    return out
+
+
+def _edge_label_assignments_oracle(edges, loops, t: int):
+    groups: dict[tuple[int, int], int] = {}
+    for e in edges:
+        groups[e] = groups.get(e, 0) + 1
+    keys = sorted(groups)
+    per_group = [list(itertools.combinations(range(1, t + 1), groups[e])) for e in keys]
+    loop_groups: dict[int, int] = {}
+    for v in loops:
+        loop_groups[v] = loop_groups.get(v, 0) + 1
+    loop_keys = sorted(loop_groups)
+    loop_range = (t - 1) // 2
+    per_loop = [
+        list(itertools.combinations(range(1, loop_range + 1), loop_groups[v])) for v in loop_keys
+    ]
+    for combo in itertools.product(*per_group, *per_loop):
+        edge_combo, loop_combo = combo[: len(keys)], combo[len(keys) :]
+        edge_labels = tuple((e, lab) for e, labs in zip(keys, edge_combo) for lab in labs)
+        loop_labels = tuple((v, lab) for v, labs in zip(loop_keys, loop_combo) for lab in labs)
+        yield edge_labels, loop_labels
+
+
+def _level_plans_oracle(ct, t, a, b, c, d, pseudo):
+    fwd_targets = _bridge_targets_oracle(ct, t)
+    bwd_range = ct.count(2 * t)
+    for edges, comps in _forests(ct.count(t), a, pseudo):
+        plain_edges = [e for e in edges if e[0] != e[1]]
+        loops = [e[0] for e in edges if e[0] == e[1]]
+        tree_idx = [ci for ci, (vs, e) in enumerate(comps) if e == len(vs) - 1]
+        if b + c + d > len(tree_idx):
+            continue
+        comp_nodes = [vs for vs, _ in comps]
+        for edge_labels, loop_labels in _edge_label_assignments_oracle(tuple(plain_edges), loops, t):
+            for roots in itertools.product(*comp_nodes):
+                for split_cis in itertools.combinations(tree_idx, b):
+                    split_nodes_opts = []
+                    for ci in split_cis:
+                        if pseudo:
+                            split_nodes_opts.append(list(comp_nodes[ci]))
+                        else:
+                            split_nodes_opts.append([roots[ci]])
+                    for split_choice in itertools.product(*split_nodes_opts):
+                        splits = set()
+                        for ci, chosen_node in zip(split_cis, split_choice):
+                            splits.add(roots[ci])
+                            splits.add(chosen_node)
+                        rem = [ci for ci in tree_idx if ci not in split_cis]
+                        for fwd_cis in itertools.combinations(rem, c):
+                            for fwd_assign in itertools.product(fwd_targets, repeat=c):
+                                rem2 = [ci for ci in rem if ci not in fwd_cis]
+                                for bwd_cis in itertools.combinations(rem2, d):
+                                    bwd_opts = itertools.product(
+                                        itertools.product(range(bwd_range), range(1, t + 1)),
+                                        repeat=d,
+                                    )
+                                    for bwd_assign in bwd_opts:
+                                        yield {
+                                            "edges": tuple(edge_labels),
+                                            "loops": tuple(loop_labels),
+                                            "roots": roots,
+                                            "splits": frozenset(splits),
+                                            "fwd": tuple(
+                                                (roots[ci], tgt)
+                                                for ci, tgt in zip(fwd_cis, fwd_assign)
+                                            ),
+                                            "bwd": tuple(
+                                                (roots[ci], tgt)
+                                                for ci, tgt in zip(bwd_cis, bwd_assign)
+                                            ),
+                                        }
+
+
+def _assemble_oracle(ct: CycleType, k: int, plans: dict) -> BackboneGraph:
+    nodes = []
+    split_sets = {t: plan["splits"] for t, plan in plans.items()}
+    for t in range(1, k + 1):
+        for i in range(ct.count(t)):
+            nodes.append(GiantNode((t, i), i in split_sets.get(t, frozenset())))
+    edges = []
+    roots = []
+    for t, plan in plans.items():
+        for (u, v), lab in plan["edges"]:
+            edges.append(GiantEdge("M", (t, u), (t, v), lab))
+        for v, lab in plan["loops"]:
+            edges.append(GiantEdge("C", (t, v), (t, v), lab))
+        for src, (l, v, lab) in plan["fwd"]:
+            edges.append(GiantEdge("B", (l, v), (t, src), lab))
+        for src, (v, lab) in plan["bwd"]:
+            edges.append(GiantEdge("B", (t, src), (2 * t, v), lab))
+        roots.extend((t, r) for r in plan["roots"])
+    edges.sort(key=lambda e: (e.endpoints_key(), e.kind, e.label))
+    return BackboneGraph(tuple(nodes), tuple(edges), tuple(sorted(roots)))
+
+
+def stream_oracle(ct: CycleType, k: int, params: ConstructionParams, pseudo: bool):
+    if not params.check(ct, k, allow_backward=pseudo):
+        return
+    validate = validate_pseudoforest if pseudo else validate_forest
+    levels = list(range(1, k + 1))
+    per_level = []
+    for t in levels:
+        a, b, c, d = params.at(t)
+        if not pseudo:
+            d = 0
+        per_level.append(list(_level_plans_oracle(ct, t, a, b, c, d, pseudo)))
+    for combo in itertools.product(*per_level):
+        gamma = _assemble_oracle(ct, k, dict(zip(levels, combo)))
+        yield GeneratedBackbone(gamma, *validate(gamma))
+
+
+ORACLE_TYPES = [
+    {1: 3}, {1: 4}, {2: 3}, {2: 4}, {3: 2}, {3: 3}, {5: 2}, {1: 2, 2: 1}, {1: 2, 2: 2},
+    {2: 2, 4: 1}, {2: 2, 4: 2}, {1: 2, 3: 1}, {2: 1, 4: 2}, {3: 1, 6: 1}, {1: 1, 2: 1, 4: 1},
+]
+
+
+def _oracle_grid():
+    """(cycle type, k, params): a <= 2 and b, c, d <= 1 at every level of types with at
+    most two levels; one nonzero count at a time on three-level types."""
+    stages = list(itertools.product(range(3), range(2), range(2), range(2)))
+    for counts in ORACLE_TYPES:
+        ct = CycleType.from_counts(sum(m * c for m, c in counts.items()), counts)
+        levels = sorted(counts)
+        if len(levels) <= 2:
+            choices = itertools.product(stages, repeat=len(levels))
+        else:
+            choices = (
+                tuple(s if i == j else (0, 0, 0, 0) for j in range(len(levels)))
+                for i in range(len(levels))
+                for s in stages
+            )
+        for per_level in choices:
+            yield ct, max(counts), ConstructionParams(
+                *({t: s[i] for t, s in zip(levels, per_level) if s[i]} for i in range(4))
+            )
+
+
+class TestStreamOracle:
+    @pytest.mark.parametrize("pseudo", [False, True], ids=["forest", "pseudoforest"])
+    def test_same_items_in_same_order(self, pseudo):
+        algorithm = algorithm2_pseudoforests if pseudo else algorithm1_forests
+        total = parallel = loops = 0
+        for ct, k, params in _oracle_grid():
+            got = list(algorithm(ct, k, params))
+            want = list(stream_oracle(ct, k, params, pseudo))
+            assert len(got) == len(want), (ct, params)
+            for g, w in zip(got, want):
+                assert g == w and g.backbone.roots == w.backbone.roots, (ct, params)
+                keys = [e.endpoints_key() for e in g.backbone.edges if e.kind == "M"]
+                parallel += len(keys) != len(set(keys))
+                loops += any(e.kind == "C" for e in g.backbone.edges)
+            total += len(got)
+        assert total > 1500
+        if pseudo:
+            assert parallel > 500 and loops > 1000
 
 
 def fig2_backbone():

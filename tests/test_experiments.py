@@ -263,3 +263,9 @@ class TestCurves:
     def test_er_requires_p(self):
         with pytest.raises(ValueError):
             threshold_curves("er", 10, 20)
+
+    @pytest.mark.parametrize("model, p", [("gaussian", None), ("er", 0.2)])
+    def test_rejects_n_below_two(self, model, p):
+        for n_min in (0, 1):
+            with pytest.raises(ValueError, match="n_min >= 2"):
+                threshold_curves(model, n_min, 5, p=p)

@@ -78,6 +78,11 @@ class TestNodeCycles:
         with pytest.raises(ValueError):
             CycleType.from_counts(5, {2: 3})
 
+    @pytest.mark.parametrize("n, counts", [(0, {0: 1}), (-3, {3: -1}), (4, {2: 3, 1: -2})])
+    def test_from_counts_rejects_bad_lengths_and_counts(self, n, counts):
+        with pytest.raises(ValueError, match="need orbit length >= 1 and count >= 0"):
+            CycleType.from_counts(n, counts)
+
 
 class TestEdgePermutation:
     def test_identity(self):
@@ -152,6 +157,8 @@ class TestClassification:
     def test_rejects_non_orbit(self):
         with pytest.raises(ValueError):
             classify_orbit(TABLE_SIGMA, EdgeOrbit(((0, 2), (0, 3))))
+        with pytest.raises(ValueError):
+            orbit_label(TABLE_SIGMA, EdgeOrbit(((0, 2), (0, 3))))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.integers(2, 7))
