@@ -8,9 +8,10 @@ reproduce the same numbers on every run.
 
 from __future__ import annotations
 
+import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -484,11 +485,12 @@ def run_criterion(name: str, seed: int = DEFAULT_SEED) -> CriterionResult:
     raise KeyError(f"unknown criterion {name!r}; known: {[c for c, _ in CRITERIA]}")
 
 
-def verify(suite: str | None = None, seed: int = DEFAULT_SEED, out=print) -> bool:
+def verify(suite: str | None = None, seed: int = DEFAULT_SEED, out=print, as_json: bool = False) -> bool:
     """Run the acceptance criteria (optionally filtered by substring).
 
-    Prints one PASS/FAIL line per criterion with the measured values and
-    returns overall success.
+    Prints one PASS/FAIL line per criterion with the measured values, or with
+    ``as_json`` one JSON object with the fields of its ``CriterionResult``,
+    and returns overall success.
     """
     all_ok = True
     for name, _ in CRITERIA:
@@ -496,6 +498,6 @@ def verify(suite: str | None = None, seed: int = DEFAULT_SEED, out=print) -> boo
             continue
         res = run_criterion(name, seed=seed)
         status = "PASS" if res.passed else "FAIL"
-        out(f"[{status}] {res.name} ({res.seconds:.1f}s): {res.measured}")
+        out(json.dumps(asdict(res)) if as_json else f"[{status}] {res.name} ({res.seconds:.1f}s): {res.measured}")
         all_ok = all_ok and res.passed
     return all_ok

@@ -316,7 +316,7 @@ def _cmd_curves(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ok = acceptance.verify(suite=args.suite, seed=args.seed)
+    ok = acceptance.verify(suite=args.suite, seed=args.seed, as_json=args.json)
     return 0 if ok else 1
 
 
@@ -397,6 +397,7 @@ def main(argv=None) -> int:
     w = sub.add_parser("verify", help="run the acceptance suite")
     w.add_argument("--suite", help="substring filter on criterion names")
     w.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
+    w.add_argument("--json", action="store_true", help="one JSON object per criterion")
     w.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)

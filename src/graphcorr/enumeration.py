@@ -172,12 +172,12 @@ class GeneratedBackbone:
 
 def stream_bound_forest(ct: CycleType, k: int, params: ConstructionParams) -> int:
     """Product bound on the forest stream length for the given parameters."""
+    if not params.check(ct, k, allow_backward=False):
+        return 0
     total = 1
     for t in range(1, k + 1):
         nt = ct.count(t)
         a, b, c, _ = params.at(t)
-        if b and t % 2:
-            return 0
         lower = sum(l * ct.count(l) for l in range(1, t))
         total *= (
             math.comb(nt, a)
@@ -191,12 +191,12 @@ def stream_bound_forest(ct: CycleType, k: int, params: ConstructionParams) -> in
 
 def stream_bound_pseudoforest(ct: CycleType, k: int, params: ConstructionParams) -> int:
     """Product bound on the pseudoforest stream length for the given parameters."""
+    if not params.check(ct, k, allow_backward=True):
+        return 0
     total = 1
     for t in range(1, k + 1):
         nt = ct.count(t)
         a, b, c, d = params.at(t)
-        if (b and t % 2) or (d and 2 * t > k):
-            return 0
         lower = sum(l * ct.count(l) for l in range(1, t))
         total *= (
             math.comb(nt, a)

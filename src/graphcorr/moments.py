@@ -22,11 +22,11 @@ import numpy as np
 from .errors import ExactLimitError
 from .graphs import Permutation, code_edge_counts, edge_code_maps
 from .orbits import (
-    ComponentUnion,
     CycleType,
     EdgeOrbit,
     census_from_cycle_type,
     cycle_type,
+    node_cycles,
     orbits_up_to,
 )
 from .sampling import ErParams, GaussianParams, random_permutation, rho_er, rng_from_seed
@@ -39,7 +39,6 @@ __all__ = [
     "orbit_moment_gaussian_mc",
     "er_transition_matrix",
     "incomplete_orbit_moment_er",
-    "incomplete_orbit_moment_er_oracle",
     "SecondMomentReport",
     "second_moment_exact",
     "second_moment_mc",
@@ -99,25 +98,6 @@ def er_transition_matrix(p: float, s: float) -> np.ndarray:
     )
 
 
-def _orbit_configuration_sum(k: int, p: float, s: float, skip_all_ones: bool = False) -> float:
-    """Sum of the orbit product over the 2^(2k) binary assignments on a k-orbit."""
-    q = p * s
-    total = 0.0
-    ones = (1,) * k
-    for a in product((0, 1), repeat=k):
-        pa = math.prod(q if x else 1 - q for x in a)
-        for b in product((0, 1), repeat=k):
-            if skip_all_ones and a == ones and b == ones:
-                continue
-            pb = math.prod(q if x else 1 - q for x in b)
-            x = math.prod(
-                kernel_er(a[l], b[l], p, s) * kernel_er(a[l], b[(l + 1) % k], p, s)
-                for l in range(k)
-            )
-            total += pa * pb * x
-    return total
-
-
 def orbit_moment_er_oracle(k: int, p: float, s: float) -> float:
     """Exhaustive-sum oracle for the Erdos-Renyi orbit factor.
 
@@ -126,7 +106,18 @@ def orbit_moment_er_oracle(k: int, p: float, s: float) -> float:
     """
     if k > 6:
         raise ExactLimitError(f"oracle enumerates 4^k configurations; k={k} > 6")
-    return _orbit_configuration_sum(k, p, s)
+    q = p * s
+    total = 0.0
+    for a in product((0, 1), repeat=k):
+        pa = math.prod(q if x else 1 - q for x in a)
+        for b in product((0, 1), repeat=k):
+            pb = math.prod(q if x else 1 - q for x in b)
+            x = math.prod(
+                kernel_er(a[l], b[l], p, s) * kernel_er(a[l], b[(l + 1) % k], p, s)
+                for l in range(k)
+            )
+            total += pa * pb * x
+    return total
 
 
 def orbit_moment_gaussian_mc(
@@ -158,13 +149,6 @@ def incomplete_orbit_moment_er(k: int, p: float, s: float) -> float:
         raise ValueError("need ps < 1")
     rho = rho_er(p, s)
     return (1 + rho ** (2 * k) - s ** (2 * k)) / (1 - (p * s) ** (2 * k))
-
-
-def incomplete_orbit_moment_er_oracle(k: int, p: float, s: float) -> float:
-    """Exhaustive conditional sum excluding the all-ones configuration."""
-    if k > 3:
-        raise ExactLimitError("conditional oracle supports k <= 3")
-    return _orbit_configuration_sum(k, p, s, skip_all_ones=True) / (1 - (p * s) ** (2 * k))
 
 
 # -- exact second moments --------------------------------------------------------
@@ -314,34 +298,45 @@ def second_moment_bruteforce_er(params: ErParams) -> float:
 # -- generating functions of orbit (pseudo)forests -------------------------------
 
 
-def _with_orbit(uf: ComponentUnion, orbit: EdgeOrbit, max_excess: int) -> ComponentUnion | None:
-    """Extend a copy of ``uf`` by a whole orbit.
+def _join(root: tuple[int, ...], excess: tuple[int, ...], u: int, v: int, length: int, max_excess: int):
+    """Add an orbit of ``length`` edges between node cycles u and v, or None past max_excess.
 
-    Returns None when a touched component then has excess above max_excess.
+    ``root[c]`` is the component of node cycle c; ``excess[r]`` is component r's edges minus vertices.
     """
-    uf = uf.copy()
-    for u, v in orbit.edges:
-        uf.add_edge(u, v)
-    return uf if all(uf.component_excess(u) <= max_excess for u, _ in orbit.edges) else None
+    ru, rv = root[u], root[v]
+    x = excess[ru] + length + (excess[rv] if rv != ru else 0)
+    if x > max_excess:
+        return None
+    if rv != ru:
+        root = tuple(ru if r == rv else r for r in root)
+    return root, excess[:ru] + (x,) + excess[ru + 1 :]
 
 
-def _orbit_unions(orbits: list[EdgeOrbit], max_excess: int):
+def _orbit_unions(sigma: Permutation, orbits: list[EdgeOrbit], max_excess: int):
     """Orbit subsets whose union keeps every component's excess <= max_excess.
 
     Yields (indices, edge count) per nonempty subset, depth first in index
     order, each subset before its extensions; a subset that fails prunes
-    every superset that extends it.
+    every superset that extends it.  The search runs on the node cycles of
+    sigma: an orbit covers the whole node cycles it touches, and the union's
+    components inside one contracted component form one orbit under sigma,
+    so they share one excess, with the sign of the summed orbit lengths minus
+    the summed node-cycle lengths.  That makes the test exact for max_excess
+    0 and -1, the two values used.
     """
+    cycles = node_cycles(sigma)[0]
+    index = {v: c for c, cyc in enumerate(cycles) for v in cyc}
+    ends = [(index[o.edges[0][0]], index[o.edges[0][1]], len(o)) for o in orbits]
 
-    def rec(uf: ComponentUnion, start: int, chosen: tuple[int, ...], edge_count: int):
-        for j in range(start, len(orbits)):
-            extended = _with_orbit(uf, orbits[j], max_excess)
-            if extended is not None:
-                subset, count = chosen + (j,), edge_count + len(orbits[j])
+    def rec(root, excess, start: int, chosen: tuple[int, ...], edge_count: int):
+        for j in range(start, len(ends)):
+            joined = _join(root, excess, *ends[j], max_excess)
+            if joined is not None:
+                subset, count = chosen + (j,), edge_count + ends[j][2]
                 yield subset, count
-                yield from rec(extended, j + 1, subset, count)
+                yield from rec(*joined, j + 1, subset, count)
 
-    return rec(ComponentUnion(), 0, (), 0)
+    return rec(tuple(range(len(cycles))), tuple(-len(cyc) for cyc in cycles), 0, (), 0)
 
 
 def _short_orbits_checked(sigma: Permutation, k: int, limit: int) -> list[EdgeOrbit]:
@@ -360,7 +355,7 @@ def gf_orbit_pseudoforests_bruteforce(sigma: Permutation, k: int, s: float) -> f
     branch whose union already has a component of positive excess.
     """
     total = 1.0  # the empty union
-    for _, count in _orbit_unions(_short_orbits_checked(sigma, k, GF_ORBIT_LIMIT), max_excess=0):
+    for _, count in _orbit_unions(sigma, _short_orbits_checked(sigma, k, GF_ORBIT_LIMIT), max_excess=0):
         total += s ** (2 * count)
     return total
 
@@ -368,7 +363,7 @@ def gf_orbit_pseudoforests_bruteforce(sigma: Permutation, k: int, s: float) -> f
 def gf_orbit_forests_bruteforce(sigma: Permutation, k: int, s: float) -> float:
     """Forest-restricted variant of the orbit generating function."""
     total = 1.0  # the empty union
-    for _, count in _orbit_unions(_short_orbits_checked(sigma, k, GF_ORBIT_LIMIT), max_excess=-1):
+    for _, count in _orbit_unions(sigma, _short_orbits_checked(sigma, k, GF_ORBIT_LIMIT), max_excess=-1):
         total += s ** (2 * count)
     return total
 
@@ -380,7 +375,7 @@ def enumerate_orbit_pseudoforests(sigma: Permutation, k: int, limit: int = GF_OR
     yielded.
     """
     orbits = _short_orbits_checked(sigma, k, limit)
-    for subset, _ in _orbit_unions(orbits, max_excess=0):
+    for subset, _ in _orbit_unions(sigma, orbits, max_excess=0):
         yield [orbits[j] for j in subset]
 
 

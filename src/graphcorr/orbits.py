@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .graphs import BinaryGraph, Permutation, all_pairs, canonical_pair, intersect
@@ -167,19 +168,30 @@ def _orbit_of_pair(sigma: Permutation, pair: tuple[int, int]) -> tuple[tuple[int
 
 
 def edge_orbits(sigma: Permutation) -> tuple[list[EdgeOrbit], EdgeOrbitCensus]:
-    """All edge orbits of sigma, sorted by representative pair, plus the census."""
-    n = sigma.n
-    seen = set()
+    """All edge orbits of sigma, sorted by representative pair, plus the census.
+
+    Each orbit is read off the node cycles it joins, in sigma order.  Inside a
+    cycle P of length l, offset d gives the pairs (p_t, p_(t+d)); between P
+    and a later cycle R of length m, residue b < gcd(l, m) gives the pairs
+    (p_t, r_(b+t)) for t < lcm(l, m).
+    """
+    cycles = _cached_lookup(sigma)[0]
+    walks = []
+    for a, p in enumerate(cycles):
+        l = len(p)
+        for d in range(1, l // 2 + 1):
+            walks.append([(p[t], p[(t + d) % l]) for t in range(l // 2 if 2 * d == l else l)])
+        for r in cycles[a + 1 :]:
+            m = len(r)
+            for b in range(math.gcd(l, m)):
+                walks.append([(p[t % l], r[(b + t) % m]) for t in range(math.lcm(l, m))])
     orbits = []
-    by_length: dict[int, int] = {}
-    for pair in all_pairs(n):
-        if pair in seen:
-            continue
-        cyc = _orbit_of_pair(sigma, pair)
-        seen.update(cyc)
-        orbits.append(EdgeOrbit(cyc))
-        by_length[len(cyc)] = by_length.get(len(cyc), 0) + 1
-    return orbits, EdgeOrbitCensus(n, by_length)
+    for walk in walks:
+        pairs = [(u, v) if u < v else (v, u) for u, v in walk]
+        i = pairs.index(min(pairs))
+        orbits.append(EdgeOrbit(tuple(pairs[i:] + pairs[:i])))
+    orbits.sort(key=lambda o: o.edges[0])
+    return orbits, EdgeOrbitCensus(sigma.n, dict(Counter(len(o) for o in orbits)))
 
 
 def census_predict_small(ct: CycleType) -> tuple[int, int]:
@@ -260,9 +272,9 @@ def _orbit_lookup(sigma: Permutation):
 
 
 @functools.lru_cache(maxsize=1)
-def _cycle_of_node(sigma: Permutation) -> dict:
-    """The node -> cycle map of the last sigma (read-only), for classifying its orbits in turn."""
-    return _orbit_lookup(sigma)[1]
+def _cached_lookup(sigma: Permutation):
+    """:func:`_orbit_lookup` of the last sigma (read-only), for building and classifying its orbits in turn."""
+    return _orbit_lookup(sigma)
 
 
 def _oriented(a: tuple[int, ...], b: tuple[int, ...]):
@@ -294,7 +306,7 @@ def _type_and_label(of_node, pair: tuple[int, int]) -> tuple[OrbitClass, int | N
 
 def _class_and_label(sigma: Permutation, orbit: EdgeOrbit) -> tuple[OrbitClass, int | None]:
     """Class and label of ``orbit``; raises unless it is an edge orbit of sigma."""
-    cls, label = _type_and_label(_cycle_of_node(sigma), orbit.representative)
+    cls, label = _type_and_label(_cached_lookup(sigma)[1], orbit.representative)
     if cls.orbit_length != len(orbit):
         raise ValueError(
             f"edge set of size {len(orbit)} is not an orbit of the given permutation"
@@ -326,7 +338,7 @@ def orbits_up_to(sigma: Permutation, k: int) -> list[EdgeOrbit]:
     """Edge orbits of length <= k whose endpoint node orbits have length <= k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    _, of_node = _orbit_lookup(sigma)
+    _, of_node = _cached_lookup(sigma)
     out = []
     for orbit in edge_orbits(sigma)[0]:
         if len(orbit) > k:
@@ -521,19 +533,12 @@ class ComponentUnion:
 
     Self-loops and parallel edges count as edges, so a component's excess
     (edges minus vertices) is -1 for a tree and 0 for a unicyclic component.
-    ``copy`` forks an independent union, so a search can extend a copy and
-    drop it rather than undo its edits.
     """
 
     def __init__(self):
         self.parent: dict[int, int] = {}
         self.verts: dict[int, int] = {}
         self.edges: dict[int, int] = {}
-
-    def copy(self) -> "ComponentUnion":
-        fork = ComponentUnion()
-        fork.parent, fork.verts, fork.edges = self.parent.copy(), self.verts.copy(), self.edges.copy()
-        return fork
 
     def find(self, v: int) -> int:
         while self.parent[v] != v:
@@ -560,10 +565,6 @@ class ComponentUnion:
             self.edges[ru] += self.edges[rv]
         self.edges[ru] += 1
         return ru
-
-    def component_excess(self, v: int) -> int:
-        r = self.find(v)
-        return self.edges[r] - self.verts[r]
 
     def components(self) -> list[tuple[tuple[int, ...], int]]:
         """(sorted vertices, edge count) per component, ordered by least vertex."""

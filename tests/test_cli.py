@@ -388,3 +388,19 @@ class TestOtherCommands:
     def test_verify_single_suite(self, capsys):
         code, out = run(capsys, "verify", "--suite", "02-orbit-table")
         assert code == 0 and out.startswith("[PASS]")
+
+    def test_verify_json(self, capsys):
+        code, out = run(capsys, "verify", "--suite", "02-orbit-table", "--json")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 1
+        record = json.loads(lines[0])
+        assert list(record) == ["name", "passed", "measured", "seconds"]
+        assert record["name"] == "02-orbit-table" and record["passed"] is True
+        assert record["measured"].startswith("decomposition ") and record["seconds"] >= 0
+
+    def test_verify_json_exit_code_follows_the_criteria(self, capsys, monkeypatch):
+        from graphcorr import acceptance
+
+        monkeypatch.setattr(acceptance, "CRITERIA", (("02-orbit-table", lambda seed: (False, "forced")),))
+        code, out = run(capsys, "verify", "--json")
+        assert code == 1 and json.loads(out)["passed"] is False

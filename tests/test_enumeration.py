@@ -196,6 +196,18 @@ class TestAlgorithm1:
         assert list(algorithm1_forests(ct, 1, ConstructionParams(b={1: 1}))) == []
 
 
+class TestStreamBounds:
+    @pytest.mark.parametrize(
+        "ct, k", [(CycleType.from_counts(4, {2: 2}), 2), (CycleType.from_counts(7, {1: 1, 2: 1, 4: 1}), 4)]
+    )
+    def test_bounds_hold_on_every_param_grid_point(self, ct, k):
+        # negative and oversized stage counts give empty streams; the bounds say 0, not raise
+        for a, b, c, d in itertools.product((-1, 0, 1, 2, 3), repeat=4):
+            params = ConstructionParams(a={2: a}, b={2: b}, c={2: c}, d={2: d})
+            assert stream_bound_forest(ct, k, params) >= len(list(algorithm1_forests(ct, k, params)))
+            assert stream_bound_pseudoforest(ct, k, params) >= len(list(algorithm2_pseudoforests(ct, k, params)))
+
+
 class TestAlgorithm2:
     def test_all_zero(self):
         ct = CycleType.from_counts(4, {4: 1})
@@ -536,12 +548,12 @@ class TestBruteForceAgreement:
             sigma = Permutation(tuple(int(v) for v in rng.permutation(n)))
             k = 4
             orbits = _short_orbits_checked(sigma, k, 24)
-            found = [subset for subset, _ in _orbit_unions(orbits, max_excess=0)]
+            found = [subset for subset, _ in _orbit_unions(sigma, orbits, max_excess=0)]
             for subset in found:
                 union = frozenset().union(*(orbits[j].edge_set() for j in subset))
                 gamma = backbone(sigma, BinaryGraph(n, union), k)
                 assert validate_pseudoforest(gamma)[0]
-            trees = [subset for subset, _ in _orbit_unions(orbits, max_excess=-1)]
+            trees = [subset for subset, _ in _orbit_unions(sigma, orbits, max_excess=-1)]
             for subset in trees:
                 union = frozenset().union(*(orbits[j].edge_set() for j in subset))
                 assert is_forest(BinaryGraph(n, union))
@@ -550,13 +562,13 @@ class TestBruteForceAgreement:
 
     def test_pseudoforests_come_lazily(self, monkeypatch):
         sigma = Permutation.from_cycles(8, [(0, 1), (2, 3), (4, 5, 6, 7)])
-        added = []
-        real = moments._with_orbit
-        monkeypatch.setattr(moments, "_with_orbit", lambda uf, o, x: added.append(o) or real(uf, o, x))
+        steps = []
+        real = moments._join
+        monkeypatch.setattr(moments, "_join", lambda *args: steps.append(args) or real(*args))
         stream = enumerate_orbit_pseudoforests(sigma, 4)
-        assert next(stream) == added  # one orbit added, one subset out
-        assert len(added) == 1
-        assert len(list(stream)) > 100 and len(added) > 100
+        assert len(next(stream)) == 1  # one orbit joined, one subset out
+        assert len(steps) == 1
+        assert len(list(stream)) > 100 and len(steps) > 100
 
     def test_containment_in_stream(self):
         rng = rng_from_seed(22)
@@ -603,7 +615,7 @@ class TestLemmaPlainPredicate:
             node_orbs, _ = node_cycles(sigma)
             of_node = {v: orb for orb in node_orbs for v in orb}
             orbits = _short_orbits_checked(sigma, k, 24)
-            found = [()] + [subset for subset, _ in _orbit_unions(orbits, max_excess=0)]
+            found = [()] + [subset for subset, _ in _orbit_unions(sigma, orbits, max_excess=0)]
             for subset in found[: 40]:
                 union = (
                     frozenset().union(*(orbits[j].edge_set() for j in subset))

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -18,7 +19,6 @@ from graphcorr.moments import (
     gf_orbit_forests_bruteforce,
     gf_orbit_pseudoforests_bruteforce,
     incomplete_orbit_moment_er,
-    incomplete_orbit_moment_er_oracle,
     lambert_w,
     orbit_moment_er,
     orbit_moment_er_oracle,
@@ -31,8 +31,17 @@ from graphcorr.moments import (
     second_moment_bruteforce_er,
     second_moment_exact,
     second_moment_mc,
+    _orbit_unions,
 )
-from graphcorr.orbits import census_from_cycle_type, cycle_type, edge_orbits, is_pseudoforest, orbits_up_to
+from graphcorr.detect import kernel_er
+from graphcorr.orbits import (
+    ComponentUnion,
+    census_from_cycle_type,
+    cycle_type,
+    edge_orbits,
+    is_pseudoforest,
+    orbits_up_to,
+)
 from graphcorr.sampling import ErParams, GaussianParams, SeedSpec, rho_er, rng_from_seed
 
 TABLE_SIGMA = Permutation.from_cycles(8, [(0, 1), (2, 3), (4, 5, 6, 7)])
@@ -73,6 +82,22 @@ class TestOrbitMoments:
     def test_oracle_refusal(self):
         with pytest.raises(ExactLimitError):
             orbit_moment_er_oracle(7, 0.3, 0.3)
+
+
+def incomplete_orbit_moment_er_oracle(k: int, p: float, s: float) -> float:
+    """Exhaustive conditional sum over the 4^k assignments on a k-orbit but the all-ones one."""
+    q = p * s
+    ones = (1,) * k
+    total = 0.0
+    for a in itertools.product((0, 1), repeat=k):
+        for b in itertools.product((0, 1), repeat=k):
+            if a == ones and b == ones:
+                continue
+            weight = math.prod(q if x else 1 - q for x in a + b)
+            total += weight * math.prod(
+                kernel_er(a[l], b[l], p, s) * kernel_er(a[l], b[(l + 1) % k], p, s) for l in range(k)
+            )
+    return total / (1 - q ** (2 * k))
 
 
 class TestIncompleteOrbitMoment:
@@ -185,6 +210,44 @@ def gf_orbit_pseudoforests_unpruned(sigma: Permutation, k: int, s: float) -> flo
         if is_pseudoforest(g):
             total += s ** (2 * len(edges))
     return total
+
+
+def orbit_unions_oracle(orbits, max_excess: int):
+    """The orbit-union search on real vertices: one fresh ComponentUnion per candidate subset.
+
+    Same depth-first index order and pruning as the contracted search, with
+    the excess of every component counted edge by edge.
+    """
+
+    def fits(subset) -> bool:
+        uf = ComponentUnion()
+        for j in subset:
+            for u, v in orbits[j].edges:
+                uf.add_edge(u, v)
+        return all(e - len(vs) <= max_excess for vs, e in uf.components())
+
+    def rec(start: int, chosen: tuple[int, ...], edge_count: int):
+        for j in range(start, len(orbits)):
+            subset, count = chosen + (j,), edge_count + len(orbits[j])
+            if fits(subset):
+                yield subset, count
+                yield from rec(j + 1, subset, count)
+
+    return rec(0, (), 0)
+
+
+class TestContractedSearch:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_same_subsets_as_vertex_search(self, n):
+        # every sigma in S_n, k <= 4, forests and pseudoforests: the node-cycle
+        # search yields the same (subset, edge count) list in the same order
+        for perm in itertools.permutations(range(n)):
+            sigma = Permutation(perm)
+            for k in range(1, 5):
+                orbits = orbits_up_to(sigma, k)
+                for max_excess in (0, -1):
+                    got = list(_orbit_unions(sigma, orbits, max_excess))
+                    assert got == list(orbit_unions_oracle(orbits, max_excess)), (perm, k, max_excess)
 
 
 class TestGeneratingFunctions:
