@@ -292,6 +292,7 @@ def _read_config(path) -> experiments.SweepConfig:
 def _cmd_sweep(args) -> int:
     with _one_line_errors():
         config = _read_config(args.config)
+        experiments.sweep_workers(config)
     text = experiments.run_sweep(config, out_path=args.out)
     if args.out is None:
         sys.stdout.write(text)

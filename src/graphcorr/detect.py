@@ -9,9 +9,12 @@ with the analytic thresholds for each model.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import math
 from collections.abc import Callable
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +37,7 @@ __all__ = [
     "edge_count_threshold",
     "edge_count_test",
     "all_statistic_values",
+    "shared_table",
     "DetectionTest",
     "TESTS",
 ]
@@ -92,19 +96,22 @@ def statistic_given_pi(a, b, pi: Permutation) -> float:
     return float(np.triu(am * bm[np.ix_(pi.array, pi.array)], 1).sum())
 
 
-def _prefixes(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Length-q prefixes of the permutations of [n] in lexicographic order, and the values each leaves.
-
-    Returns ``(pre, rest)``: ``pre[k]`` is the k-th prefix and ``rest[k]`` its
-    n − q unused values in increasing order, both as intp arrays.
-    """
+@functools.lru_cache(maxsize=QAP_EXACT_DEFAULT_LIMIT + 1)  # sizes above qap_exact's limit call __wrapped__
+def _plan(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only index arrays of all_statistic_values at size n; pos[s, c] is the position order s gives rest[:, c]."""
+    r = min(SUFFIX, n)
+    q = n - r
     count = math.perm(n, q)
     pre = np.fromiter(
         itertools.chain.from_iterable(itertools.permutations(range(n), q)), dtype=np.intp, count=count * q
     ).reshape(count, q)
     free = np.ones((count, n), dtype=bool)
     np.put_along_axis(free, pre, False, axis=1)
-    return pre, np.nonzero(free)[1].reshape(count, n - q)
+    rest = np.nonzero(free)[1].reshape(count, r)
+    plan = pre, rest, *np.triu_indices(q, 1), *np.triu_indices(r, 1), np.argsort(permutation_table(r), axis=1)
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
 
 
 def all_statistic_values(a, b) -> np.ndarray:
@@ -119,20 +126,14 @@ def all_statistic_values(a, b) -> np.ndarray:
     ``permutation_table(r)``, maps that row to the values of all r! suffix
     orders, which follow the prefix in lexicographic order.
     """
-    n = a.n
-    r = min(SUFFIX, n)
-    q = n - r
     am, bm = a.to_dense(), b.to_dense()
-    pre, rest = _prefixes(n, q)
-    ip, jp = np.triu_indices(q, 1)
-    ir, jr = np.triu_indices(r, 1)
+    pre, rest, ip, jp, ir, jr, pos = (_plan if a.n <= QAP_EXACT_DEFAULT_LIMIT else _plan.__wrapped__)(a.n)
+    q, r = pre.shape[1], rest.shape[1]
     t_pp = bm[pre[:, ip], pre[:, jp]] @ am[ip, jp]
     feats = np.concatenate(
         [bm[pre[:, :, None], rest[:, None, :]].reshape(len(pre), q * r), bm[rest[:, ir], rest[:, jr]]],
         axis=1,
     )
-    # pos[s, c]: the suffix position that suffix order s gives the value R_c
-    pos = np.argsort(permutation_table(r), axis=1)
     w = np.concatenate(
         [
             am[:q, q:][:, pos].transpose(0, 2, 1).reshape(q * r, math.factorial(r)),
@@ -142,6 +143,28 @@ def all_statistic_values(a, b) -> np.ndarray:
     out = feats @ w
     out += t_pp[:, None]
     return out.ravel()
+
+
+_SHARED: ContextVar[list | None] = ContextVar("_SHARED", default=None)  # [a, b, table] of the last pair
+
+
+@contextlib.contextmanager
+def shared_table():
+    """Exact statistics of a pair inside the block share one all_statistic_values table, dropped on exit."""
+    token = _SHARED.set([])
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _pair_values(a, b) -> np.ndarray:
+    slot = _SHARED.get()
+    if slot is None:
+        return all_statistic_values(a, b)
+    if not slot or slot[0] is not a or slot[1] is not b:
+        slot[:] = a, b, all_statistic_values(a, b)
+    return slot[2]
 
 
 def qap_exact(a, b) -> tuple[float, Permutation]:
@@ -159,13 +182,11 @@ def qap_exact(a, b) -> tuple[float, Permutation]:
             f"qap_exact enumerates all {n}! permutations; n={n} exceeds limit {QAP_EXACT_DEFAULT_LIMIT}. "
             "Use qap_local_search for larger instances."
         )
-    vals = all_statistic_values(a, b)
+    vals = _pair_values(a, b)
     idx = int(np.argmax(vals))
-    r = min(SUFFIX, n)
-    k, s = divmod(idx, math.factorial(r))
-    prefix = next(itertools.islice(itertools.permutations(range(n), n - r), k, None))
-    rest = sorted(set(range(n)).difference(prefix))
-    return float(vals[idx]), Permutation(prefix + tuple(rest[c] for c in permutation_table(r)[s]))
+    pre, rest, *_, pos = _plan(n)
+    k, s = divmod(idx, len(pos))
+    return float(vals[idx]), Permutation(np.concatenate([pre[k], rest[k][permutation_table(rest.shape[1])[s]]]))
 
 
 def _climb(am: np.ndarray, bm: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,16 +250,14 @@ def _profile_start(am: np.ndarray, bm: np.ndarray) -> np.ndarray:
     return np.argsort(-fb, kind="stable")[ranks_a]
 
 
-def qap_local_search(
-    a, b, restarts: int = 20, seed=0, rounds: int = 30
-) -> tuple[float, Permutation]:
+def qap_local_search(a, b, restarts: int = 20, seed=0, rounds: int = 30) -> tuple[float, Permutation]:
     """Best value of T_pi found by iterated 2-swap local search.
 
     Takes ``restarts`` starts: the identity, a neighborhood-profile rank
     matching, then seeded random permutations.  Each start is refined by a
     first-improvement 2-swap climb, then ``rounds`` times by a kick of
     ``LOCAL_SEARCH_KICK`` random transpositions and a climb, kept when no
-    worse.  No kick depends on a climb, so every kick is drawn up front and
+    worse.  No kick depends on a climb, so all kicks are drawn in one call and
     all starts climb as one batch per round; under a seed the result equals
     that of searching the starts one after another, the first best start
     winning.  The result is at least the identity statistic and never
@@ -258,8 +277,7 @@ def qap_local_search(
     rng = rng_from_seed(seed)
     starts = [np.arange(n), _profile_start(am, bm)][:restarts]
     starts += [rng.permutation(n) for _ in range(restarts - len(starts))]
-    kicks = [rng.integers(0, n, 2) for _ in range(restarts * rounds * LOCAL_SEARCH_KICK)]
-    kicks = np.array(kicks, dtype=np.intp).reshape(restarts, rounds, LOCAL_SEARCH_KICK, 2)
+    kicks = rng.integers(0, n, (restarts, rounds, LOCAL_SEARCH_KICK, 2))
     cur_val, cur_p = _climb(am, bm, np.array(starts, dtype=np.intp))
     r = np.arange(restarts)
     for t in range(rounds):
@@ -308,22 +326,17 @@ def log_likelihood_ratio_exact(a, b, params) -> float:
         ea, eb = a.edge_count, b.edge_count
         if s == 1:
             # kernel vanishes on mismatched pairs: only exact matches contribute
-            t = all_statistic_values(a, b)
+            t = _pair_values(a, b)
             hits = int(np.count_nonzero((t == ea) & (ea == eb)))
             if hits == 0:
                 return -math.inf
-            return (
-                math.log(hits)
-                - math.lgamma(n + 1)
-                + ea * math.log(1 / p)
-                + (m - ea) * math.log(1 / (1 - p))
-            )
+            return math.log(hits) - math.lgamma(n + 1) + ea * math.log(1 / p) + (m - ea) * math.log(1 / (1 - p))
         l00, la, lab = _log_kernel_er(p, s)
         c = m * l00 + (ea + eb) * la
         beta = lab
     else:
         raise TypeError(f"unsupported params type {type(params)!r}")
-    t = all_statistic_values(a, b)
+    t = _pair_values(a, b)
     logs = c + beta * t
     peak = float(np.max(logs))
     return peak + math.log(float(np.exp(logs - peak).sum())) - math.lgamma(n + 1)
@@ -391,7 +404,8 @@ class DetectionTest:
     ``statistic(a, b, params, **search)`` returns (value, argmax or None), larger
     values pointing to the planted model; the search keywords (``restarts``,
     ``seed``, ``rounds``) reach only the local search.  ``threshold(params)`` is
-    the analytic threshold and raises ValueError where it is undefined.
+    the analytic threshold and raises ValueError where it is undefined.  Run
+    inside :func:`shared_table`, the tests of one pair build one exact table.
     """
 
     name: str

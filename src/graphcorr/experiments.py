@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .detect import TESTS
+from .detect import TESTS, shared_table
 from .errors import FieldError
 from .graphs import code_edge_counts, edge_code_maps
 from .moments import exact_er_lr_table
@@ -37,6 +37,7 @@ __all__ = [
     "CSV_HEADER",
     "run_sweep",
     "sweep_rows",
+    "sweep_workers",
     "exact_tv_er",
     "exact_min_error_er",
     "threshold_curves",
@@ -147,24 +148,15 @@ def _run_cell(args) -> list[tuple[str, ErrorEstimate]]:
     params = config.cells()[cell_index]
     gaussian = isinstance(params, GaussianParams)
     stats: dict[str, tuple[list, list]] = {t: ([], []) for t in config.tests}
+    samplers = (sample_null_gaussian, sample_planted_gaussian) if gaussian else (sample_null_er, sample_planted_er)
     for trial in range(config.trials):
-        null_seed = SeedSpec(config.master_seed, (cell_index, trial, 0))
-        planted_seed = SeedSpec(config.master_seed, (cell_index, trial, 1))
-        if gaussian:
-            a0, b0 = sample_null_gaussian(params, null_seed)
-            a1, b1, _ = sample_planted_gaussian(params, planted_seed)
-        else:
-            a0, b0 = sample_null_er(params, null_seed)
-            a1, b1, _ = sample_planted_er(params, planted_seed)
-        search = dict(
-            restarts=config.restarts,
-            seed=SeedSpec(config.master_seed, (cell_index, trial, 2)),
-            rounds=config.ls_rounds,
-        )
-        for test in config.tests:
-            statistic = TESTS[test].statistic
-            stats[test][0].append(statistic(a0, b0, params, **search)[0])
-            stats[test][1].append(statistic(a1, b1, params, **search)[0])
+        seed = SeedSpec(config.master_seed, (cell_index, trial, 2))
+        search = dict(restarts=config.restarts, seed=seed, rounds=config.ls_rounds)
+        for side, sample in enumerate(samplers):  # the null pair, then the planted one
+            a, b = sample(params, SeedSpec(config.master_seed, (cell_index, trial, side)))[:2]
+            with shared_table():  # this pair's tests build one exact table, dropped with the pair
+                for test in config.tests:
+                    stats[test][side].append(TESTS[test].statistic(a, b, params, **search)[0])
     out = []
     for test in config.tests:
         null_stats, planted_stats = stats[test]
@@ -205,10 +197,18 @@ def _format_cell_rows(config, cell_index, results) -> list[str]:
     return rows
 
 
+def sweep_workers(config: SweepConfig) -> int:
+    """Worker processes of the sweep: ``GRAPHCORR_WORKERS`` (default 1), at most one per cell."""
+    raw = os.environ.get("GRAPHCORR_WORKERS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"GRAPHCORR_WORKERS must be an integer >= 1, got {raw!r}")
+    return min(int(raw), len(config.cells()))  # a pool starts all its workers up front, used or not
+
+
 def sweep_rows(config: SweepConfig) -> list[str]:
     """All CSV rows (header excluded) of the sweep, in grid order."""
     cells = list(range(len(config.cells())))
-    workers = int(os.environ.get("GRAPHCORR_WORKERS", "1"))
+    workers = sweep_workers(config)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, [(config, c) for c in cells]))

@@ -268,6 +268,57 @@ class TestSweepCommand:
         run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
         assert out.read_text() == text
 
+    @pytest.mark.parametrize("value", ["two", "0"])
+    def test_bad_worker_count_exits_with_one_line_before_the_run(self, tmp_path, value, monkeypatch):
+        from graphcorr import experiments
+
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("model=er\nn=8\ntests=edges\ntrials=5\nseed=9\np=0.4\ns=0.8\n")
+        monkeypatch.setenv("GRAPHCORR_WORKERS", value)
+        monkeypatch.setattr(experiments, "run_sweep", lambda *a, **k: pytest.fail("the sweep ran"))
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--config", str(cfg)])
+        assert err.value.code == f"GRAPHCORR_WORKERS must be an integer >= 1, got {value!r}"
+
+    def test_errors_inside_the_run_keep_their_traceback(self, tmp_path, monkeypatch):
+        from graphcorr import experiments
+
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("model=er\nn=8\ntests=edges\ntrials=5\nseed=9\np=0.4\ns=0.8\n")
+        monkeypatch.setattr(experiments, "run_sweep", lambda *a, **k: int("boom"))
+        with pytest.raises(ValueError, match="boom"):
+            main(["sweep", "--config", str(cfg)])
+
+
+class TestRepeatedMain:
+    """Commands run one after another in one process behave as each does alone."""
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as err:
+            code = err.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def test_commands_in_sequence_match_single_runs(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("model=er\nn=6\ntests=lr,qap-exact\ntrials=3\nseed=9\np=0.4\ns=0.8\n")
+        commands = [["tv", "--n", "3", "--p", "0.5", "--s", "0.5"], ["sweep", "--config", str(cfg)], ["sweep"]]
+        alone = [self.outcome(capsys, argv) for argv in commands]
+        assert alone[2][0] == 2 and "--config" in alone[2][2]
+        assert [self.outcome(capsys, argv) for argv in commands] == alone
+        assert [self.outcome(capsys, argv) for argv in reversed(commands)] == alone[::-1]
+
+    def test_dispatch_sees_a_patched_command(self, capsys, monkeypatch):
+        from graphcorr import cli
+
+        run(capsys, "tv", "--n", "3", "--p", "0.5", "--s", "0.5")
+        monkeypatch.setattr(cli, "_cmd_tv", lambda args: print(f"patched n={args.n}") or 7)
+        code, out = run(capsys, "tv", "--n", "3", "--p", "0.5", "--s", "0.5")
+        assert (code, out) == (7, "patched n=3\n")
+
 
 class TestSweepConfig:
     def test_rejected_config_exits_with_one_line(self, tmp_path):

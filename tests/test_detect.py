@@ -278,6 +278,31 @@ class TestSplitEngine:
         got = all_statistic_values(a, b)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_plan_is_read_only_and_matches_itertools(self, n):
+        r = min(detect.SUFFIX, n)
+        pre, rest, ip, jp, ir, jr, pos = detect._plan(n)
+        prefixes = list(itertools.permutations(range(n), n - r))
+        assert pre.tolist() == [list(p) for p in prefixes]
+        assert rest.tolist() == [sorted(set(range(n)).difference(p)) for p in prefixes]
+        for got, want in zip((ip, jp, ir, jr), (*np.triu_indices(n - r, 1), *np.triu_indices(r, 1))):
+            assert got.tolist() == want.tolist()
+        assert pos.tolist() == np.argsort(permutation_table(r), axis=1).tolist()
+        for arr in (pre, rest, ip, jp, ir, jr, pos):
+            assert not arr.flags.writeable
+        assert detect._plan(n) is detect._plan(n)
+
+    def test_plan_cache_holds_only_sizes_within_the_exact_limit(self, monkeypatch):
+        a, b = _draws(6, False, seed=5)[0]
+        want = all_statistic_values(a, b)
+        detect._plan.cache_clear()
+        monkeypatch.setattr(detect, "QAP_EXACT_DEFAULT_LIMIT", 5)
+        np.testing.assert_array_equal(all_statistic_values(a, b), want)
+        assert detect._plan.cache_info().currsize == 0
+        monkeypatch.setattr(detect, "QAP_EXACT_DEFAULT_LIMIT", 6)
+        np.testing.assert_array_equal(all_statistic_values(a, b), want)
+        assert detect._plan.cache_info().currsize == 1
+
     @pytest.mark.parametrize("weighted", [False, True])
     def test_n10_value_is_attained_by_argmax(self, weighted):
         for a, b in _draws(10, weighted, seed=300)[:2]:
@@ -404,6 +429,17 @@ class TestBatchedSearch:
                     want = qap_local_search_oracle(a, b, restarts=restarts, seed=seed, rounds=rounds)
                     got = qap_local_search(a, b, restarts=restarts, seed=seed, rounds=rounds)
                     assert got == want, (model, n, restarts, rounds, seed)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 2**31 - 1, 2**31 + 1, 2**32 - 5, 2**32 + 3])
+    def test_bulk_kick_draw_equals_per_call_draws(self, n):
+        # the search draws all kicks in one call; the oracle draws them one call at a time
+        shape = (20, 10, detect.LOCAL_SEARCH_KICK, 2)
+        for seed in (0, 5, SeedSpec(9, 1), SeedSpec(31, 7)):
+            for lead in (0, 1):  # draws before the kicks, leaving a half-used 32-bit word or none
+                bulk, calls = rng_from_seed(seed), rng_from_seed(seed)
+                bulk.integers(0, 7, lead), calls.integers(0, 7, lead)
+                want = [calls.integers(0, n, 2).tolist() for _ in range(math.prod(shape) // 2)]
+                assert bulk.integers(0, n, shape).reshape(-1, 2).tolist() == want, (n, seed, lead)
 
     @pytest.mark.parametrize("model,n", [("er", 12), ("gaussian", 12)])
     @pytest.mark.parametrize("block", [detect.CLIMB_BLOCK, 300])  # 300 entries: blocks of 2 rows at n=12
@@ -609,6 +645,59 @@ class TestRegistry:
         a, b, _ = sample_planted_er(ErParams(5, 0.4, 0.8), 1)
         assert TESTS["qap-exact"].statistic(a, b, ErParams(5, 0.4, 0.8)) == (1.0, None)
         assert calls == ["qap"]
+
+    @pytest.mark.parametrize(
+        "params", [ErParams(6, 0.4, 0.8), ErParams(6, 0.4, 1.0), GaussianParams(6, 0.5), GaussianParams(6, 0.0)]
+    )
+    def test_shared_table_equals_direct_calls(self, params, monkeypatch):
+        sample = sample_planted_er if isinstance(params, ErParams) else sample_planted_gaussian
+        a, b, _ = sample(params, 13)
+        want_lr, want_qap = TESTS["lr"].statistic(a, b, params), qap_exact(a, b)
+        calls = []
+        real = detect.all_statistic_values
+        monkeypatch.setattr(detect, "all_statistic_values", lambda a, b: calls.append(a.n) or real(a, b))
+        with detect.shared_table():
+            assert TESTS["lr"].statistic(a, b, params) == want_lr
+            assert TESTS["qap-exact"].statistic(a, b, params) == want_qap
+        assert calls == [6]
+
+    def test_shared_table_is_per_pair_and_per_block(self, monkeypatch):
+        params = ErParams(5, 0.4, 0.8)
+        (a, b, _), (c, d, _) = sample_planted_er(params, 1), sample_planted_er(params, 2)
+        want = [qap_exact(a, b), qap_exact(c, d), qap_exact(c, d), qap_exact(a, b)]
+        calls = []
+        real = detect.all_statistic_values
+        monkeypatch.setattr(detect, "all_statistic_values", lambda a, b: calls.append((a, b)) or real(a, b))
+        qap_exact(a, b), qap_exact(a, b)  # outside a block every call builds its own table
+        with detect.shared_table():  # inside, a table is reused only while the pair stays the same
+            assert [qap_exact(a, b), qap_exact(c, d), qap_exact(c, d), qap_exact(a, b)] == want
+        assert calls == [(a, b), (a, b), (a, b), (c, d), (a, b)]
+        with pytest.raises(RuntimeError), detect.shared_table():
+            qap_exact(a, b)
+            raise RuntimeError
+        assert detect._SHARED.get() is None  # no table outlives its block, even on an error
+
+    def test_shared_table_calls_the_public_functions(self, monkeypatch):
+        params = ErParams(5, 0.4, 0.8)
+        a, b, _ = sample_planted_er(params, 1)
+        calls = []
+        for name in ("qap_exact", "log_likelihood_ratio_exact"):
+            real = getattr(detect, name)
+            monkeypatch.setattr(detect, name, lambda *args, _f=real, _n=name: calls.append(_n) or _f(*args))
+        with detect.shared_table():
+            TESTS["qap-exact"].statistic(a, b, params)
+            TESTS["lr"].statistic(a, b, params)
+        assert calls == ["qap_exact", "log_likelihood_ratio_exact"]
+
+    def test_shared_table_refuses_before_allocating(self, monkeypatch):
+        big = BinaryGraph(detect.QAP_EXACT_DEFAULT_LIMIT + 1)
+        lr_big = BinaryGraph(detect.LR_EXACT_DEFAULT_LIMIT + 1)
+        monkeypatch.setattr(detect, "all_statistic_values", lambda a, b: pytest.fail("allocated"))
+        with detect.shared_table():
+            with pytest.raises(ExactLimitError):
+                TESTS["qap-exact"].statistic(big, big, ErParams(big.n, 0.4, 0.8))
+            with pytest.raises(ExactLimitError):
+                TESTS["lr"].statistic(lr_big, lr_big, ErParams(lr_big.n, 0.4, 0.8))
 
     def test_check(self):
         TESTS["edges"].check("er", 1000)

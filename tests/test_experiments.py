@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from graphcorr import experiments, moments
+from graphcorr import detect, experiments, moments
 from graphcorr.experiments import (
     CSV_HEADER,
     ErrorEstimate,
@@ -139,6 +139,83 @@ class TestSweep:
         assert err == 0.0 and 3 < tau <= 10
         err, _ = min_error_sum([0, 1], [0, 1])
         assert err == pytest.approx(1.0)
+
+
+class TestSharedTable:
+    """One all_statistic_values table per graph pair, shared by the exact tests of that pair."""
+
+    @staticmethod
+    def count_calls(monkeypatch, config, names=("all_statistic_values",)):
+        calls = []
+        for name in names:
+            real = getattr(detect, name)
+            monkeypatch.setattr(detect, name, lambda *args, _f=real, _n=name: calls.append(_n) or _f(*args))
+        sweep_rows(config)
+        return {name: calls.count(name) for name in names}
+
+    def test_one_table_per_er_pair(self, monkeypatch):
+        config = SweepConfig(
+            model="er", n_values=(6,), tests=("lr", "qap-exact"), trials=3, master_seed=5,
+            p_values=(0.4,), s_values=(0.8, 1.0),
+        )
+        pairs = 2 * config.trials * len(config.cells())
+        assert self.count_calls(monkeypatch, config) == {"all_statistic_values": pairs}
+
+    def test_sweep_calls_the_public_exact_functions_per_pair(self, monkeypatch):
+        config = SweepConfig(
+            model="er", n_values=(6,), tests=("lr", "qap-exact"), trials=2, master_seed=5,
+            p_values=(0.4,), s_values=(0.8,),
+        )
+        names = ("qap_exact", "log_likelihood_ratio_exact", "all_statistic_values")
+        assert self.count_calls(monkeypatch, config, names) == dict.fromkeys(names, 2 * config.trials)
+
+    def test_edges_sweep_builds_no_table(self, monkeypatch):
+        config = SweepConfig(
+            model="er", n_values=(6,), tests=("edges",), trials=3, master_seed=5, p_values=(0.4,), s_values=(0.8,),
+        )
+        assert self.count_calls(monkeypatch, config) == {"all_statistic_values": 0}
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and maps in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestWorkers:
+    def config(self, s_values):
+        return SweepConfig(
+            model="er", n_values=(6,), tests=("edges",), trials=2, master_seed=1, p_values=(0.4,), s_values=s_values,
+        )
+
+    @pytest.mark.parametrize("value", ["two", "2.5", "", " ", "0", "-1"])
+    def test_rejects_non_integer_or_below_one(self, value, monkeypatch):
+        monkeypatch.setenv("GRAPHCORR_WORKERS", value)
+        with pytest.raises(ValueError) as err:
+            sweep_rows(self.config((0.8,)))
+        assert str(err.value) == f"GRAPHCORR_WORKERS must be an integer >= 1, got {value!r}"
+
+    @pytest.mark.parametrize("value, cells, pool", [("5000", 2, [2]), ("4", 1, []), ("2", 3, [2]), ("1", 3, [])])
+    def test_pool_is_capped_at_the_cell_count(self, value, cells, pool, monkeypatch):
+        config = self.config((0.5, 0.7, 0.9)[:cells])
+        serial = sweep_rows(config)
+        monkeypatch.setattr(FakePool, "sizes", [])
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setenv("GRAPHCORR_WORKERS", value)
+        assert sweep_rows(config) == serial
+        assert FakePool.sizes == pool
 
 
 class TestErrorEstimate:
