@@ -481,7 +481,7 @@ def run_criterion(name: str, seed: int = DEFAULT_SEED) -> CriterionResult:
         if cname == name:
             start = time.time()
             passed, measured = fn(seed=seed)
-            return CriterionResult(cname, passed, measured, time.time() - start)
+            return CriterionResult(cname, bool(passed), measured, time.time() - start)  # numpy bool_ is not JSON
     raise KeyError(f"unknown criterion {name!r}; known: {[c for c, _ in CRITERIA]}")
 
 

@@ -216,7 +216,7 @@ def map_pair_indices(idx: np.ndarray, n: int, node_map: np.ndarray) -> np.ndarra
 def symmetric_from_flat(n: int, flat: np.ndarray) -> np.ndarray:
     """Symmetric (n, n) float64 matrix, zero diagonal, with ``flat`` above the diagonal in pair-index order."""
     w = np.zeros((n, n))
-    w[np.triu_indices(n, 1)] = flat
+    w[~np.tri(n, dtype=bool)] = flat  # a boolean mask fills in row-major order, which is pair-index order
     return w + w.T
 
 

@@ -198,14 +198,20 @@ class SecondMomentReport:
         return self.mc_halfwidth is None
 
 
-def _orbit_factor_log(params, census: dict[int, int]) -> float:
+def _orbit_factor_log(params, census_items) -> float:
     if isinstance(params, GaussianParams):
         f = lambda k: orbit_moment_gaussian(k, params.rho)
     elif isinstance(params, ErParams):
         f = lambda k: orbit_moment_er(k, params.p, params.s)
     else:
         raise TypeError(f"unsupported params type {type(params)!r}")
-    return sum(nk * math.log(f(k)) for k, nk in census.items())
+    return sum(nk * math.log(f(k)) for k, nk in census_items)
+
+
+@functools.lru_cache(maxsize=SECOND_MOMENT_EXACT_LIMIT)
+def _cycle_type_table(n: int) -> tuple:
+    """Read-only (cycle type, weight, census) rows of S_n, for :func:`second_moment_exact`."""
+    return tuple((ct, w, tuple(census_from_cycle_type(ct).items())) for ct, w in partitions_as_cycle_types(n))
 
 
 def second_moment_exact(params) -> SecondMomentReport:
@@ -223,8 +229,8 @@ def second_moment_exact(params) -> SecondMomentReport:
     model = "gaussian" if isinstance(params, GaussianParams) else "er"
     total = Fraction(0)  # exact accumulation; the rho = 0 value is exactly 1
     contribs = []
-    for ct, weight in partitions_as_cycle_types(n):
-        factor = math.exp(_orbit_factor_log(params, census_from_cycle_type(ct)))
+    for ct, weight, census in _cycle_type_table(n):
+        factor = math.exp(_orbit_factor_log(params, census))
         total += weight * Fraction(factor)
         contribs.append((ct.counts, float(weight), factor))
     return SecondMomentReport(model, n, float(total), tuple(contribs))
@@ -238,7 +244,7 @@ def second_moment_mc(params, trials: int = 2000, seed=0) -> SecondMomentReport:
     model = "gaussian" if isinstance(params, GaussianParams) else "er"
     vals = np.empty(trials)
     for t in range(trials):
-        census = census_from_cycle_type(cycle_type(random_permutation(params.n, rng)))
+        census = census_from_cycle_type(cycle_type(random_permutation(params.n, rng))).items()
         vals[t] = math.exp(_orbit_factor_log(params, census))
     hw = 1.96 * float(vals.std(ddof=1)) / math.sqrt(trials)
     return SecondMomentReport(model, params.n, float(vals.mean()), (), hw)
@@ -298,45 +304,48 @@ def second_moment_bruteforce_er(params: ErParams) -> float:
 # -- generating functions of orbit (pseudo)forests -------------------------------
 
 
-def _join(root: tuple[int, ...], excess: tuple[int, ...], u: int, v: int, length: int, max_excess: int):
-    """Add an orbit of ``length`` edges between node cycles u and v, or None past max_excess.
+def _join(root: tuple[int, ...], excess: tuple[int, ...], u: int, v: int, length: int):
+    """Add an orbit of ``length`` edges between node cycles u and v, or None past excess 0.
 
     ``root[c]`` is the component of node cycle c; ``excess[r]`` is component r's edges minus vertices.
     """
     ru, rv = root[u], root[v]
     x = excess[ru] + length + (excess[rv] if rv != ru else 0)
-    if x > max_excess:
+    if x > 0:
         return None
     if rv != ru:
         root = tuple(ru if r == rv else r for r in root)
     return root, excess[:ru] + (x,) + excess[ru + 1 :]
 
 
-def _orbit_unions(sigma: Permutation, orbits: list[EdgeOrbit], max_excess: int):
-    """Orbit subsets whose union keeps every component's excess <= max_excess.
+def _orbit_unions(sigma: Permutation, orbits: list[EdgeOrbit]):
+    """Orbit subsets whose union is a pseudoforest, flagged when it is a forest.
 
-    Yields (indices, edge count) per nonempty subset, depth first in index
-    order, each subset before its extensions; a subset that fails prunes
-    every superset that extends it.  The search runs on the node cycles of
-    sigma: an orbit covers the whole node cycles it touches, and the union's
-    components inside one contracted component form one orbit under sigma,
-    so they share one excess, with the sign of the summed orbit lengths minus
-    the summed node-cycle lengths.  That makes the test exact for max_excess
-    0 and -1, the two values used.
+    Yields (indices, edge count, forest) per nonempty subset, depth first in
+    index order, each subset before its extensions; a subset with a component
+    of positive excess prunes every superset that extends it.  ``forest``
+    holds when every join on the way left negative excess; a subgraph of a
+    forest is a forest, so the forest subsets come in the order of a search
+    pruned at excess -1.  The search runs on the node cycles of sigma: an
+    orbit covers the whole node cycles it touches, and the union's components
+    inside one contracted component form one orbit under sigma, so they share
+    one excess, with the sign of the summed orbit lengths minus the summed
+    node-cycle lengths.  That makes both tests, excess <= 0 and < 0, exact.
     """
     cycles = node_cycles(sigma)[0]
     index = {v: c for c, cyc in enumerate(cycles) for v in cyc}
     ends = [(index[o.edges[0][0]], index[o.edges[0][1]], len(o)) for o in orbits]
 
-    def rec(root, excess, start: int, chosen: tuple[int, ...], edge_count: int):
-        for j in range(start, len(ends)):
-            joined = _join(root, excess, *ends[j], max_excess)
+    def rec(root, excess, start: int, chosen: tuple[int, ...], edge_count: int, forest: bool):
+        for j, (u, v, length) in enumerate(ends[start:], start):
+            joined = _join(root, excess, u, v, length)
             if joined is not None:
-                subset, count = chosen + (j,), edge_count + ends[j][2]
-                yield subset, count
-                yield from rec(*joined, j + 1, subset, count)
+                subset, count = chosen + (j,), edge_count + length
+                tree = forest and joined[1][root[u]] < 0  # root[u] names the joined component
+                yield subset, count, tree
+                yield from rec(*joined, j + 1, subset, count, tree)
 
-    return rec(tuple(range(len(cycles))), tuple(-len(cyc) for cyc in cycles), 0, (), 0)
+    return rec(tuple(range(len(cycles))), tuple(-len(cyc) for cyc in cycles), 0, (), 0, True)
 
 
 def _short_orbits_checked(sigma: Permutation, k: int, limit: int) -> list[EdgeOrbit]:
@@ -348,24 +357,34 @@ def _short_orbits_checked(sigma: Permutation, k: int, limit: int) -> list[EdgeOr
     return orbits
 
 
+@functools.lru_cache(maxsize=1, typed=True)  # typed: an int or numpy s gives its own result type
+def _gf_sums(sigma: Permutation, k: int, s: float) -> tuple[float, float]:
+    """(pseudoforest, forest) generating functions from one search, for the last (sigma, k, s)."""
+    pseudo = forest = 1.0  # the empty union
+    for _, count, tree in _orbit_unions(sigma, _short_orbits_checked(sigma, k, GF_ORBIT_LIMIT)):
+        term = s ** (2 * count)
+        pseudo += term
+        if tree:
+            forest += term
+    return pseudo, forest
+
+
 def gf_orbit_pseudoforests_bruteforce(sigma: Permutation, k: int, s: float) -> float:
     """Generating function sum of s^(2 e(H)) over orbit pseudoforests H.
 
     Enumerates subsets of the short orbits by depth-first search, pruning any
     branch whose union already has a component of positive excess.
     """
-    total = 1.0  # the empty union
-    for _, count in _orbit_unions(sigma, _short_orbits_checked(sigma, k, GF_ORBIT_LIMIT), max_excess=0):
-        total += s ** (2 * count)
-    return total
+    if not 0 <= s <= 1:
+        raise ValueError("s must lie in [0, 1]")
+    return _gf_sums(sigma, k, s)[0]
 
 
 def gf_orbit_forests_bruteforce(sigma: Permutation, k: int, s: float) -> float:
-    """Forest-restricted variant of the orbit generating function."""
-    total = 1.0  # the empty union
-    for _, count in _orbit_unions(sigma, _short_orbits_checked(sigma, k, GF_ORBIT_LIMIT), max_excess=-1):
-        total += s ** (2 * count)
-    return total
+    """Forest-restricted variant of the orbit generating function, read off the same search."""
+    if not 0 <= s <= 1:
+        raise ValueError("s must lie in [0, 1]")
+    return _gf_sums(sigma, k, s)[1]
 
 
 def enumerate_orbit_pseudoforests(sigma: Permutation, k: int, limit: int = GF_ORBIT_LIMIT):
@@ -375,7 +394,7 @@ def enumerate_orbit_pseudoforests(sigma: Permutation, k: int, limit: int = GF_OR
     yielded.
     """
     orbits = _short_orbits_checked(sigma, k, limit)
-    for subset, _ in _orbit_unions(sigma, orbits, max_excess=0):
+    for subset, _, _ in _orbit_unions(sigma, orbits):
         yield [orbits[j] for j in subset]
 
 

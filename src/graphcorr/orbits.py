@@ -170,21 +170,22 @@ def _orbit_of_pair(sigma: Permutation, pair: tuple[int, int]) -> tuple[tuple[int
 def edge_orbits(sigma: Permutation) -> tuple[list[EdgeOrbit], EdgeOrbitCensus]:
     """All edge orbits of sigma, sorted by representative pair, plus the census.
 
-    Each orbit is read off the node cycles it joins, in sigma order.  Inside a
-    cycle P of length l, offset d gives the pairs (p_t, p_(t+d)); between P
-    and a later cycle R of length m, residue b < gcd(l, m) gives the pairs
-    (p_t, r_(b+t)) for t < lcm(l, m).
+    Each orbit is read off the node cycles it joins, in sigma order: offset d
+    in a cycle P zips P (its first half if 2d = |P|) with P rotated by d, and
+    residue b < gcd(|P|, |R|) with a later cycle R zips P with R rotated by b,
+    both repeated to lcm(|P|, |R|) pairs, (p_t, p_(t+d)) or (p_t, r_(b+t)).
     """
     cycles = _cached_lookup(sigma)[0]
     walks = []
     for a, p in enumerate(cycles):
         l = len(p)
         for d in range(1, l // 2 + 1):
-            walks.append([(p[t], p[(t + d) % l]) for t in range(l // 2 if 2 * d == l else l)])
+            walks.append(zip(p[:d] if 2 * d == l else p, p[d:] + p[:d]))
         for r in cycles[a + 1 :]:
             m = len(r)
+            lcm = math.lcm(l, m)
             for b in range(math.gcd(l, m)):
-                walks.append([(p[t % l], r[(b + t) % m]) for t in range(math.lcm(l, m))])
+                walks.append(zip(p * (lcm // l), (r[b:] + r[:b]) * (lcm // m)))
     orbits = []
     for walk in walks:
         pairs = [(u, v) if u < v else (v, u) for u, v in walk]

@@ -2,6 +2,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from graphcorr.cli import _read_config, main
@@ -455,3 +456,11 @@ class TestOtherCommands:
         monkeypatch.setattr(acceptance, "CRITERIA", (("02-orbit-table", lambda seed: (False, "forced")),))
         code, out = run(capsys, "verify", "--json")
         assert code == 1 and json.loads(out)["passed"] is False
+
+    def test_verify_json_takes_a_numpy_bool(self, capsys, monkeypatch):
+        # criterion 07 reports its verdict as a numpy bool_, which json cannot encode
+        from graphcorr import acceptance
+
+        monkeypatch.setattr(acceptance, "CRITERIA", (("07-poisson-cycles", lambda seed: (np.bool_(True), "fast")),))
+        code, out = run(capsys, "verify", "--json")
+        assert code == 0 and json.loads(out)["passed"] is True

@@ -548,12 +548,12 @@ class TestBruteForceAgreement:
             sigma = Permutation(tuple(int(v) for v in rng.permutation(n)))
             k = 4
             orbits = _short_orbits_checked(sigma, k, 24)
-            found = [subset for subset, _ in _orbit_unions(sigma, orbits, max_excess=0)]
+            found = [subset for subset, _, _ in _orbit_unions(sigma, orbits)]
             for subset in found:
                 union = frozenset().union(*(orbits[j].edge_set() for j in subset))
                 gamma = backbone(sigma, BinaryGraph(n, union), k)
                 assert validate_pseudoforest(gamma)[0]
-            trees = [subset for subset, _ in _orbit_unions(sigma, orbits, max_excess=-1)]
+            trees = [subset for subset, _, tree in _orbit_unions(sigma, orbits) if tree]
             for subset in trees:
                 union = frozenset().union(*(orbits[j].edge_set() for j in subset))
                 assert is_forest(BinaryGraph(n, union))
@@ -615,7 +615,7 @@ class TestLemmaPlainPredicate:
             node_orbs, _ = node_cycles(sigma)
             of_node = {v: orb for orb in node_orbs for v in orb}
             orbits = _short_orbits_checked(sigma, k, 24)
-            found = [()] + [subset for subset, _ in _orbit_unions(sigma, orbits, max_excess=0)]
+            found = [()] + [subset for subset, _, _ in _orbit_unions(sigma, orbits)]
             for subset in found[: 40]:
                 union = (
                     frozenset().union(*(orbits[j].edge_set() for j in subset))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import lambertw as scipy_lambertw
 
+from graphcorr import moments
 from graphcorr.errors import ExactLimitError
 from graphcorr.graphs import BinaryGraph, Permutation
 from graphcorr.moments import (
@@ -239,18 +240,45 @@ def orbit_unions_oracle(orbits, max_excess: int):
 class TestContractedSearch:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_same_subsets_as_vertex_search(self, n):
-        # every sigma in S_n, k <= 4, forests and pseudoforests: the node-cycle
-        # search yields the same (subset, edge count) list in the same order
+        # every sigma in S_n, k <= 4: the node-cycle search yields the same
+        # (subset, edge count) list in the same order as the vertex search
+        # pruned at excess 0, and its forest-flagged part the list pruned at -1
         for perm in itertools.permutations(range(n)):
             sigma = Permutation(perm)
             for k in range(1, 5):
                 orbits = orbits_up_to(sigma, k)
-                for max_excess in (0, -1):
-                    got = list(_orbit_unions(sigma, orbits, max_excess))
-                    assert got == list(orbit_unions_oracle(orbits, max_excess)), (perm, k, max_excess)
+                got = list(_orbit_unions(sigma, orbits))
+                pseudo = [(subset, count) for subset, count, _ in got]
+                forest = [(subset, count) for subset, count, tree in got if tree]
+                assert pseudo == list(orbit_unions_oracle(orbits, 0)), (perm, k)
+                assert forest == list(orbit_unions_oracle(orbits, -1)), (perm, k)
 
 
 class TestGeneratingFunctions:
+    def test_one_search_serves_both(self, monkeypatch):
+        # pseudoforest then forest, or forest then pseudoforest, at one
+        # (sigma, k, s) runs one search; a new s runs a new one
+        calls = []
+        real = moments._orbit_unions
+        monkeypatch.setattr(moments, "_orbit_unions", lambda *args: calls.append(args) or real(*args))
+        moments._gf_sums.cache_clear()
+        gf_orbit_pseudoforests_bruteforce(TABLE_SIGMA, 4, 0.3)
+        forest = gf_orbit_forests_bruteforce(TABLE_SIGMA, 4, 0.3)
+        assert len(calls) == 1
+        gf_orbit_forests_bruteforce(TABLE_SIGMA, 4, 0.2)
+        gf_orbit_pseudoforests_bruteforce(TABLE_SIGMA, 4, 0.2)
+        assert len(calls) == 2
+        assert gf_orbit_forests_bruteforce(TABLE_SIGMA, 4, 0.3) == forest
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("s", [-0.1, 1.5, math.nan])
+    def test_brute_force_rejects_s_outside_unit_interval(self, s):
+        before = moments._gf_sums.cache_info()
+        for gf in (gf_orbit_pseudoforests_bruteforce, gf_orbit_forests_bruteforce):
+            with pytest.raises(ValueError, match=r"s must lie in \[0, 1\]"):
+                gf(TABLE_SIGMA, 4, s)
+        assert moments._gf_sums.cache_info() == before  # rejected before any search or cache lookup
+
     def test_no_short_orbits(self):
         sigma = Permutation.from_cycles(7, [tuple(range(7))])
         assert gf_orbit_pseudoforests_bruteforce(sigma, 3, 0.4) == 1.0
