@@ -325,9 +325,10 @@ class WeightedGraph:
         w = np.asarray(self.weight, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weight must be a square matrix")
-        if not np.allclose(w, w.T):
+        # the exact tests settle the common case; np.allclose decides only what they reject
+        if not (np.array_equal(w, w.T) or np.allclose(w, w.T)):
             raise ValueError("weight matrix must be symmetric")
-        if not np.allclose(np.diag(w), 0.0):
+        if np.diag(w).any() and not np.allclose(np.diag(w), 0.0):
             raise ValueError("weight matrix must have zero diagonal")
         w = np.triu(w, 1)
         w = w + w.T

@@ -349,12 +349,14 @@ def _orbit_unions(sigma: Permutation, orbits: list[EdgeOrbit]):
 
 
 def _short_orbits_checked(sigma: Permutation, k: int, limit: int) -> list[EdgeOrbit]:
-    orbits = orbits_up_to(sigma, k)
-    if len(orbits) > limit:
-        raise ExactLimitError(
-            f"{len(orbits)} short orbits exceed the brute-force limit {limit}"
-        )
-    return orbits
+    """orbits_up_to(sigma, k), refused before any orbit is built when the census counts more than ``limit``."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    census = census_from_cycle_type(CycleType(cycle_type(sigma).counts[:k]))
+    count = sum(c for length, c in census.items() if length <= k)
+    if count > limit:
+        raise ExactLimitError(f"{count} short orbits exceed the brute-force limit {limit}")
+    return orbits_up_to(sigma, k)
 
 
 @functools.lru_cache(maxsize=1, typed=True)  # typed: an int or numpy s gives its own result type

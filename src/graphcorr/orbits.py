@@ -167,15 +167,16 @@ def _orbit_of_pair(sigma: Permutation, pair: tuple[int, int]) -> tuple[tuple[int
     return tuple(edges)
 
 
-def edge_orbits(sigma: Permutation) -> tuple[list[EdgeOrbit], EdgeOrbitCensus]:
-    """All edge orbits of sigma, sorted by representative pair, plus the census.
+def _walk_orbits(cycles: list[tuple[int, ...]], k: float) -> list[EdgeOrbit]:
+    """Edge orbits of length <= k that join the node cycles ``cycles``, sorted by representative pair.
 
     Each orbit is read off the node cycles it joins, in sigma order: offset d
     in a cycle P zips P (its first half if 2d = |P|) with P rotated by d, and
     residue b < gcd(|P|, |R|) with a later cycle R zips P with R rotated by b,
     both repeated to lcm(|P|, |R|) pairs, (p_t, p_(t+d)) or (p_t, r_(b+t)).
+    No orbit inside a cycle is longer than the cycle, so only the cross-cycle
+    walks are tested against k.
     """
-    cycles = _cached_lookup(sigma)[0]
     walks = []
     for a, p in enumerate(cycles):
         l = len(p)
@@ -184,14 +185,21 @@ def edge_orbits(sigma: Permutation) -> tuple[list[EdgeOrbit], EdgeOrbitCensus]:
         for r in cycles[a + 1 :]:
             m = len(r)
             lcm = math.lcm(l, m)
-            for b in range(math.gcd(l, m)):
-                walks.append(zip(p * (lcm // l), (r[b:] + r[:b]) * (lcm // m)))
+            if lcm <= k:
+                for b in range(math.gcd(l, m)):
+                    walks.append(zip(p * (lcm // l), (r[b:] + r[:b]) * (lcm // m)))
     orbits = []
     for walk in walks:
         pairs = [(u, v) if u < v else (v, u) for u, v in walk]
         i = pairs.index(min(pairs))
         orbits.append(EdgeOrbit(tuple(pairs[i:] + pairs[:i])))
     orbits.sort(key=lambda o: o.edges[0])
+    return orbits
+
+
+def edge_orbits(sigma: Permutation) -> tuple[list[EdgeOrbit], EdgeOrbitCensus]:
+    """All edge orbits of sigma, sorted by representative pair, plus the census."""
+    orbits = _walk_orbits(_cached_lookup(sigma)[0], math.inf)
     return orbits, EdgeOrbitCensus(sigma.n, dict(Counter(len(o) for o in orbits)))
 
 
@@ -339,15 +347,7 @@ def orbits_up_to(sigma: Permutation, k: int) -> list[EdgeOrbit]:
     """Edge orbits of length <= k whose endpoint node orbits have length <= k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    _, of_node = _cached_lookup(sigma)
-    out = []
-    for orbit in edge_orbits(sigma)[0]:
-        if len(orbit) > k:
-            continue
-        i, j = orbit.representative
-        if len(of_node[i]) <= k and len(of_node[j]) <= k:
-            out.append(orbit)
-    return out
+    return _walk_orbits([c for c in _cached_lookup(sigma)[0] if len(c) <= k], k)
 
 
 def complete_orbits(

@@ -151,7 +151,9 @@ def _gnp_indices(m: int, q: float, rng: np.random.Generator, forbidden=None) -> 
     ``Generator.choice``.  Rank r among the admissible indices maps to
     r + #{forbidden f: f - (number of forbidden below f) <= r}.
     """
-    f = np.sort(np.asarray(forbidden if forbidden is not None else [], dtype=np.int64))
+    if forbidden is None:
+        return rng.choice(m, int(rng.binomial(m, q)), replace=False)
+    f = np.sort(np.asarray(forbidden, dtype=np.int64))
     admissible = m - len(f)
     r = rng.choice(admissible, int(rng.binomial(admissible, q)), replace=False)
     return r + np.searchsorted(f - np.arange(len(f)), r, side="right")

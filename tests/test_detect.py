@@ -207,6 +207,32 @@ def all_statistic_values_oracle(a, b):
     return out
 
 
+def _broadcast_gathers(am, bm, pre, rest, pos):
+    """The (n, n) gathers of the broadcast engine: B prefix pairs, A prefix pairs, B feature rows, A weights."""
+    q, r = pre.shape[1], rest.shape[1]
+    (ip, jp), (ir, jr) = np.triu_indices(q, 1), np.triu_indices(r, 1)
+    feats = np.concatenate(
+        [bm[pre[:, :, None], rest[:, None, :]].reshape(len(pre), q * r), bm[rest[:, ir], rest[:, jr]]],
+        axis=1,
+    )
+    w = np.concatenate(
+        [
+            am[:q, q:][:, pos].transpose(0, 2, 1).reshape(q * r, math.factorial(r)),
+            am[q:, q:][pos[:, ir], pos[:, jr]].T,
+        ]
+    )
+    return bm[pre[:, ip], pre[:, jp]], am[ip, jp], feats, w
+
+
+def broadcast_engine(a, b):
+    """Reference engine: the prefix x suffix split with broadcast gathers, which the flat plan must match bit for bit."""
+    pre, rest, pos, *_ = detect._plan(a.n)
+    b_pp, a_pp, feats, w = _broadcast_gathers(a.to_dense(), b.to_dense(), pre, rest, pos)
+    out = feats @ w
+    out += (b_pp @ a_pp)[:, None]
+    return out.ravel()
+
+
 def _edge_images(pi, n):
     return [pi[i] * n + pi[j] for i, j in all_pairs(n)]
 
@@ -281,16 +307,27 @@ class TestSplitEngine:
     @pytest.mark.parametrize("n", range(0, 11))
     def test_plan_is_read_only_and_matches_itertools(self, n):
         r = min(detect.SUFFIX, n)
-        pre, rest, ip, jp, ir, jr, pos = detect._plan(n)
+        pre, rest, pos, *flat = plan = detect._plan(n)
         prefixes = list(itertools.permutations(range(n), n - r))
         assert pre.tolist() == [list(p) for p in prefixes]
         assert rest.tolist() == [sorted(set(range(n)).difference(p)) for p in prefixes]
-        for got, want in zip((ip, jp, ir, jr), (*np.triu_indices(n - r, 1), *np.triu_indices(r, 1))):
-            assert got.tolist() == want.tolist()
         assert pos.tolist() == np.argsort(permutation_table(r), axis=1).tolist()
-        for arr in (pre, rest, ip, jp, ir, jr, pos):
+        # gathering the row and column number of every entry shows where each flat index points
+        rows, cols = np.indices((n, n))
+        want = zip(_broadcast_gathers(rows, rows, pre, rest, pos), _broadcast_gathers(cols, cols, pre, rest, pos))
+        for index, (want_i, want_j) in zip(flat, want):
+            i, j = np.divmod(index, n)
+            assert i.tolist() == want_i.tolist()
+            assert j.tolist() == want_j.tolist()
+        for arr in plan:
             assert not arr.flags.writeable
-        assert detect._plan(n) is detect._plan(n)
+        assert detect._plan(n) is plan
+
+    @pytest.mark.parametrize("n", range(0, 11))
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_values_equal_broadcast_engine_bit_for_bit(self, n, weighted):
+        for a, b in _draws(n, weighted, seed=500 + n)[:2 if n == 10 else 3]:
+            np.testing.assert_array_equal(all_statistic_values(a, b), broadcast_engine(a, b))
 
     def test_plan_cache_holds_only_sizes_within_the_exact_limit(self, monkeypatch):
         a, b = _draws(6, False, seed=5)[0]

@@ -224,6 +224,27 @@ class TestValidation:
         assert np.array_equal(wg.weight, wg.weight.T)
         assert np.array_equal(wg.weight, np.triu(w, 1) + np.triu(w, 1).T)
 
+    def test_weighted_graph_exact_checks_keep_the_tolerance(self):
+        w = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+        assert np.array_equal(WeightedGraph(w).weight, w)
+        near = w.copy()
+        near[1, 0] *= 1 + 5e-9
+        assert np.array_equal(WeightedGraph(near).weight, w)  # within np.allclose: mirrored
+        far = w.copy()
+        far[1, 0] *= 1 + 1e-3
+        with pytest.raises(ValueError, match="symmetric"):
+            WeightedGraph(far)
+        nan = w.copy()
+        nan[0, 2] = nan[2, 0] = np.nan
+        with pytest.raises(ValueError, match="symmetric"):
+            WeightedGraph(nan)
+        diag = w.copy()
+        diag[1, 1] = 1e-10
+        assert np.array_equal(WeightedGraph(diag).weight, w)  # within np.allclose: zeroed
+        diag[1, 1] = 1e-3
+        with pytest.raises(ValueError, match="zero diagonal"):
+            WeightedGraph(diag)
+
     def test_weighted_graph_readonly(self):
         wg = WeightedGraph(np.zeros((3, 3)))
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import lambertw as scipy_lambertw
 
 from graphcorr import moments
+from graphcorr import orbits as orbits_module
 from graphcorr.errors import ExactLimitError
 from graphcorr.graphs import BinaryGraph, Permutation
 from graphcorr.moments import (
@@ -336,6 +337,19 @@ class TestGeneratingFunctions:
     def test_orbit_limit_refusal(self):
         with pytest.raises(ExactLimitError):
             gf_orbit_pseudoforests_bruteforce(Permutation.identity(10), 1, 0.3)
+
+    def test_refusal_builds_no_orbit(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("an edge orbit was built before the refusal")
+
+        monkeypatch.setattr(orbits_module, "EdgeOrbit", built)
+        sigma = Permutation.identity(2000)
+        with pytest.raises(ExactLimitError, match="^1999000 short orbits exceed the brute-force limit 24$"):
+            gf_orbit_forests_bruteforce(sigma, 1, 0.5)
+        with pytest.raises(ExactLimitError, match="^1999000 short orbits"):
+            list(moments.enumerate_orbit_pseudoforests(sigma, 1))
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            gf_orbit_pseudoforests_bruteforce(sigma, 0, 0.5)
 
 
 class TestLambertW:

@@ -299,6 +299,19 @@ class TestOrbitsUpTo:
     def test_identity_fixed_edges(self):
         assert len(orbits_up_to(Permutation.identity(4), 1)) == 6
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_equals_filter_over_all_orbits(self, n):
+        for p in itertools.permutations(range(n)):
+            sigma = Permutation(p)
+            of_node = {v: c for c in node_cycles(sigma)[0] for v in c}
+            every = edge_orbits(sigma)[0]
+            for k in range(1, 8):
+                want = [
+                    o for o in every
+                    if len(o) <= k and all(len(of_node[v]) <= k for v in o.representative)
+                ]
+                assert orbits_up_to(sigma, k) == want
+
 
 class TestCompleteOrbits:
     def test_complete_graph_gives_all_short(self):
