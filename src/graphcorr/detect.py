@@ -96,7 +96,7 @@ def statistic_given_pi(a, b, pi: Permutation) -> float:
     return float(np.triu(am * bm[np.ix_(pi.array, pi.array)], 1).sum())
 
 
-@functools.lru_cache(maxsize=QAP_EXACT_DEFAULT_LIMIT + 1)  # sizes above qap_exact's limit call __wrapped__
+@functools.lru_cache(maxsize=QAP_EXACT_DEFAULT_LIMIT + 1)  # all_statistic_values refuses larger sizes
 def _plan(n: int) -> tuple[np.ndarray, ...]:
     """Read-only index arrays of all_statistic_values at size n: (pre, rest, pos, pp, ap, feat, weight).
 
@@ -137,9 +137,14 @@ def all_statistic_values(a, b) -> np.ndarray:
     for c < d.  One constant weight matrix, built from A and
     ``permutation_table(r)``, maps that row to the values of all r! suffix
     orders, which follow the prefix in lexicographic order.  Every gather
-    reads one flat index of :func:`_plan`.
+    reads one flat index of :func:`_plan`.  Refuses n above
+    ``QAP_EXACT_DEFAULT_LIMIT`` before it builds a plan or an output.
     """
-    *_, pp, ap, feat, weight = (_plan if a.n <= QAP_EXACT_DEFAULT_LIMIT else _plan.__wrapped__)(a.n)
+    if a.n > QAP_EXACT_DEFAULT_LIMIT:
+        raise ExactLimitError(
+            f"all_statistic_values lists all {a.n}! permutations; n={a.n} exceeds limit {QAP_EXACT_DEFAULT_LIMIT}"
+        )
+    *_, pp, ap, feat, weight = _plan(a.n)
     af, bf = a.to_dense().ravel(), b.to_dense().ravel()
     out = bf[feat] @ af[weight]
     out += (bf[pp] @ af[ap])[:, None]

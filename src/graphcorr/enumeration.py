@@ -16,16 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .graphs import Permutation
-from .orbits import (
-    BackboneGraph,
-    ComponentUnion,
-    CycleType,
-    EdgeOrbit,
-    GiantEdge,
-    GiantNode,
-    classify_orbit,
-)
+from .orbits import BackboneGraph, ComponentUnion, CycleType, GiantEdge, GiantNode
 
 __all__ = [
     "ConstructionParams",
@@ -41,8 +32,6 @@ __all__ = [
     "validate_forest",
     "validate_pseudoforest",
     "params_from_backbone",
-    "ComponentState",
-    "excess_operations_check",
 ]
 
 
@@ -484,46 +473,3 @@ def params_from_backbone(gamma: BackboneGraph, k: int) -> ConstructionParams:
         {t: v for t, v in c.items() if v},
         {t: v for t, v in d.items() if v},
     )
-
-
-# -- excess bookkeeping for component operations ----------------------------------
-
-
-@dataclass(frozen=True)
-class ComponentState:
-    """A level-m backbone component made concrete: node orbits plus edge orbits."""
-
-    node_orbits: tuple[tuple[int, ...], ...]
-    edge_orbits: tuple[EdgeOrbit, ...]
-
-
-def excess_operations_check(
-    sigma: Permutation, component: ComponentState, op: EdgeOrbit
-) -> int:
-    """Exact excess change from adding one orbit to a component's orbit graph.
-
-    Splits raise the excess by exactly m/2; bridges by at least
-    lcm(l, m) - l, with equality when the shorter orbit arrives fresh.
-    Violating either law raises, as it indicates ``op`` is not a legal
-    operation on the component.
-    """
-    cls = classify_orbit(sigma, op)
-    # an edge orbit covers the whole node cycles of its endpoints, so the
-    # orbit graph's vertices are the component's node orbits plus all endpoints
-    edges = set().union(*(o.edge_set() for o in component.edge_orbits))
-    verts = set().union(*component.node_orbits, *edges)
-    delta = len(op.edge_set() - edges) - len(set().union(*op.edges) - verts)
-
-    if cls.kind == "S":
-        if delta != cls.m // 2:
-            raise ValueError(f"split changed excess by {delta}, expected {cls.m // 2}")
-    elif cls.kind == "B":
-        floor = math.lcm(cls.ell, cls.m) - cls.ell
-        if delta < floor:
-            raise ValueError(f"bridge changed excess by {delta}, expected >= {floor}")
-    elif cls.kind == "C":
-        if delta != cls.m:
-            raise ValueError(f"cycle orbit changed excess by {delta}, expected {cls.m}")
-    else:
-        raise ValueError("only split, bridge, or cycle operations are supported")
-    return delta

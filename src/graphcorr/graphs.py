@@ -27,17 +27,14 @@ __all__ = [
     "WeightedGraph",
     "canonical_pair",
     "pair_index",
-    "pair_from_index",
     "pairs_from_indices",
     "map_pair_indices",
     "symmetric_from_flat",
-    "all_pairs",
     "permutation_table",
     "edge_code_maps",
     "code_edge_counts",
     "relabel",
     "intersect",
-    "induced_edge_weight",
     "read_binary_graph",
     "write_binary_graph",
     "read_weighted_graph",
@@ -64,14 +61,6 @@ def pair_index(i: int, j: int, n: int) -> int:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
-def pair_from_index(idx: int, n: int) -> tuple[int, int]:
-    """Inverse of :func:`pair_index`."""
-    if not 0 <= idx < n * (n - 1) // 2:
-        raise ValueError(f"pair index {idx} out of range for n={n}")
-    i, j = pairs_from_indices(np.asarray([idx]), n)
-    return (int(i[0]), int(j[0]))
-
-
 def pairs_from_indices(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized inverse of :func:`pair_index` for arrays of linear indices."""
     idx = np.asarray(idx, dtype=np.int64)
@@ -86,11 +75,6 @@ def pairs_from_indices(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
     i = n - u
     j = idx - (m - u * (u - 1) // 2) + i + 1
     return i, j
-
-
-def all_pairs(n: int):
-    """Iterate the unordered pairs of ``[n]`` in linear-index order."""
-    return itertools.combinations(range(n), 2)
 
 
 @dataclass(frozen=True)
@@ -312,11 +296,12 @@ class BinaryGraph:
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """A weighted undirected graph: symmetric real matrix, zero diagonal.
+    """A weighted undirected graph: symmetric finite real matrix, zero diagonal.
 
-    A matrix that is symmetric with zero diagonal up to ``np.allclose`` is
-    accepted and stored as its strict upper triangle mirrored, so every
-    routine reads the same weight for a pair, whichever triangle it indexes.
+    A NaN or infinite entry is rejected before any other check.  A matrix
+    that is symmetric with zero diagonal up to ``np.allclose`` is accepted
+    and stored as its strict upper triangle mirrored, so every routine reads
+    the same weight for a pair, whichever triangle it indexes.
     """
 
     weight: np.ndarray
@@ -325,6 +310,8 @@ class WeightedGraph:
         w = np.asarray(self.weight, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weight must be a square matrix")
+        if not np.isfinite(w).all():
+            raise ValueError("weight matrix must be finite")
         # the exact tests settle the common case; np.allclose decides only what they reject
         if not (np.array_equal(w, w.T) or np.allclose(w, w.T)):
             raise ValueError("weight matrix must be symmetric")
@@ -362,20 +349,6 @@ def intersect(a: Graph, b: Graph) -> Graph:
     if isinstance(a, BinaryGraph) and isinstance(b, BinaryGraph):
         return BinaryGraph.from_indices(a.n, np.intersect1d(a.index, b.index, assume_unique=True))
     return WeightedGraph(a.to_dense() * b.to_dense())
-
-
-def induced_edge_weight(g: Graph, nodes) -> float:
-    """Total edge weight of the subgraph induced by the node set."""
-    idx = sorted(set(nodes))
-    if idx and not (0 <= idx[0] and idx[-1] < g.n):
-        raise ValueError("node set not contained in [n]")
-    if isinstance(g, BinaryGraph):
-        inside = np.zeros(g.n, dtype=bool)
-        inside[idx] = True
-        i, j = pairs_from_indices(g.index, g.n)
-        return float(np.count_nonzero(inside[i] & inside[j]))
-    sub = g.weight[np.ix_(idx, idx)]
-    return float(np.triu(sub, 1).sum())
 
 
 # -- text file formats (1-based on disk) --------------------------------------
@@ -447,7 +420,10 @@ def read_weighted_graph(path) -> WeightedGraph:
         if len(row) != n:
             raise ValueError(f"{path}:{no}: expected {n} entries, found {len(row)}")
         rows.append(row)
-    return WeightedGraph(np.asarray(rows, dtype=np.float64).reshape(n, n))
+    try:
+        return WeightedGraph(np.asarray(rows, dtype=np.float64).reshape(n, n))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def write_permutation(pi: Permutation, path) -> None:

@@ -37,7 +37,6 @@ __all__ = [
     "orbit_moment_er",
     "orbit_moment_er_oracle",
     "orbit_moment_gaussian_mc",
-    "er_transition_matrix",
     "incomplete_orbit_moment_er",
     "SecondMomentReport",
     "second_moment_exact",
@@ -81,21 +80,6 @@ def orbit_moment_er(k: int, p: float, s: float) -> float:
     if k < 1:
         raise ValueError("orbit length must be >= 1")
     return 1.0 + rho_er(p, s) ** (2 * k)
-
-
-def er_transition_matrix(p: float, s: float) -> np.ndarray:
-    """Row-stochastic conditional law of an aligned edge given the other.
-
-    Rows and columns are indexed by {0, 1}; the eigenvalues are 1 and the
-    model correlation rho.
-    """
-    q = p * s
-    return np.array(
-        [
-            [(1 - q * (2 - s)) / (1 - q), q * (1 - s) / (1 - q)],
-            [1 - s, s],
-        ]
-    )
 
 
 def orbit_moment_er_oracle(k: int, p: float, s: float) -> float:

@@ -4,8 +4,8 @@ A node permutation sigma acts on the unordered pairs of [n] by permuting
 endpoints; the cycles of that induced action are the *edge orbits*.  This
 module computes cycle decompositions, the edge-orbit census, the four-way
 structural classification of edge orbits (matching / bridge / cycle / split),
-the backbone multigraph summary of a union of orbits, and the forest /
-pseudoforest predicates that drive the second-moment enumeration machinery.
+the backbone multigraph summary of a union of orbits, and the union-find and
+pseudoforest predicate that drive the second-moment enumeration machinery.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .graphs import BinaryGraph, Permutation, all_pairs, canonical_pair, intersect
+from .graphs import BinaryGraph, Permutation, canonical_pair, intersect
 
 __all__ = [
     "CycleType",
@@ -27,7 +27,6 @@ __all__ = [
     "BackboneGraph",
     "node_cycles",
     "cycle_type",
-    "edge_permutation",
     "edge_orbits",
     "census_predict_small",
     "census_from_cycle_type",
@@ -38,10 +37,8 @@ __all__ = [
     "backbone",
     "reconstruct_orbit_graph",
     "orbit_from_backbone_edge",
-    "excess",
     "ComponentUnion",
     "connected_components",
-    "is_forest",
     "is_pseudoforest",
 ]
 
@@ -111,13 +108,6 @@ def node_cycles(sigma: Permutation) -> tuple[list[tuple[int, ...]], CycleType]:
 
 def cycle_type(sigma: Permutation) -> CycleType:
     return node_cycles(sigma)[1]
-
-
-def edge_permutation(sigma: Permutation) -> dict[tuple[int, int], tuple[int, int]]:
-    """The induced permutation on unordered pairs: (i,j) -> (sigma(i), sigma(j))."""
-    return {
-        (i, j): canonical_pair(sigma(i), sigma(j)) for i, j in all_pairs(sigma.n)
-    }
 
 
 @dataclass(frozen=True)
@@ -526,7 +516,7 @@ def reconstruct_orbit_graph(sigma: Permutation, gamma: BackboneGraph) -> BinaryG
     return BinaryGraph(sigma.n, frozenset(edges))
 
 
-# -- excess and (pseudo)forest predicates --------------------------------------
+# -- components and the pseudoforest predicate ---------------------------------
 
 
 class ComponentUnion:
@@ -581,23 +571,6 @@ def connected_components(g: BinaryGraph) -> list[tuple[frozenset, int]]:
     for i, j in g.edges:
         uf.add_edge(i, j)
     return [(frozenset(vs), e) for vs, e in uf.components()]
-
-
-def excess(g: BinaryGraph, include_isolated: bool = False) -> int:
-    """Edges minus vertices.
-
-    By default only non-isolated vertices count; with ``include_isolated``
-    the full vertex set [n] is used.
-    """
-    if include_isolated:
-        return g.edge_count - g.n
-    touched = {v for e in g.edges for v in e}
-    return g.edge_count - len(touched)
-
-
-def is_forest(g: BinaryGraph) -> bool:
-    """True when the graph is acyclic."""
-    return all(e == len(v) - 1 for v, e in connected_components(g))
 
 
 def is_pseudoforest(g: BinaryGraph) -> bool:

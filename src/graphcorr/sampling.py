@@ -25,7 +25,6 @@ __all__ = [
     "SeedSpec",
     "rng_from_seed",
     "rho_er",
-    "er_joint_pmf",
     "sample_null_gaussian",
     "sample_planted_gaussian",
     "sample_null_er",
@@ -99,16 +98,6 @@ def rho_er(p: float, s: float) -> float:
     if not 0 <= p < 1 or p * s >= 1:
         raise ValueError("need p in [0, 1) and ps < 1")
     return s * (1 - p) / (1 - p * s)
-
-
-def er_joint_pmf(p: float, s: float) -> dict[tuple[int, int], float]:
-    """Joint pmf of an aligned edge pair (a, b) under the planted model."""
-    return {
-        (1, 1): p * s * s,
-        (1, 0): p * s * (1 - s),
-        (0, 1): p * s * (1 - s),
-        (0, 0): 1 - 2 * p * s + p * s * s,
-    }
 
 
 def random_permutation(n: int, rng: np.random.Generator) -> Permutation:

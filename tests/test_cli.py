@@ -178,6 +178,17 @@ class TestTestCommand:
         assert str(err.value.code).startswith(f"{tmp_path / 'b.txt'}:1: ")
         assert "\n" not in str(err.value.code)
 
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_non_finite_weight_file_exits_with_one_line(self, tmp_path, entry):
+        (tmp_path / "a.txt").write_text(f"3\n0,1,{entry}\n1,0,2\n{entry},2,0\n")
+        (tmp_path / "b.txt").write_text("3\n0,1,2\n1,0,2\n2,2,0\n")
+        with pytest.raises(SystemExit) as err:
+            main([
+                "test", "--stat", "qap-exact", "--a", str(tmp_path / "a.txt"),
+                "--b", str(tmp_path / "b.txt"), "--model", "gaussian", "--n", "3", "--rho", "0.5",
+            ])
+        assert err.value.code == f"{tmp_path / 'a.txt'}: weight matrix must be finite"
+
 
 class TestModelParams:
     @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ from graphcorr.graphs import (
     BinaryGraph,
     Permutation,
     WeightedGraph,
-    all_pairs,
     permutation_table,
     relabel,
     symmetric_from_flat,
@@ -234,7 +233,7 @@ def broadcast_engine(a, b):
 
 
 def _edge_images(pi, n):
-    return [pi[i] * n + pi[j] for i, j in all_pairs(n)]
+    return [pi[i] * n + pi[j] for i, j in itertools.combinations(range(n), 2)]
 
 
 def _draws(n, weighted, seed):
@@ -330,15 +329,13 @@ class TestSplitEngine:
             np.testing.assert_array_equal(all_statistic_values(a, b), broadcast_engine(a, b))
 
     def test_plan_cache_holds_only_sizes_within_the_exact_limit(self, monkeypatch):
+        # above the limit the engine refuses before it builds a plan or an output
         a, b = _draws(6, False, seed=5)[0]
-        want = all_statistic_values(a, b)
         detect._plan.cache_clear()
         monkeypatch.setattr(detect, "QAP_EXACT_DEFAULT_LIMIT", 5)
-        np.testing.assert_array_equal(all_statistic_values(a, b), want)
+        with pytest.raises(ExactLimitError, match="n=6 exceeds limit 5"):
+            all_statistic_values(a, b)
         assert detect._plan.cache_info().currsize == 0
-        monkeypatch.setattr(detect, "QAP_EXACT_DEFAULT_LIMIT", 6)
-        np.testing.assert_array_equal(all_statistic_values(a, b), want)
-        assert detect._plan.cache_info().currsize == 1
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_n10_value_is_attained_by_argmax(self, weighted):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -12,18 +13,18 @@ from graphcorr.moments import enumerate_orbit_pseudoforests, _orbit_unions, _sho
 from graphcorr.orbits import (
     BackboneGraph,
     CycleType,
+    EdgeOrbit,
     GiantEdge,
     GiantNode,
     backbone,
     classify_orbit,
     cycle_type,
+    connected_components,
     edge_orbits,
-    is_forest,
     is_pseudoforest,
     node_cycles,
 )
 from graphcorr.enumeration import (
-    ComponentState,
     ConstructionParams,
     GeneratedBackbone,
     _forests,
@@ -32,7 +33,6 @@ from graphcorr.enumeration import (
     count_rooted_forests,
     enumerate_rooted_forests,
     enumerate_rooted_pseudoforests,
-    excess_operations_check,
     params_from_backbone,
     pseudoforest_count_bound,
     stream_bound_forest,
@@ -55,10 +55,29 @@ def _orbit_graph_excess(node_orbit_sets, edge_orbits) -> int:
     return len(edges) - len(verts)
 
 
+def is_forest(g: BinaryGraph) -> bool:
+    """True when the graph is acyclic."""
+    return all(e == len(v) - 1 for v, e in connected_components(g))
+
+
+@dataclass(frozen=True)
+class ComponentState:
+    """A level-m backbone component made concrete: node orbits plus edge orbits."""
+
+    node_orbits: tuple[tuple[int, ...], ...]
+    edge_orbits: tuple[EdgeOrbit, ...]
+
+
 def excess_operations_oracle(
     sigma: Permutation, component: ComponentState, op
 ) -> int:
-    """Excess change with the vertex set built from an explicit node -> orbit map."""
+    """Exact excess change from adding one orbit to a component's orbit graph.
+
+    The vertex set is built from an explicit node -> orbit map.  Splits raise
+    the excess by exactly m/2; bridges by at least lcm(l, m) - l, with
+    equality when the shorter orbit arrives fresh; cycle orbits by m.
+    Violating a law raises ValueError.
+    """
     node_orbits, of_node = {}, {}
     orbits, _ = node_cycles(sigma)
     for idx, orb in enumerate(orbits):
@@ -678,12 +697,12 @@ class TestExcessOperations:
     def test_split_delta(self):
         comp = ComponentState(((4, 5, 6, 7),), ())
         op = self.orbit_by_kind(TABLE_SIGMA, "S", m=4)
-        assert excess_operations_check(TABLE_SIGMA, comp, op) == 2
+        assert excess_operations_oracle(TABLE_SIGMA, comp, op) == 2
 
     def test_bridge_delta_fresh(self):
         comp = ComponentState(((4, 5, 6, 7),), ())
         op = self.orbit_by_kind(TABLE_SIGMA, "B", m=4, ell=2)
-        assert excess_operations_check(TABLE_SIGMA, comp, op) == 2  # lcm - ell
+        assert excess_operations_oracle(TABLE_SIGMA, comp, op) == 2  # lcm - ell
 
     def test_divisor_star_bridge_exact(self):
         # B with ell | m adds exactly m - ell when the short orbit is fresh
@@ -691,7 +710,7 @@ class TestExcessOperations:
             sigma = Permutation.from_cycles(l + m, [tuple(range(l)), tuple(range(l, l + m))])
             comp = ComponentState((tuple(range(l, l + m)),), ())
             op = self.orbit_by_kind(sigma, "B")
-            assert excess_operations_check(sigma, comp, op) == m - l
+            assert excess_operations_oracle(sigma, comp, op) == m - l
 
     def test_bridge_to_present_orbit_costs_more(self):
         sigma = TABLE_SIGMA
@@ -704,32 +723,10 @@ class TestExcessOperations:
             if classify_orbit(sigma, o).kind == "B" and o != b1
             and {v for e in o.edges for v in e} == {v for e in b1.edges for v in e}
         ]
-        delta = excess_operations_check(sigma, comp, others[0])
+        delta = excess_operations_oracle(sigma, comp, others[0])
         assert delta == 4 >= math.lcm(2, 4) - 2
 
     def test_cycle_delta(self):
         comp = ComponentState(((4, 5, 6, 7),), ())
         op = self.orbit_by_kind(TABLE_SIGMA, "C", m=4)
-        assert excess_operations_check(TABLE_SIGMA, comp, op) == 4
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.data(), st.integers(2, 9))
-    def test_matches_orbit_map_oracle(self, data, n):
-        sigma = Permutation(tuple(data.draw(st.permutations(range(n)))))
-        cycles, _ = node_cycles(sigma)
-        orbits, _ = edge_orbits(sigma)
-        picks = data.draw(st.sets(st.integers(0, len(orbits) - 1), max_size=4))
-        node_picks = data.draw(st.sets(st.integers(0, len(cycles) - 1)))
-        comp = ComponentState(
-            tuple(cycles[i] for i in sorted(node_picks)),
-            tuple(orbits[i] for i in sorted(picks)),
-        )
-        op = orbits[data.draw(st.integers(0, len(orbits) - 1))]
-
-        def outcome(check):
-            try:
-                return check(sigma, comp, op)
-            except ValueError as err:
-                return str(err)
-
-        assert outcome(excess_operations_check) == outcome(excess_operations_oracle)
+        assert excess_operations_oracle(TABLE_SIGMA, comp, op) == 4

@@ -5,7 +5,9 @@ objects, so each module's dependencies show in its header and no module
 reaches into another's private helpers.  Private helpers read every
 parameter they take, so no argument is passed only to be ignored.  No
 handler in the package or its tests catches ``Exception``,
-``BaseException`` or everything, so no fallback hides a bug.
+``BaseException`` or everything, so no fallback hides a bug.  Every public
+top-level function and class is read by the package, or is a paper object
+named in ``PAPER_OBJECTS``, so no helper lives on for its own test only.
 """
 
 import ast
@@ -17,6 +19,15 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "graphcorr"
 MODULES = sorted(SRC.glob("*.py"))
 TEST_FILES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 BROAD = {"Exception", "BaseException"}
+
+# Public names that no package module reads, kept because the paper defines them.
+PAPER_OBJECTS = {
+    "detect.kernel_gaussian": "the Gaussian likelihood-ratio kernel; perfbench's exact-LR oracle reads it",
+    "detect.statistic_given_pi": "T_pi at one alignment; perfbench's local-search quality pass reads it",
+    "orbits.complete_orbits": "the short orbits that lie wholly inside the intersection graph",
+    "orbits.reconstruct_orbit_graph": "the inverse of the backbone map",
+    "moments.incomplete_orbit_moment_er": "the orbit factor given that the orbit is not complete",
+}
 
 
 def _relative_imports(tree):
@@ -101,3 +112,59 @@ def test_broad_except_rule_catches_each_form():
         for t in ("", "Exception", "BaseException as e", "(ValueError, Exception)", "ValueError")
     )
     assert list(_broad_handlers(ast.parse(src))) == [3, 7, 11, 15]
+
+
+def _sibling_reads(tree):
+    """(module, name) of each name taken from a sibling module.
+
+    That is ``from .m import name``, or ``m.name`` after ``from . import m``.
+    """
+    modules, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                modules.update((a.asname or a.name, a.name) for a in node.names)
+            else:
+                reads.update((node.module, a.name) for a in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            reads.add((modules[node.value.id], node.attr))
+    return reads
+
+
+def _unreached(trees):
+    """``module.name`` of each public top-level function or class that no other module reads.
+
+    A read by another part of its own module counts; one inside its own body does not.
+    """
+    read = set().union(*map(_sibling_reads, trees.values()))
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            own = (
+                n.id
+                for stmt in tree.body
+                if stmt is not node
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            )
+            if (module, node.name) not in read and node.name not in own:
+                out.append(f"{module}.{node.name}")
+    return out
+
+
+def test_every_public_name_is_reached():
+    unreached = _unreached({p.stem: ast.parse(p.read_text(), filename=str(p)) for p in MODULES})
+    bad = [f"{name}: read by no package module" for name in unreached if name not in PAPER_OBJECTS]
+    bad += [f"{name}: in PAPER_OBJECTS but undefined or now read" for name in PAPER_OBJECTS if name not in unreached]
+    assert not bad, "\n".join(bad)
+
+
+def test_reachability_rule_catches_one():
+    trees = {
+        "a": ast.parse("def imported(): pass\ndef unread(): pass\ndef own(): pass\nclass Attr: pass\nX = own()\n"),
+        "b": ast.parse("from . import a\nfrom .a import imported\ndef unread(): return unread()\nY = a.Attr\n"),
+    }
+    assert _unreached(trees) == ["a.unread", "b.unread"]

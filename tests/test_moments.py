@@ -15,7 +15,6 @@ from graphcorr.graphs import BinaryGraph, Permutation
 from graphcorr.moments import (
     cycle_count_product_average,
     cycle_type_tv_check,
-    er_transition_matrix,
     gf_bound_forest,
     gf_bound_pseudoforest,
     gf_orbit_forests_bruteforce,
@@ -67,14 +66,6 @@ class TestOrbitMoments:
                 assert orbit_moment_er(k, p, s) == pytest.approx(
                     orbit_moment_er_oracle(k, p, s), abs=1e-12
                 )
-
-    def test_transition_matrix_eigenvalues(self):
-        for p, s in [(0.2, 0.3), (0.5, 0.5), (0.4, 0.9)]:
-            m = er_transition_matrix(p, s)
-            assert np.allclose(m.sum(axis=1), 1.0)
-            eigs = sorted(np.linalg.eigvals(m).real)
-            assert eigs[1] == pytest.approx(1.0, abs=1e-12)
-            assert eigs[0] == pytest.approx(rho_er(p, s), abs=1e-12)
 
     def test_gaussian_mc_oracle(self):
         # finite-variance regime; tight agreement

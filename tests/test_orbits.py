@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphcorr import orbits as orbits_module
-from graphcorr.graphs import BinaryGraph, Permutation, all_pairs
+from graphcorr.graphs import BinaryGraph, Permutation, canonical_pair
 from graphcorr.orbits import (
     BackboneGraph,
     ComponentUnion,
@@ -21,9 +21,6 @@ from graphcorr.orbits import (
     connected_components,
     cycle_type,
     edge_orbits,
-    edge_permutation,
-    excess,
-    is_forest,
     is_pseudoforest,
     node_cycles,
     orbit_label,
@@ -32,6 +29,18 @@ from graphcorr.orbits import (
 )
 
 TABLE_SIGMA = Permutation.from_cycles(8, [(0, 1), (2, 3), (4, 5, 6, 7)])
+
+
+def edge_permutation(sigma: Permutation) -> dict[tuple[int, int], tuple[int, int]]:
+    """The induced permutation on unordered pairs: (i,j) -> (sigma(i), sigma(j))."""
+    return {
+        (i, j): canonical_pair(sigma(i), sigma(j)) for i, j in itertools.combinations(range(sigma.n), 2)
+    }
+
+
+def is_forest(g: BinaryGraph) -> bool:
+    """True when the graph is acyclic."""
+    return all(e == len(v) - 1 for v, e in connected_components(g))
 
 
 def label_by_partner_walk(sigma, orbit):
@@ -88,7 +97,7 @@ class TestNodeCycles:
 class TestEdgePermutation:
     def test_identity(self):
         ep = edge_permutation(Permutation.identity(4))
-        assert all(ep[e] == e for e in all_pairs(4))
+        assert all(ep[e] == e for e in itertools.combinations(range(4), 2))
 
     def test_table_examples(self):
         ep = edge_permutation(TABLE_SIGMA)
@@ -97,13 +106,13 @@ class TestEdgePermutation:
 
     def test_bijection(self):
         ep = edge_permutation(TABLE_SIGMA)
-        assert sorted(ep.values()) == sorted(all_pairs(8))
+        assert sorted(ep.values()) == sorted(itertools.combinations(range(8), 2))
 
 
 def edge_orbits_oracle(sigma: Permutation):
     """The pair-walk census: walk sigma's edge action from each unseen pair, in lexicographic order."""
     seen, orbits, by_length = set(), [], {}
-    for pair in all_pairs(sigma.n):
+    for pair in itertools.combinations(range(sigma.n), 2):
         if pair in seen:
             continue
         cyc = [pair]
@@ -198,7 +207,7 @@ class TestClassification:
     @given(st.data(), st.integers(2, 7))
     def test_rejects_any_non_orbit_edge_set(self, data, n):
         sigma = Permutation(tuple(data.draw(st.permutations(range(n)))))
-        pairs = list(all_pairs(n))
+        pairs = list(itertools.combinations(range(n), 2))
         edges = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6))
         orbit = EdgeOrbit(tuple(edges))
         real = {o.edge_set() for o in edge_orbits(sigma)[0]}
@@ -395,7 +404,7 @@ class TestBackbone:
         calls = []
         real = orbits_module.node_cycles
         monkeypatch.setattr(orbits_module, "node_cycles", lambda s: calls.append(s) or real(s))
-        everything = frozenset(all_pairs(8))
+        everything = frozenset(itertools.combinations(range(8), 2))
         gamma = backbone(TABLE_SIGMA, BinaryGraph(8, everything), 8)
         assert len(gamma.edges) + sum(nd.split for nd in gamma.nodes) == 10
         assert len(calls) == 1
@@ -404,12 +413,10 @@ class TestBackbone:
 class TestExcessAndPredicates:
     def test_tree(self):
         tree = BinaryGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4)}))
-        assert excess(tree) == -1
         assert is_forest(tree) and is_pseudoforest(tree)
 
     def test_cycle(self):
         tri = BinaryGraph(3, frozenset({(0, 1), (1, 2), (0, 2)}))
-        assert excess(tri) == 0
         assert not is_forest(tri) and is_pseudoforest(tri)
 
     def test_two_triangles_sharing_edge(self):
@@ -419,12 +426,11 @@ class TestExcessAndPredicates:
     def test_empty(self):
         g = BinaryGraph.empty(4)
         assert is_forest(g) and is_pseudoforest(g)
-        assert excess(g) == 0 and excess(g, include_isolated=True) == -4
 
     def test_isolated_vertices_ignored_by_default(self):
         g = BinaryGraph(10, frozenset({(0, 1)}))
-        assert excess(g) == -1
-        assert excess(g, include_isolated=True) == 1 - 10
+        assert connected_components(g) == [(frozenset({0, 1}), 1)]
+        assert is_forest(g) and is_pseudoforest(g)
 
 
 class TestComponentUnion:
@@ -439,7 +445,7 @@ class TestComponentUnion:
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.integers(2, 9))
     def test_matches_search_components(self, data, n):
-        edges = data.draw(st.sets(st.sampled_from(list(all_pairs(n)))))
+        edges = data.draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2)))))
         g = BinaryGraph(n, frozenset(edges))
         adj = {}
         for i, j in edges:

@@ -13,7 +13,6 @@ from graphcorr.sampling import (
     ErParams,
     GaussianParams,
     SeedSpec,
-    er_joint_pmf,
     random_permutation,
     rho_er,
     rng_from_seed,
@@ -22,6 +21,16 @@ from graphcorr.sampling import (
     sample_planted_er,
     sample_planted_gaussian,
 )
+
+
+def er_joint_pmf(p: float, s: float) -> dict[tuple[int, int], float]:
+    """Joint pmf of an aligned edge pair (a, b) under the planted model."""
+    return {
+        (1, 1): p * s * s,
+        (1, 0): p * s * (1 - s),
+        (0, 1): p * s * (1 - s),
+        (0, 0): 1 - 2 * p * s + p * s * s,
+    }
 
 
 def aligned_pairs_er(params, seed, sampler, draws):
