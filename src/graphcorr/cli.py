@@ -210,6 +210,8 @@ def _parse_counts(flag: str, text: str) -> dict[int, int]:
 
 def _cmd_enumerate(args) -> int:
     with _one_line_errors():
+        if args.k < 1:
+            raise ValueError("k must be >= 1")
         counts = _parse_counts("--cycle-type", args.cycle_type)
         ct = CycleType.from_counts(sum(m * c for m, c in counts.items()), counts)
         params = ConstructionParams(*(_parse_counts(f"--{x}", getattr(args, x)) for x in "abcd"))

@@ -4,7 +4,8 @@ The core statistic is the maximum edge correlation over node correspondences
 (a quadratic assignment problem), computed exactly by enumeration at small n
 and by seeded 2-swap hill climbing otherwise.  The exact likelihood ratio at
 tiny n and the linear-time edge-count comparison are also provided, together
-with the analytic thresholds for each model.
+with the analytic thresholds for each model; ``TESTS`` pairs each statistic
+with its threshold, and every detection decision reads it.
 """
 
 from __future__ import annotations
@@ -24,18 +25,15 @@ from .graphs import BinaryGraph, Permutation, map_pair_indices, permutation_tabl
 from .sampling import ErParams, GaussianParams, rng_from_seed
 
 __all__ = [
-    "TestOutcome",
     "kernel_gaussian",
     "kernel_er",
     "statistic_given_pi",
     "qap_exact",
     "qap_local_search",
-    "likelihood_ratio_exact",
     "log_likelihood_ratio_exact",
     "threshold_gaussian",
     "threshold_er",
     "edge_count_threshold",
-    "edge_count_test",
     "all_statistic_values",
     "shared_table",
     "DetectionTest",
@@ -49,21 +47,6 @@ CLIMB_TOL = 1e-12  # smallest 2-swap gain that _climb takes
 CLIMB_BLOCK = 1 << 18  # entries per (rows, n, n) array of one batched climb; more starts climb in turn
 PROFILE_DEPTH = 3  # neighborhood-profile iterations of the rank-matching start
 SUFFIX = 5  # trailing positions whose orders all_statistic_values covers with one matmul per prefix
-
-
-@dataclass(frozen=True)
-class TestOutcome:
-    """Result of a threshold test; decides planted iff statistic >= threshold."""
-
-    statistic: float
-    threshold: float
-    decision: str
-    argmax: Permutation | None = None
-
-    def __post_init__(self):
-        expected = "planted" if self.statistic >= self.threshold else "null"
-        if self.decision != expected:
-            raise ValueError("decision inconsistent with statistic and threshold")
 
 
 def kernel_gaussian(a: float, b: float, rho: float) -> float:
@@ -140,6 +123,8 @@ def all_statistic_values(a, b) -> np.ndarray:
     reads one flat index of :func:`_plan`.  Refuses n above
     ``QAP_EXACT_DEFAULT_LIMIT`` before it builds a plan or an output.
     """
+    if a.n != b.n:
+        raise ValueError("size mismatch")
     if a.n > QAP_EXACT_DEFAULT_LIMIT:
         raise ExactLimitError(
             f"all_statistic_values lists all {a.n}! permutations; n={a.n} exceeds limit {QAP_EXACT_DEFAULT_LIMIT}"
@@ -348,11 +333,6 @@ def log_likelihood_ratio_exact(a, b, params) -> float:
     return peak + math.log(float(np.exp(logs - peak).sum())) - math.lgamma(n + 1)
 
 
-def likelihood_ratio_exact(a, b, params) -> float:
-    """Exact likelihood ratio of the planted model against the null."""
-    return math.exp(log_likelihood_ratio_exact(a, b, params))
-
-
 def threshold_gaussian(n: int, rho: float, a_n: float | None = None) -> float:
     """Test threshold rho * C(n,2) - a_n; the default slack is a_n = n^1.1."""
     if a_n is None:
@@ -385,22 +365,6 @@ def edge_count_threshold(n: int, p: float, s: float) -> float:
     if abs(v0 - v1) < 1e-12 or v1 <= 1e-12:
         return 0.6744897501960817 * math.sqrt(v0)
     return math.sqrt(math.log(v0 / v1) * v0 * v1 / (v0 - v1))
-
-
-def edge_count_test(a: BinaryGraph, b: BinaryGraph, params: ErParams) -> TestOutcome:
-    """Linear-time weak-detection test comparing the two edge counts.
-
-    Decides planted when |e(A) - e(B)| falls below the crossing threshold.
-    The reported statistic is the negated absolute difference so that, as for
-    the other tests, larger values point to the planted model.
-    """
-    if not isinstance(params, ErParams):
-        raise TypeError("edge_count_test is defined for the Erdos-Renyi model")
-    diff = abs(a.edge_count - b.edge_count)
-    tau = edge_count_threshold(params.n, params.p, params.s)
-    stat = -float(diff)
-    decision = "planted" if stat >= -tau else "null"
-    return TestOutcome(stat, -tau, decision)
 
 
 @dataclass(frozen=True)
@@ -452,13 +416,14 @@ TESTS = {
         ),
         DetectionTest(
             "lr",
-            lambda a, b, params, **search: (likelihood_ratio_exact(a, b, params), None),
+            lambda a, b, params, **search: (math.exp(log_likelihood_ratio_exact(a, b, params)), None),
             lambda params: 1.0,
             limit=LR_EXACT_DEFAULT_LIMIT,
         ),
+        # linear-time weak detection: edge counts far apart point to the null
         DetectionTest(
             "edges",
-            lambda a, b, params, **search: (edge_count_test(a, b, params).statistic, None),
+            lambda a, b, params, **search: (-float(abs(a.edge_count - b.edge_count)), None),
             lambda params: -edge_count_threshold(params.n, params.p, params.s),
             models=("er",),
         ),

@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .graphs import BinaryGraph, Permutation, canonical_pair, intersect
+from .graphs import BinaryGraph, Permutation, intersect
 
 __all__ = [
     "CycleType",
@@ -73,6 +73,8 @@ class CycleType:
         for m, c in counts.items():
             if m < 1 or c < 0:
                 raise ValueError(f"need orbit length >= 1 and count >= 0, got {m}:{c}")
+            if m > n:
+                raise ValueError(f"orbit length {m} exceeds n={n}")
             arr[m - 1] = c
         ct = CycleType(tuple(arr))
         if ct.n != n:
@@ -147,37 +149,30 @@ class EdgeOrbitCensus:
         return sum(k * c for k, c in self.by_length.items())
 
 
-def _orbit_of_pair(sigma: Permutation, pair: tuple[int, int]) -> tuple[tuple[int, int], ...]:
-    """The edge orbit through ``pair`` in traversal order, starting at ``pair``."""
-    edges = [pair]
-    cur = canonical_pair(sigma(pair[0]), sigma(pair[1]))
-    while cur != pair:
-        edges.append(cur)
-        cur = canonical_pair(sigma(cur[0]), sigma(cur[1]))
-    return tuple(edges)
+def _zip_walk(p: tuple[int, ...], r: tuple[int, ...], b: int):
+    """Pairs (p_t, r_(b+t)) in sigma order, indices cyclic, for lcm(|p|, |r|) steps.
+
+    The split walk (r is p and 2b = |p|) stops after |p|/2 pairs, where it closes.
+    """
+    l, m = len(p), len(r)
+    lcm = math.lcm(l, m)
+    return zip(p[: l // 2] if r is p and 2 * b == l else p * (lcm // l), (r[b:] + r[:b]) * (lcm // m))
 
 
 def _walk_orbits(cycles: list[tuple[int, ...]], k: float) -> list[EdgeOrbit]:
     """Edge orbits of length <= k that join the node cycles ``cycles``, sorted by representative pair.
 
-    Each orbit is read off the node cycles it joins, in sigma order: offset d
-    in a cycle P zips P (its first half if 2d = |P|) with P rotated by d, and
-    residue b < gcd(|P|, |R|) with a later cycle R zips P with R rotated by b,
-    both repeated to lcm(|P|, |R|) pairs, (p_t, p_(t+d)) or (p_t, r_(b+t)).
-    No orbit inside a cycle is longer than the cycle, so only the cross-cycle
-    walks are tested against k.
+    Each orbit is one :func:`_zip_walk` of the node cycles it joins: offset
+    d in a cycle P walks (P, P, d), and residue b < gcd(|P|, |R|) with a later
+    cycle R walks (P, R, b).  No orbit inside a cycle is longer than the
+    cycle, so only the cross-cycle walks are tested against k.
     """
     walks = []
     for a, p in enumerate(cycles):
-        l = len(p)
-        for d in range(1, l // 2 + 1):
-            walks.append(zip(p[:d] if 2 * d == l else p, p[d:] + p[:d]))
+        walks += [_zip_walk(p, p, d) for d in range(1, len(p) // 2 + 1)]
         for r in cycles[a + 1 :]:
-            m = len(r)
-            lcm = math.lcm(l, m)
-            if lcm <= k:
-                for b in range(math.gcd(l, m)):
-                    walks.append(zip(p * (lcm // l), (r[b:] + r[:b]) * (lcm // m)))
+            if math.lcm(len(p), len(r)) <= k:
+                walks += [_zip_walk(p, r, b) for b in range(math.gcd(len(p), len(r)))]
     orbits = []
     for walk in walks:
         pairs = [(u, v) if u < v else (v, u) for u, v in walk]
@@ -305,12 +300,14 @@ def _type_and_label(of_node, pair: tuple[int, int]) -> tuple[OrbitClass, int | N
 
 def _class_and_label(sigma: Permutation, orbit: EdgeOrbit) -> tuple[OrbitClass, int | None]:
     """Class and label of ``orbit``; raises unless it is an edge orbit of sigma."""
-    cls, label = _type_and_label(_cached_lookup(sigma)[1], orbit.representative)
+    of_node = _cached_lookup(sigma)[1]
+    i, j = orbit.representative
+    cls, label = _type_and_label(of_node, (i, j))
     if cls.orbit_length != len(orbit):
         raise ValueError(
             f"edge set of size {len(orbit)} is not an orbit of the given permutation"
         )
-    if frozenset(_orbit_of_pair(sigma, orbit.representative)) != orbit.edge_set():
+    if orbit_from_backbone_edge(of_node[i], of_node[j], cls.kind, label) != orbit.edge_set():
         raise ValueError("edge set is not an orbit of the given permutation")
     return cls, label
 
@@ -454,16 +451,15 @@ def backbone(sigma: Permutation, h: BinaryGraph, k: int) -> BackboneGraph:
     splits = set()
     giant_edges = []
     while remaining:
-        pair = min(remaining)
-        cyc = _orbit_of_pair(sigma, pair)
-        if not frozenset(cyc) <= remaining:
-            raise ValueError("graph is not a union of complete edge orbits")
-        remaining -= frozenset(cyc)
-        i, j = cyc[0]
+        i, j = pair = min(remaining)
         oi, oj = of_node[i], of_node[j]
+        cls, label = _type_and_label(of_node, pair)
+        cyc = orbit_from_backbone_edge(oi, oj, cls.kind, label)
+        if not cyc <= remaining:
+            raise ValueError("graph is not a union of complete edge orbits")
+        remaining -= cyc
         if max(len(oi), len(oj), len(cyc)) > k:
             raise ValueError("graph contains an orbit outside the length-k window")
-        cls, label = _type_and_label(of_node, cyc[0])
         if cls.kind == "S":
             splits.add(gid_of_orbit[oi])
         elif cls.kind == "C":
@@ -485,22 +481,12 @@ def orbit_from_backbone_edge(
 ) -> frozenset:
     """Concrete edge set of a single labeled orbit given node-orbit traversals."""
     if kind == "S":
-        m = len(members_u)
-        return frozenset(
-            canonical_pair(members_u[t], members_u[t + m // 2]) for t in range(m // 2)
-        )
-    if kind == "C":
-        m = len(members_u)
-        return frozenset(
-            canonical_pair(members_u[t], members_u[(t + label) % m]) for t in range(m)
-        )
-    # matching or bridge between two distinct orbits; orient shorter/min first
-    pp, rr = _oriented(members_u, members_v)
-    l, m = len(pp), len(rr)
-    b = label - 1
-    return frozenset(
-        canonical_pair(pp[t % l], rr[(b + t) % m]) for t in range(math.lcm(l, m))
-    )
+        walk = _zip_walk(members_u, members_u, len(members_u) // 2)
+    elif kind == "C":
+        walk = _zip_walk(members_u, members_u, label)
+    else:  # matching or bridge between two distinct orbits; orient shorter/min first
+        walk = _zip_walk(*_oriented(members_u, members_v), label - 1)
+    return frozenset((u, v) if u < v else (v, u) for u, v in walk)
 
 
 def reconstruct_orbit_graph(sigma: Permutation, gamma: BackboneGraph) -> BinaryGraph:

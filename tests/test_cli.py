@@ -254,6 +254,9 @@ class TestEnumerateCommand:
             (["--cycle-type", "2:2", "--a", "2:-1"], "--a: expected length:count of nonnegative integers, got '2:-1'"),
             (["--cycle-type", "2:1", "--d", "2:1:1"], "--d: expected length:count of nonnegative integers, got '2:1:1'"),
             (["--cycle-type", "0:1"], "need orbit length >= 1 and count >= 0, got 0:1"),
+            (["--cycle-type", "2:1,5:0"], "orbit length 5 exceeds n=2"),
+            (["--cycle-type", "2:1", "--k", "0"], "k must be >= 1"),  # the last --k wins
+            (["--cycle-type", "2:1", "--k", "-1"], "k must be >= 1"),
         ],
     )
     def test_rejected_counts_exit_with_one_line(self, argv, message):

@@ -17,13 +17,10 @@ from graphcorr.graphs import (
 from graphcorr import detect
 from graphcorr.detect import (
     TESTS,
-    TestOutcome as Outcome,
     all_statistic_values,
-    edge_count_test,
     edge_count_threshold,
     kernel_er,
     kernel_gaussian,
-    likelihood_ratio_exact,
     qap_exact,
     qap_local_search,
     statistic_given_pi,
@@ -337,6 +334,13 @@ class TestSplitEngine:
             all_statistic_values(a, b)
         assert detect._plan.cache_info().currsize == 0
 
+    def test_size_mismatch_is_refused_in_either_order(self):
+        # checked before the size limit, so an oversized pair is refused for its mismatch
+        for a, b in [(BinaryGraph(4), BinaryGraph(6)), (BinaryGraph(12), BinaryGraph(4))]:
+            for x, y in [(a, b), (b, a)]:
+                with pytest.raises(ValueError, match="size mismatch"):
+                    all_statistic_values(x, y)
+
     @pytest.mark.parametrize("weighted", [False, True])
     def test_n10_value_is_attained_by_argmax(self, weighted):
         for a, b in _draws(10, weighted, seed=300)[:2]:
@@ -501,39 +505,44 @@ class TestBatchedSearch:
             assert qap_local_search(a, a, restarts=3, rounds=3) == (0.0, Permutation.identity(n))
 
 
+def exact_lr(a, b, params):
+    """The statistic of the registry's ``lr`` test: the exact likelihood ratio."""
+    return TESTS["lr"].statistic(a, b, params)[0]
+
+
 class TestLikelihoodRatio:
     def test_n2_equals_kernel(self):
         params = ErParams(2, 0.4, 0.6)
         a = BinaryGraph(2, frozenset({(0, 1)}))
         b = BinaryGraph.empty(2)
-        assert likelihood_ratio_exact(a, b, params) == pytest.approx(
+        assert exact_lr(a, b, params) == pytest.approx(
             kernel_er(1, 0, 0.4, 0.6), rel=1e-12
         )
 
     def test_rho_zero_is_one(self):
         params = GaussianParams(4, 0.0)
         a, b = sample_null_gaussian(params, SeedSpec(9, 0))
-        assert likelihood_ratio_exact(a, b, params) == 1.0
+        assert exact_lr(a, b, params) == 1.0
 
     def test_er_against_brute(self):
         params = ErParams(3, 0.5, 0.5)
         a = BinaryGraph(3, frozenset({(0, 1)}))
         b = BinaryGraph(3, frozenset({(0, 1)}))
-        assert likelihood_ratio_exact(a, b, params) == pytest.approx(
+        assert exact_lr(a, b, params) == pytest.approx(
             brute_lr(a, b, params), rel=1e-12
         )
 
     def test_gaussian_against_brute(self):
         params = GaussianParams(4, 0.6)
         a, b, _ = sample_planted_gaussian(params, SeedSpec(10, 0))
-        assert likelihood_ratio_exact(a, b, params) == pytest.approx(
+        assert exact_lr(a, b, params) == pytest.approx(
             brute_lr(a, b, params), rel=1e-10
         )
 
     def test_s_one_matches_brute_on_match(self):
         params = ErParams(3, 0.4, 1.0)
         a, b, _ = sample_planted_er(params, SeedSpec(11, 0))
-        got = likelihood_ratio_exact(a, b, params)
+        got = exact_lr(a, b, params)
         # direct count of exact matches
         n = 3
         hits = sum(
@@ -549,7 +558,7 @@ class TestLikelihoodRatio:
         params = ErParams(8, 0.4, 0.5)
         g = BinaryGraph.empty(8)
         with pytest.raises(ExactLimitError):
-            likelihood_ratio_exact(g, g, params)
+            exact_lr(g, g, params)
 
     def test_argmax_equivalence_er(self):
         # maximizers of the kernel product coincide with maximizers of T_pi
@@ -617,12 +626,9 @@ class TestEdgeCountTest:
     def test_s_one_decides_planted(self):
         params = ErParams(40, 0.3, 1.0)
         a, b, _ = sample_planted_er(params, SeedSpec(14, 0))
-        out = edge_count_test(a, b, params)
-        assert out.decision == "planted" and out.statistic == 0.0
-
-    def test_outcome_invariant(self):
-        with pytest.raises(ValueError):
-            Outcome(1.0, 2.0, "planted")
+        test = TESTS["edges"]
+        stat, argmax = test.statistic(a, b, params)
+        assert stat == 0.0 and argmax is None and stat >= test.threshold(params)
 
     def test_variance_laws(self):
         params = ErParams(100, 0.3, 0.5)
@@ -646,11 +652,6 @@ class TestEdgeCountTest:
         v0 = 2 * m * 0.15 * 0.85
         assert math.sqrt(v1) < tau < math.sqrt(v0) * 2
 
-    def test_requires_er(self):
-        a, b = sample_null_gaussian(GaussianParams(5, 0.0), SeedSpec(16, 0))
-        with pytest.raises(TypeError):
-            edge_count_test(a, b, GaussianParams(5, 0.0))
-
 
 class TestRegistry:
     def test_entries(self):
@@ -666,10 +667,9 @@ class TestRegistry:
         assert TESTS["qap-ls"].statistic(a, b, params, restarts=3, seed=2) == qap_local_search(
             a, b, restarts=3, seed=2
         )
-        assert TESTS["lr"].statistic(a, b, params) == (likelihood_ratio_exact(a, b, params), None)
-        outcome = edge_count_test(a, b, params)
-        assert TESTS["edges"].statistic(a, b, params) == (outcome.statistic, None)
-        assert TESTS["edges"].threshold(params) == outcome.threshold
+        assert TESTS["lr"].statistic(a, b, params) == (math.exp(detect.log_likelihood_ratio_exact(a, b, params)), None)
+        assert TESTS["edges"].statistic(a, b, params) == (-float(abs(a.edge_count - b.edge_count)), None)
+        assert TESTS["edges"].threshold(params) == -edge_count_threshold(6, 0.4, 0.8)
         assert TESTS["qap-exact"].threshold(params) == threshold_er(6, 0.4, 0.8)
         assert TESTS["qap-ls"].threshold(GaussianParams(6, 0.5)) == threshold_gaussian(6, 0.5)
 

@@ -3,8 +3,6 @@ import math
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from graphcorr.errors import ExactLimitError
 from graphcorr.graphs import BinaryGraph, Permutation
@@ -21,7 +19,6 @@ from graphcorr.orbits import (
     cycle_type,
     connected_components,
     edge_orbits,
-    is_pseudoforest,
     node_cycles,
 )
 from graphcorr.enumeration import (

@@ -8,6 +8,8 @@ handler in the package or its tests catches ``Exception``,
 ``BaseException`` or everything, so no fallback hides a bug.  Every public
 top-level function and class is read by the package, or is a paper object
 named in ``PAPER_OBJECTS``, so no helper lives on for its own test only.
+Every name a test module imports is read in it, so no import outlives the
+code that used it.
 """
 
 import ast
@@ -168,3 +170,26 @@ def test_reachability_rule_catches_one():
         "b": ast.parse("from . import a\nfrom .a import imported\ndef unread(): return unread()\nY = a.Attr\n"),
     }
     assert _unreached(trees) == ["a.unread", "b.unread"]
+
+
+def _unused_imports(tree):
+    """(line, name) of each name an import binds that the module never loads; ``__future__`` is exempt."""
+    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                name = a.asname or a.name.split(".")[0]
+                if name not in loaded:
+                    yield node.lineno, name
+
+
+@pytest.mark.parametrize("path", TEST_FILES, ids=lambda p: p.stem)
+def test_test_modules_read_every_import(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bad = [f"{path.name}:{no}: {name} imported but never read" for no, name in _unused_imports(tree)]
+    assert not bad, "\n".join(bad)
+
+
+def test_unused_import_rule_catches_one():
+    tree = ast.parse("import os, sys as system\nfrom math import pi, tau\nprint(system.argv, pi)\n")
+    assert list(_unused_imports(tree)) == [(1, "os"), (2, "tau")]

@@ -43,7 +43,7 @@ from graphcorr.orbits import (
     is_pseudoforest,
     orbits_up_to,
 )
-from graphcorr.sampling import ErParams, GaussianParams, SeedSpec, rho_er, rng_from_seed
+from graphcorr.sampling import ErParams, GaussianParams, rho_er, rng_from_seed
 
 TABLE_SIGMA = Permutation.from_cycles(8, [(0, 1), (2, 3), (4, 5, 6, 7)])
 

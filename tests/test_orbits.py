@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from graphcorr import orbits as orbits_module
 from graphcorr.graphs import BinaryGraph, Permutation, canonical_pair
 from graphcorr.orbits import (
-    BackboneGraph,
     ComponentUnion,
     CycleType,
     EdgeOrbit,
@@ -23,6 +22,7 @@ from graphcorr.orbits import (
     edge_orbits,
     is_pseudoforest,
     node_cycles,
+    orbit_from_backbone_edge,
     orbit_label,
     orbits_up_to,
     reconstruct_orbit_graph,
@@ -92,6 +92,11 @@ class TestNodeCycles:
     def test_from_counts_rejects_bad_lengths_and_counts(self, n, counts):
         with pytest.raises(ValueError, match="need orbit length >= 1 and count >= 0"):
             CycleType.from_counts(n, counts)
+
+    @pytest.mark.parametrize("counts", [{2: 1, 5: 0}, {5: 1}])
+    def test_from_counts_rejects_a_length_above_n(self, counts):
+        with pytest.raises(ValueError, match="orbit length 5 exceeds n=2"):
+            CycleType.from_counts(2, counts)
 
 
 class TestEdgePermutation:
@@ -202,6 +207,8 @@ class TestClassification:
             classify_orbit(TABLE_SIGMA, EdgeOrbit(((0, 2), (0, 3))))
         with pytest.raises(ValueError):
             orbit_label(TABLE_SIGMA, EdgeOrbit(((0, 2), (0, 3))))
+        with pytest.raises(ValueError):  # orbit edges are written low-high, so (1, 0) is in no orbit
+            classify_orbit(TABLE_SIGMA, EdgeOrbit(((1, 0),)))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.integers(2, 7))
@@ -386,6 +393,24 @@ class TestBackbone:
         h = BinaryGraph(8, frozenset({(0, 2)}))  # half of an M_2 orbit
         with pytest.raises(ValueError):
             backbone(TABLE_SIGMA, h, 8)
+
+    def test_partial_orbit_is_named_before_the_window(self):
+        bridge = next(o for o in edge_orbits(TABLE_SIGMA)[0] if o.representative == (0, 4))  # B_{4,2}
+        part = BinaryGraph(8, frozenset(bridge.edges[:2]))
+        with pytest.raises(ValueError, match="graph is not a union of complete edge orbits"):
+            backbone(TABLE_SIGMA, part, 2)
+        with pytest.raises(ValueError, match="graph contains an orbit outside the length-k window"):
+            backbone(TABLE_SIGMA, BinaryGraph(8, bridge.edge_set()), 2)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_labeled_walk_rebuilds_every_pair_walk_orbit(self, n):
+        for perm in itertools.permutations(range(n)):
+            sigma = Permutation(perm)
+            of_node = {v: c for c in node_cycles(sigma)[0] for v in c}
+            for o in edge_orbits_oracle(sigma)[0]:
+                i, j = o.representative
+                kind, label = classify_orbit(sigma, o).kind, orbit_label(sigma, o)
+                assert orbit_from_backbone_edge(of_node[i], of_node[j], kind, label) == o.edge_set(), perm
 
     @settings(max_examples=30, deadline=None)
     @given(st.data(), st.integers(3, 9))
