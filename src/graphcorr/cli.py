@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 
@@ -66,6 +67,11 @@ def _one_line_errors():
         yield
     except ValueError as err:
         raise SystemExit(str(err)) from None
+
+
+def _seed_type(flag: str):
+    """argparse type of a seed flag: an integer >= 0, else a one-line exit that names the flag."""
+    return lambda text: int(text) if text.isdecimal() else sys.exit(f"{flag} must be an integer >= 0, got {text!r}")
 
 
 def _model_params(args) -> GaussianParams | ErParams:
@@ -149,6 +155,9 @@ def _cmd_test(args) -> int:
     reader = read_weighted_graph if args.model == "gaussian" else read_binary_graph
     with _one_line_errors():
         test.check(args.model, args.n)
+        tau = None if args.threshold == "auto" else float(args.threshold)
+        if tau is not None and not math.isfinite(tau):
+            raise ValueError(f"--threshold must be 'auto' or a finite number, got {args.threshold!r}")
         a, b = reader(args.a), reader(args.b)
     if a.n != args.n or b.n != args.n:
         raise SystemExit(
@@ -156,7 +165,7 @@ def _cmd_test(args) -> int:
         )
     with _one_line_errors():
         stat, argmax = test.statistic(a, b, params, restarts=args.restarts, seed=args.seed)
-    tau = test.threshold(params) if args.threshold == "auto" else float(args.threshold)
+        tau = test.threshold(params) if tau is None else tau
     decision = "planted" if stat >= tau else "null"
     print(f"statistic {stat:.6g} threshold {tau:.6g} decision {decision}")
     if argmax is not None:
@@ -333,8 +342,8 @@ def main(argv=None) -> int:
     g = sub.add_parser("generate", help="sample a graph pair to files")
     _add_model_args(g)
     g.add_argument("--hypothesis", choices=("null", "planted"), required=True)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--stream", type=int, default=0)
+    g.add_argument("--seed", type=_seed_type("--seed"), default=0)
+    g.add_argument("--stream", type=_seed_type("--stream"), default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_generate)
 
@@ -351,7 +360,7 @@ def main(argv=None) -> int:
     _add_model_args(t)
     t.add_argument("--threshold", default="auto")
     t.add_argument("--restarts", type=int, default=20)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=_seed_type("--seed"), default=0)
     t.set_defaults(func=_cmd_test)
 
     f = sub.add_parser("gf", help="orbit generating function: brute force vs bound")
@@ -364,7 +373,7 @@ def main(argv=None) -> int:
     m = sub.add_parser("moments", help="second moment of the likelihood ratio")
     _add_model_args(m)
     m.add_argument("--trials", type=int, default=2000)
-    m.add_argument("--seed", type=int, default=0)
+    m.add_argument("--seed", type=_seed_type("--seed"), default=0)
     m.add_argument("--table", action="store_true")
     m.set_defaults(func=_cmd_moments)
 
@@ -399,7 +408,7 @@ def main(argv=None) -> int:
 
     w = sub.add_parser("verify", help="run the acceptance suite")
     w.add_argument("--suite", help="substring filter on criterion names")
-    w.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
+    w.add_argument("--seed", type=_seed_type("--seed"), default=acceptance.DEFAULT_SEED)
     w.add_argument("--json", action="store_true", help="one JSON object per criterion")
     w.set_defaults(func=_cmd_verify)
 

@@ -180,50 +180,51 @@ def qap_exact(a, b) -> tuple[float, Permutation]:
     return float(vals[idx]), Permutation(np.concatenate([pre[k], rest[k][permutation_table(rest.shape[1])[s]]]))
 
 
-def _climb(am: np.ndarray, bm: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _climb(am: np.ndarray, bm: np.ndarray, p: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
     """First-improvement 2-swap hill climbing from every row of the (k, n) starts ``p`` at once.
 
     Each row climbs as it would alone: a step swaps the row's first pair i < j,
-    in row-major order, whose gain exceeds ``CLIMB_TOL``.  The gains are read
-    off g = A @ bp with bp = B[p][:, p].  A swap changes g by the rank-one term
-    (A[:, i] − A[:, j]) (bp[j] − bp[i])ᵀ followed by swapping columns i and j,
-    so neither the gather nor the matmul is redone.  A row with no improving
-    pair leaves the batch.  Returns the (k,) values T_p and the (k, n) climbed
-    permutations.
+    in row-major order, whose gain exceeds ``CLIMB_TOL``.  The gains of the
+    whole (rows, n, n) block are read off g = A @ bp with bp = B[p][:, p].  A
+    swap changes g by the rank-one term (A[:, i] − A[:, j]) (bp[j] − bp[i])ᵀ
+    followed by swapping columns i and j, so neither the gather nor the matmul
+    is redone.  A row with no improving pair leaves the batch.  The climb runs
+    in ``dtype``: float64, or on 0/1 matrices an integer type that holds
+    ±(4n + 2), where every gain is exact.  Returns the (k,) values T_p and the
+    (k, n) climbed permutations.
     """
     k, n = p.shape
     block = max(1, CLIMB_BLOCK // max(1, n * n))
     if k > block:
-        parts = [_climb(am, bm, p[lo : lo + block]) for lo in range(0, k, block)]
+        parts = [_climb(am, bm, p[lo : lo + block], dtype) for lo in range(0, k, block)]
         return np.concatenate([v for v, _ in parts]), np.concatenate([q for _, q in parts])
     out, p = p.copy(), p.copy()
     live = np.arange(k if n > 1 else 0)  # below two vertices there is no pair to swap
     bp = bm[p[:, :, None], p[:, None, :]]
-    g = am @ bp
-    iu, ju = np.triu_indices(n, 1)
-    up, low, diag = iu * n + ju, ju * n + iu, np.arange(n) * (n + 1)  # flat positions in an (n, n) matrix
-    am2 = 2 * am.ravel()[up]
+    g = (am @ bp).astype(dtype, copy=False)
+    bp = bp.astype(dtype, copy=False)
+    aw = am.astype(dtype, copy=False)
+    am2 = 2 * aw
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    tol = np.dtype(dtype).type(CLIMB_TOL)  # 0 in an integer dtype, where a gain is at least 1
+    rows = np.arange(len(live))
     while live.size:
-        rows = np.arange(len(live))
-        gf, bf = g.reshape(len(live), n * n), bp.reshape(len(live), n * n)
-        d = gf[:, diag]
-        delta = gf[:, up]
-        delta += gf[:, low]
-        delta -= d[:, iu]
-        delta -= d[:, ju]
-        delta += am2 * bf[:, up]
-        cand = delta > CLIMB_TOL
+        d = np.diagonal(g, axis1=1, axis2=2)
+        delta = g + g.transpose(0, 2, 1)
+        delta -= d[:, :, None]
+        delta -= d[:, None, :]
+        delta += am2 * bp
+        cand = ((delta > tol) & upper).reshape(len(live), n * n)
         first = cand.argmax(axis=1)
         moving = cand[rows, first]
         if not moving.all():
             out[live[~moving]] = p[~moving]
             live, p, first, rows = live[moving], p[moving], first[moving], rows[: moving.sum()]
-            # gf and bf are views of g and bp: rebinding both frees each old array before the next copy
-            g = gf = gf[moving].reshape(len(live), n, n)
-            bp = bf = bf[moving].reshape(len(live), n, n)
-        i, j = iu[first], ju[first]
-        # am is symmetric, so its rows i and j are the columns A[:, i] and A[:, j]
-        g += (am[i] - am[j])[:, :, None] * (bp[rows, j] - bp[rows, i])[:, None, :]
+            g = g[moving]
+            bp = bp[moving]
+        i, j = np.divmod(first, n)
+        # A is symmetric, so its rows i and j are the columns A[:, i] and A[:, j]
+        g += (aw[i] - aw[j])[:, :, None] * (bp[rows, j] - bp[rows, i])[:, None, :]
         g[rows, :, i], g[rows, :, j] = g[rows, :, j], g[rows, :, i]
         bp[rows, i], bp[rows, j] = bp[rows, j], bp[rows, i]
         bp[rows, :, i], bp[rows, :, j] = bp[rows, :, j], bp[rows, :, i]
@@ -265,17 +266,19 @@ def qap_local_search(a, b, restarts: int = 20, seed=0, rounds: int = 30) -> tupl
     if n < 2:
         rounds = 0  # no pair to swap, so no kick
     am, bm = a.to_dense(), b.to_dense()
+    binary = isinstance(a, BinaryGraph) and isinstance(b, BinaryGraph)  # every gain is an integer in ±(4n + 2)
+    dtype = np.min_scalar_type(-(4 * n + 2)) if binary else np.float64
     rng = rng_from_seed(seed)
     starts = [np.arange(n), _profile_start(am, bm)][:restarts]
     starts += [rng.permutation(n) for _ in range(restarts - len(starts))]
     kicks = rng.integers(0, n, (restarts, rounds, LOCAL_SEARCH_KICK, 2))
-    cur_val, cur_p = _climb(am, bm, np.array(starts, dtype=np.intp))
+    cur_val, cur_p = _climb(am, bm, np.array(starts, dtype=np.intp), dtype)
     r = np.arange(restarts)
     for t in range(rounds):
         p = cur_p.copy()
         for i, j in kicks[:, t].transpose(1, 2, 0):
             p[r, i], p[r, j] = p[r, j], p[r, i]
-        val, p = _climb(am, bm, p)
+        val, p = _climb(am, bm, p, dtype)
         keep = val >= cur_val
         cur_val[keep], cur_p[keep] = val[keep], p[keep]
     best = int(np.argmax(cur_val))

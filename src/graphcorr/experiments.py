@@ -79,6 +79,8 @@ class SweepConfig:
                 TESTS[t].check(self.model, max(self.n_values, default=0))
             except ValueError as err:
                 raise FieldError("tests", str(err)) from None
+        if self.master_seed < 0:
+            raise FieldError("master_seed", f"master_seed must be >= 0, got {self.master_seed}")
         if self.restarts < 1:
             raise FieldError("restarts", "restarts must be >= 1")
         if self.ls_rounds < 0:

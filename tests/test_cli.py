@@ -133,6 +133,38 @@ class TestTestCommand:
         _, out = run(capsys, *base, "--threshold=-1e9")
         assert "decision planted" in out
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [(v, f"--threshold must be 'auto' or a finite number, got {v!r}") for v in ("nan", "inf", "-inf", "-Infinity")]
+        + [(v, f"could not convert string to float: {v!r}") for v in ("abc", "")],
+    )
+    def test_bad_threshold_exits_with_one_line(self, tmp_path, monkeypatch, value, message):
+        from graphcorr import detect
+
+        calls = []
+        monkeypatch.setattr(detect, "qap_exact", lambda *args: calls.append(args))
+        write_binary_graph(BinaryGraph.complete(5), tmp_path / "a.txt")
+        write_binary_graph(BinaryGraph.complete(5), tmp_path / "b.txt")
+        with pytest.raises(SystemExit) as err:
+            main([
+                "test", "--stat", "qap-exact", "--a", str(tmp_path / "a.txt"),
+                "--b", str(tmp_path / "b.txt"), "--model", "er", "--n", "5",
+                "--p", "0.3", "--s", "0.5", f"--threshold={value}",
+            ])
+        assert err.value.code == message
+        assert calls == []  # rejected before the statistic runs
+
+    def test_undefined_auto_threshold_exits_with_one_line(self, tmp_path):
+        for name in ("a.txt", "b.txt"):
+            write_binary_graph(BinaryGraph.complete(5), tmp_path / name)
+        with pytest.raises(SystemExit) as err:
+            main([
+                "test", "--stat", "qap-ls", "--a", str(tmp_path / "a.txt"),
+                "--b", str(tmp_path / "b.txt"), "--model", "er", "--n", "5",
+                "--p", "0.3", "--s", "0.5",
+            ])
+        assert err.value.code == "threshold requires m*p*s^2 > 1, got 0.75"
+
     def test_edge_count_refused_for_gaussian(self, tmp_path, capsys):
         with pytest.raises(SystemExit, match="does not apply to the gaussian model"):
             main([
@@ -188,6 +220,28 @@ class TestTestCommand:
                 "--b", str(tmp_path / "b.txt"), "--model", "gaussian", "--n", "3", "--rho", "0.5",
             ])
         assert err.value.code == f"{tmp_path / 'a.txt'}: weight matrix must be finite"
+
+
+class TestSeedFlags:
+    MODEL = ["--model", "er", "--n", "5", "--p", "0.3", "--s", "0.5"]
+    COMMANDS = {
+        "generate": ["generate", *MODEL, "--hypothesis", "null", "--out", "unused"],
+        "test": ["test", "--stat", "edges", "--a", "unused", "--b", "unused", *MODEL],
+        "moments": ["moments", *MODEL],
+        "verify": ["verify", "--suite", "no-such-criterion"],
+    }
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("generate", "--seed"), ("generate", "--stream"), ("test", "--seed"), ("moments", "--seed"), ("verify", "--seed")],
+    )
+    @pytest.mark.parametrize("value", ["-1", "x", "1.5"])
+    def test_rejected_seed_exits_with_one_line(self, tmp_path, monkeypatch, command, flag, value):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main([*self.COMMANDS[command], f"{flag}={value}"])
+        assert err.value.code == f"{flag} must be an integer >= 0, got {value!r}"
+        assert not (tmp_path / "unused").exists()
 
 
 class TestModelParams:
@@ -378,6 +432,7 @@ class TestSweepConfig:
             ("model=er\nn=8\ntests=edges\ntrials=5\np=0.4\n# no s\n", 6, "empty parameter grid"),
             ("model=er\nn=8\ntests=qap-ls\nrestarts=0\ntrials=5\np=0.4\ns=0.8\n", 4, "restarts must be >= 1"),
             ("model=er\nn=8\nls_rounds=-1\ntests=qap-ls\ntrials=5\np=0.4\ns=0.8\n", 3, "ls_rounds must be >= 0"),
+            ("model=er\nn=8\ntests=edges\ntrials=5\np=0.4\ns=0.8\nseed=-4\n", 7, "master_seed must be >= 0, got -4"),
         ],
     )
     def test_rejection_names_path_and_line(self, tmp_path, text, line, message):

@@ -479,19 +479,61 @@ class TestBatchedSearch:
                 want = [calls.integers(0, n, 2).tolist() for _ in range(math.prod(shape) // 2)]
                 assert bulk.integers(0, n, shape).reshape(-1, 2).tolist() == want, (n, seed, lead)
 
-    @pytest.mark.parametrize("model,n", [("er", 12), ("gaussian", 12)])
+    # the dtype qap_local_search climbs each model in at n=12, and float64 on the 0/1 pairs too
+    @pytest.mark.parametrize(
+        "model,n,dtype",
+        [
+            pytest.param("er", 12, np.int8, id="er-12"),
+            pytest.param("gaussian", 12, np.float64, id="gaussian-12"),
+            pytest.param("er", 12, np.float64, id="er-12-float64"),
+        ],
+    )
     @pytest.mark.parametrize("block", [detect.CLIMB_BLOCK, 300])  # 300 entries: blocks of 2 rows at n=12
-    def test_climb_rows_equal_single_climbs(self, model, n, block, monkeypatch):
+    def test_climb_rows_equal_single_climbs(self, model, n, dtype, block, monkeypatch):
         monkeypatch.setattr(detect, "CLIMB_BLOCK", block)
         rng = np.random.default_rng(n)
         for a, b in _search_pairs(model, n):
             am, bm = a.to_dense(), b.to_dense()
             starts = np.array([rng.permutation(n) for _ in range(7)])
-            vals, ps = detect._climb(am, bm, starts)
+            vals, ps = detect._climb(am, bm, starts, dtype)
             for row, start in enumerate(starts):
                 val, p = _climb_oracle(am, bm, start)
                 assert vals[row] == val
                 assert ps[row].tolist() == p.tolist()
+
+    @pytest.mark.parametrize("n", [2, 31, 32, 70])  # int8 up to n=31, int16 above
+    def test_integer_climb_equals_float_climb(self, n):
+        rng = np.random.default_rng(n)
+        dtype = np.min_scalar_type(-(4 * n + 2))
+        assert dtype == (np.int8 if n <= 31 else np.int16)
+        m = n * (n - 1) // 2
+        pairs = [_search_pairs("er", n)[1], (BinaryGraph.complete(n), BinaryGraph.empty(n))]
+        for drop in (1, 3):  # complete graphs minus a few edges: every g entry is near n
+            kept = [np.delete(np.arange(m), rng.choice(m, min(drop, m), replace=False)) for _ in range(2)]
+            pairs.append(tuple(BinaryGraph.from_indices(n, idx) for idx in kept))
+        for a, b in pairs:
+            am, bm = a.to_dense(), b.to_dense()
+            starts = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(4)])
+            want_vals, want_ps = detect._climb(am, bm, starts, np.float64)
+            vals, ps = detect._climb(am, bm, starts, dtype)
+            assert vals.dtype == np.float64
+            assert vals.tolist() == want_vals.tolist()
+            assert ps.tolist() == want_ps.tolist()
+
+    @pytest.mark.parametrize(
+        "model,n,dtype", [("er", 31, np.int8), ("er", 32, np.int16), ("gaussian", 31, np.float64)]
+    )
+    def test_search_climbs_in_the_input_dtype(self, model, n, dtype, monkeypatch):
+        seen, climb = set(), detect._climb
+
+        def spy(am, bm, p, work):
+            seen.add(np.dtype(work))
+            return climb(am, bm, p, work)
+
+        monkeypatch.setattr(detect, "_climb", spy)
+        a, b = _search_pairs(model, n)[0]
+        qap_local_search(a, b, restarts=2, rounds=1)
+        assert seen == {np.dtype(dtype)}
 
     @pytest.mark.parametrize("restarts,rounds", [(0, 10), (-1, 10), (1, -1)])
     def test_rejects_bad_settings(self, restarts, rounds):

@@ -18,7 +18,7 @@ from graphcorr.experiments import (
     threshold_curves,
 )
 from graphcorr.detect import LR_EXACT_DEFAULT_LIMIT, QAP_EXACT_DEFAULT_LIMIT
-from graphcorr.errors import ExactLimitError
+from graphcorr.errors import ExactLimitError, FieldError
 from graphcorr.moments import exact_er_lr_table
 from graphcorr.sampling import ErParams
 
@@ -111,6 +111,12 @@ class TestSweep:
                 model="er", n_values=(), tests=("edges",), trials=1, master_seed=0,
                 p_values=(0.5,), s_values=(0.5,),
             )
+
+    def test_rejects_negative_master_seed(self):
+        self.small_config(master_seed=0)
+        with pytest.raises(FieldError, match=r"master_seed must be >= 0, got -4") as err:
+            self.small_config(master_seed=-4)
+        assert err.value.field == "master_seed"
 
     def test_rejects_test_above_its_size_limit(self):
         self.small_config(tests=("lr",), n_values=(LR_EXACT_DEFAULT_LIMIT,), s_values=(0.9,))
