@@ -301,10 +301,12 @@ def threshold_curves(model: str, n_min: int, n_max: int, p: float | None = None)
 
     Gaussian rows carry the strong-detection and impossibility boundaries for
     rho^2; Erdos-Renyi rows (for a fixed p) the corresponding boundaries for
-    s^2 plus the sparse-regime cap min(1/(np), 0.01).  Needs n_min >= 2.
+    s^2 plus the sparse-regime cap min(1/(np), 0.01).  Needs 2 <= n_min <= n_max.
     """
     if n_min < 2:
         raise ValueError(f"curves need n_min >= 2, got {n_min}")
+    if n_max < n_min:
+        raise ValueError(f"curves need n_max >= n_min, got {n_max} < {n_min}")
     rows = []
     if model == "gaussian":
         rows.append("model,n,rho2_upper,rho2_lower")

@@ -288,20 +288,6 @@ def second_moment_bruteforce_er(params: ErParams) -> float:
 # -- generating functions of orbit (pseudo)forests -------------------------------
 
 
-def _join(root: tuple[int, ...], excess: tuple[int, ...], u: int, v: int, length: int):
-    """Add an orbit of ``length`` edges between node cycles u and v, or None past excess 0.
-
-    ``root[c]`` is the component of node cycle c; ``excess[r]`` is component r's edges minus vertices.
-    """
-    ru, rv = root[u], root[v]
-    x = excess[ru] + length + (excess[rv] if rv != ru else 0)
-    if x > 0:
-        return None
-    if rv != ru:
-        root = tuple(ru if r == rv else r for r in root)
-    return root, excess[:ru] + (x,) + excess[ru + 1 :]
-
-
 def _orbit_unions(sigma: Permutation, orbits: list[EdgeOrbit]):
     """Orbit subsets whose union is a pseudoforest, flagged when it is a forest.
 
@@ -315,21 +301,37 @@ def _orbit_unions(sigma: Permutation, orbits: list[EdgeOrbit]):
     inside one contracted component form one orbit under sigma, so they share
     one excess, with the sign of the summed orbit lengths minus the summed
     node-cycle lengths.  That makes both tests, excess <= 0 and < 0, exact.
+    A join points the root of one component at the other's in ``parent`` and
+    writes the excess in place; ``undo`` restores both on backtrack.
     """
     cycles = node_cycles(sigma)[0]
     index = {v: c for c, cyc in enumerate(cycles) for v in cyc}
     ends = [(index[o.edges[0][0]], index[o.edges[0][1]], len(o)) for o in orbits]
-
-    def rec(root, excess, start: int, chosen: tuple[int, ...], edge_count: int, forest: bool):
-        for j, (u, v, length) in enumerate(ends[start:], start):
-            joined = _join(root, excess, u, v, length)
-            if joined is not None:
-                subset, count = chosen + (j,), edge_count + length
-                tree = forest and joined[1][root[u]] < 0  # root[u] names the joined component
-                yield subset, count, tree
-                yield from rec(*joined, j + 1, subset, count, tree)
-
-    return rec(tuple(range(len(cycles))), tuple(-len(cyc) for cyc in cycles), 0, (), 0, True)
+    parent, excess = list(range(len(cycles))), [-len(cyc) for cyc in cycles]
+    chosen, undo = [], []
+    count, forest, j = 0, True, 0
+    while True:
+        if j < len(ends):
+            ru, rv, length = ends[j]
+            while parent[ru] != ru:
+                ru = parent[ru]
+            while parent[rv] != rv:
+                rv = parent[rv]
+            x = excess[ru] + length + (excess[rv] if rv != ru else 0)
+            if x <= 0:
+                undo.append((ru, excess[ru], rv, count, forest))
+                parent[rv], excess[ru] = ru, x
+                chosen.append(j)
+                count += length
+                forest = forest and x < 0
+                yield tuple(chosen), count, forest
+            j += 1
+        elif chosen:
+            ru, excess_ru, rv, count, forest = undo.pop()
+            parent[rv], excess[ru] = rv, excess_ru
+            j = chosen.pop() + 1
+        else:
+            return
 
 
 def _short_orbits_checked(sigma: Permutation, k: int, limit: int) -> list[EdgeOrbit]:
@@ -346,12 +348,13 @@ def _short_orbits_checked(sigma: Permutation, k: int, limit: int) -> list[EdgeOr
 @functools.lru_cache(maxsize=1, typed=True)  # typed: an int or numpy s gives its own result type
 def _gf_sums(sigma: Permutation, k: int, s: float) -> tuple[float, float]:
     """(pseudoforest, forest) generating functions from one search, for the last (sigma, k, s)."""
+    orbits = _short_orbits_checked(sigma, k, GF_ORBIT_LIMIT)
+    power = [s ** (2 * e) for e in range(sum(map(len, orbits)) + 1)]
     pseudo = forest = 1.0  # the empty union
-    for _, count, tree in _orbit_unions(sigma, _short_orbits_checked(sigma, k, GF_ORBIT_LIMIT)):
-        term = s ** (2 * count)
-        pseudo += term
+    for _, count, tree in _orbit_unions(sigma, orbits):
+        pseudo += power[count]
         if tree:
-            forest += term
+            forest += power[count]
     return pseudo, forest
 
 
@@ -392,6 +395,8 @@ def gf_bound_pseudoforest(ct: CycleType, k: int, s: float) -> float:
     """
     if not 0 <= s <= 1:
         raise ValueError("s must lie in [0, 1]")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     log_total = 0.0
     for m in range(1, k + 1):
         nm = ct.count(m)
@@ -413,6 +418,8 @@ def gf_bound_forest(ct: CycleType, k: int, s: float) -> float:
     """
     if not 0 <= s <= 1:
         raise ValueError("s must lie in [0, 1]")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     log_total = 0.0
     for m in range(1, k + 1):
         nm = ct.count(m)

@@ -465,6 +465,10 @@ class TestOtherCommands:
              "curves need n_min >= 2, got 1"),
             (["curves", "--model", "er", "--p", "0.1", "--n-min", "1", "--n-max", "3"],
              "curves need n_min >= 2, got 1"),
+            (["curves", "--model", "er", "--p", "0.1", "--n-min", "10", "--n-max", "5"],
+             "curves need n_max >= n_min, got 5 < 10"),
+            (["curves", "--model", "gaussian", "--n-min", "3", "--n-max", "2"],
+             "curves need n_max >= n_min, got 2 < 3"),
         ],
     )
     def test_rejected_tv_and_curves_exit_with_one_line(self, command, message):

@@ -1,12 +1,12 @@
 import itertools
 import math
+import signal
 from dataclasses import dataclass
 
 import pytest
 
 from graphcorr.errors import ExactLimitError
 from graphcorr.graphs import BinaryGraph, Permutation
-from graphcorr import moments
 from graphcorr.moments import enumerate_orbit_pseudoforests, _orbit_unions, _short_orbits_checked
 from graphcorr.orbits import (
     BackboneGraph,
@@ -20,6 +20,7 @@ from graphcorr.orbits import (
     connected_components,
     edge_orbits,
     node_cycles,
+    orbits_up_to,
 )
 from graphcorr.enumeration import (
     ConstructionParams,
@@ -576,15 +577,24 @@ class TestBruteForceAgreement:
                 gamma = backbone(sigma, BinaryGraph(n, union), k)
                 assert validate_forest(gamma)[0]
 
-    def test_pseudoforests_come_lazily(self, monkeypatch):
-        sigma = Permutation.from_cycles(8, [(0, 1), (2, 3), (4, 5, 6, 7)])
-        steps = []
-        real = moments._join
-        monkeypatch.setattr(moments, "_join", lambda *args: steps.append(args) or real(*args))
-        stream = enumerate_orbit_pseudoforests(sigma, 4)
-        assert len(next(stream)) == 1  # one orbit joined, one subset out
-        assert len(steps) == 1
-        assert len(list(stream)) > 100 and len(steps) > 100
+    def test_pseudoforests_come_lazily(self):
+        # the 36 edges of K_9 are the identity's orbits at k = 1; K_8 alone has
+        # 2,918,122 pseudoforests, so an eager stream would not start in time
+        sigma = Permutation.identity(9)
+
+        def expire(signum, frame):
+            raise TimeoutError("the stream did not yield its first subsets within 2 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            first = list(itertools.islice(enumerate_orbit_pseudoforests(sigma, 1, limit=36), 4))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        orbits = orbits_up_to(sigma, 1)
+        assert len(orbits) == 36
+        assert first == [orbits[:j] for j in range(1, 5)]  # depth first: each subset before its extensions
 
     def test_containment_in_stream(self):
         rng = rng_from_seed(22)

@@ -41,6 +41,7 @@ from graphcorr.orbits import (
     cycle_type,
     edge_orbits,
     is_pseudoforest,
+    node_cycles,
     orbits_up_to,
 )
 from graphcorr.sampling import ErParams, GaussianParams, rho_er, rng_from_seed
@@ -229,6 +230,52 @@ def orbit_unions_oracle(orbits, max_excess: int):
     return rec(0, (), 0)
 
 
+def tuple_join(root: tuple[int, ...], excess: tuple[int, ...], u: int, v: int, length: int):
+    """Add an orbit of ``length`` edges between node cycles u and v, or None past excess 0.
+
+    ``root[c]`` is the component of node cycle c; ``excess[r]`` is component r's edges minus vertices.
+    """
+    ru, rv = root[u], root[v]
+    x = excess[ru] + length + (excess[rv] if rv != ru else 0)
+    if x > 0:
+        return None
+    if rv != ru:
+        root = tuple(ru if r == rv else r for r in root)
+    return root, excess[:ru] + (x,) + excess[ru + 1 :]
+
+
+def orbit_unions_tuple_oracle(sigma: Permutation, orbits):
+    """The contracted search on fresh tuples: every join builds a new state, nothing is undone.
+
+    Yields what ``moments._orbit_unions`` yields, in the same order.
+    """
+    cycles = node_cycles(sigma)[0]
+    index = {v: c for c, cyc in enumerate(cycles) for v in cyc}
+    ends = [(index[o.edges[0][0]], index[o.edges[0][1]], len(o)) for o in orbits]
+
+    def rec(root, excess, start: int, chosen: tuple[int, ...], edge_count: int, forest: bool):
+        for j, (u, v, length) in enumerate(ends[start:], start):
+            joined = tuple_join(root, excess, u, v, length)
+            if joined is not None:
+                subset, count = chosen + (j,), edge_count + length
+                tree = forest and joined[1][root[u]] < 0  # root[u] names the joined component
+                yield subset, count, tree
+                yield from rec(*joined, j + 1, subset, count, tree)
+
+    return rec(tuple(range(len(cycles))), tuple(-len(cyc) for cyc in cycles), 0, (), 0, True)
+
+
+def theory_sized_sigmas(count: int, seed: int):
+    """(sigma, k) at the sizes of the benchmark's GF items: n 6-12, k 3-5, 6-16 short orbits."""
+    rng = rng_from_seed(seed)
+    while count:
+        k, n = int(rng.integers(3, 6)), int(rng.integers(6, 13))
+        sigma = Permutation(tuple(int(v) for v in rng.permutation(n)))
+        if 6 <= len(orbits_up_to(sigma, k)) <= 16:
+            count -= 1
+            yield sigma, k
+
+
 class TestContractedSearch:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_same_subsets_as_vertex_search(self, n):
@@ -244,6 +291,31 @@ class TestContractedSearch:
                 forest = [(subset, count) for subset, count, tree in got if tree]
                 assert pseudo == list(orbit_unions_oracle(orbits, 0)), (perm, k)
                 assert forest == list(orbit_unions_oracle(orbits, -1)), (perm, k)
+
+    def test_in_place_search_yields_the_tuple_search(self):
+        # the undo-log search against the tuple search it replaced: whole
+        # (subset, edge count, forest) lists, compared exactly
+        for sigma, k in theory_sized_sigmas(200, seed=19):
+            orbits = orbits_up_to(sigma, k)
+            assert list(_orbit_unions(sigma, orbits)) == list(orbit_unions_tuple_oracle(sigma, orbits))
+
+    def test_in_place_search_on_many_orbits(self):
+        sigma = Permutation.from_cycles(9, [(0, 1), (2, 3), (4, 5)])
+        orbits = orbits_up_to(sigma, 2)
+        got = list(_orbit_unions(sigma, orbits))
+        assert len(orbits) == 21 and len(got) == 17137
+        assert got == list(orbit_unions_tuple_oracle(sigma, orbits))
+
+    @pytest.mark.parametrize("s", [0.05, 0.3, 1.0])
+    def test_gf_sums_add_the_tuple_search_terms_in_order(self, s):
+        for sigma, k in theory_sized_sigmas(200, seed=19):
+            pseudo = forest = 1.0
+            for _, count, tree in orbit_unions_tuple_oracle(sigma, orbits_up_to(sigma, k)):
+                term = s ** (2 * count)
+                pseudo += term
+                if tree:
+                    forest += term
+            assert moments._gf_sums(sigma, k, s) == (pseudo, forest)
 
 
 class TestGeneratingFunctions:
@@ -318,6 +390,13 @@ class TestGeneratingFunctions:
                     assert gf_orbit_forests_bruteforce(sigma, k, s) <= (
                         gf_bound_forest(ct, k, s) + 1e-12
                     )
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_bounds_reject_k_below_one(self, k):
+        ct = cycle_type(TABLE_SIGMA)
+        for bound in (gf_bound_pseudoforest, gf_bound_forest):
+            with pytest.raises(ValueError, match="^k must be >= 1$"):
+                bound(ct, k, 0.3)
 
     def test_bound_s_zero_and_empty_type(self):
         ct = cycle_type(TABLE_SIGMA)
