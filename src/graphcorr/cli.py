@@ -62,11 +62,13 @@ from .sampling import (
 
 @contextlib.contextmanager
 def _one_line_errors():
-    """Turn a ValueError raised on the user's input into a one-line exit."""
+    """Turn a ValueError raised on the user's input, or an OSError on a file it names, into a one-line exit."""
     try:
         yield
     except ValueError as err:
         raise SystemExit(str(err)) from None
+    except OSError as err:
+        raise SystemExit(f"{err.filename}: {err.strerror}" if err.filename else str(err)) from None
 
 
 def _seed_type(flag: str):
@@ -96,7 +98,6 @@ def _add_model_args(parser) -> None:
 def _cmd_generate(args) -> int:
     params = _model_params(args)
     seed = SeedSpec(args.seed, args.stream)
-    os.makedirs(args.out, exist_ok=True)
     gaussian = args.model == "gaussian"
     writer = write_weighted_graph if gaussian else write_binary_graph
     if args.hypothesis == "null":
@@ -104,10 +105,12 @@ def _cmd_generate(args) -> int:
         pi = None
     else:
         a, b, pi = (sample_planted_gaussian if gaussian else sample_planted_er)(params, seed)
-    writer(a, os.path.join(args.out, "a.txt"))
-    writer(b, os.path.join(args.out, "b.txt"))
-    if pi is not None:
-        write_permutation(pi, os.path.join(args.out, "pi.txt"))
+    with _one_line_errors():
+        os.makedirs(args.out, exist_ok=True)
+        writer(a, os.path.join(args.out, "a.txt"))
+        writer(b, os.path.join(args.out, "b.txt"))
+        if pi is not None:
+            write_permutation(pi, os.path.join(args.out, "pi.txt"))
     print(f"wrote {args.hypothesis} {args.model} pair (n={args.n}) to {args.out}")
     return 0
 
@@ -304,6 +307,8 @@ def _cmd_sweep(args) -> int:
     with _one_line_errors():
         config = _read_config(args.config)
         experiments.sweep_workers(config)
+        if args.out is not None and (os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or ".")):
+            raise ValueError(f"--out {args.out}: not a file in an existing directory")
     text = experiments.run_sweep(config, out_path=args.out)
     if args.out is None:
         sys.stdout.write(text)

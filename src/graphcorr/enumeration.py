@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .orbits import BackboneGraph, ComponentUnion, CycleType, GiantEdge, GiantNode
+from .orbits import BackboneGraph, CycleType, GiantEdge, GiantNode, components
 
 __all__ = [
     "ConstructionParams",
@@ -55,22 +55,6 @@ def pseudoforest_count_bound(n: int, a: int) -> int:
     return math.comb(n, a) * (2 * n) ** a
 
 
-def _components_within(n: int, edges, max_excess: float = math.inf):
-    """Components of a multigraph on [n] as (sorted vertices, edge count) pairs.
-
-    Components come ordered by least vertex; loops and parallel edges count
-    as edges.  Returns None when some component has more than ``max_excess``
-    edges beyond its vertex count: -1 admits forests, 0 pseudoforests.
-    """
-    uf = ComponentUnion()
-    for v in range(n):
-        uf.add_vertex(v)
-    for u, v in edges:
-        uf.add_edge(u, v)
-    comps = uf.components()
-    return None if any(e - len(vs) > max_excess for vs, e in comps) else comps
-
-
 def _forests(n: int, a: int, pseudo: bool):
     """Yield (edges, components) of every forest on [n] with a edges.
 
@@ -86,9 +70,10 @@ def _forests(n: int, a: int, pseudo: bool):
         )
     else:
         graphs = itertools.combinations(itertools.combinations(range(n), 2), a)
+    max_excess = 0 if pseudo else -1
     for edges in graphs:
-        comps = _components_within(n, edges, 0 if pseudo else -1)
-        if comps is not None:
+        comps = components(n, edges)
+        if all(e - len(vs) <= max_excess for vs, e in comps):
             yield edges, comps
 
 
@@ -313,10 +298,7 @@ def _level_structure(gamma: BackboneGraph, m: int):
     """
     nodes = [nd.gid for nd in gamma.nodes if nd.length == m]
     index = {gid: i for i, gid in enumerate(nodes)}
-    level_edges = gamma.level_edges(m)
-    comps = _components_within(
-        len(nodes), [(index[e.u], index[e.v]) for e in level_edges]
-    )
+    comps = components(len(nodes), [(index[e.u], index[e.v]) for e in gamma.level_edges(m)])
     comp_of = {nodes[i]: ci for ci, (comp, _) in enumerate(comps) for i in comp}
     info = []
     splits = gamma.split_gids()
@@ -376,15 +358,10 @@ def validate_forest(gamma: BackboneGraph) -> tuple[bool, tuple[str, ...]]:
     violations = _common_checks(gamma)
     if any(e.kind == "C" for e in gamma.edges):
         violations.append("self-loop-present")
-    lengths = sorted({nd.length for nd in gamma.nodes})
-    for m in lengths:
-        level_edges = gamma.level_edges(m)
-        seen = set()
-        for e in level_edges:
-            key = e.endpoints_key()
-            if key in seen:
-                violations.append("parallel-giant-edges")
-            seen.add(key)
+    for m in sorted({nd.length for nd in gamma.nodes}):
+        keys = [e.endpoints_key() for e in gamma.level_edges(m)]
+        if len(keys) != len(set(keys)):
+            violations.append("parallel-giant-edges")
         for c in _level_structure(gamma, m)[1]:
             if c["edges"] > len(c["members"]) - 1:
                 violations.append("level-graph-not-forest")
@@ -452,24 +429,15 @@ def params_from_backbone(gamma: BackboneGraph, k: int) -> ConstructionParams:
     Bridges whose start component carries a split or further bridges are
     counted backward (at the half length); the rest count forward.
     """
-    a: dict[int, int] = {}
-    b: dict[int, int] = {}
-    c: dict[int, int] = {}
-    d: dict[int, int] = {}
-    lengths = sorted({nd.length for nd in gamma.nodes})
-    for m in lengths:
+    a, b, c, d = Counter(), Counter(), Counter(), Counter()
+    for m in sorted({nd.length for nd in gamma.nodes}):
         a[m] = len(gamma.level_edges(m))
         info = _level_structure(gamma, m)[1]
         b[m] = sum(1 for comp in info if comp["splits"] > 0)
         for comp in info:
             nb = len(comp["bridges"])
             if nb and (comp["splits"] > 0 or nb >= 2):
-                d[m // 2] = d.get(m // 2, 0) + nb
+                d[m // 2] += nb
             elif nb:
-                c[m] = c.get(m, 0) + nb
-    return ConstructionParams(
-        {t: v for t, v in a.items() if v},
-        {t: v for t, v in b.items() if v},
-        {t: v for t, v in c.items() if v},
-        {t: v for t, v in d.items() if v},
-    )
+                c[m] += nb
+    return ConstructionParams(*({t: v for t, v in x.items() if v} for x in (a, b, c, d)))

@@ -396,6 +396,11 @@ def read_binary_graph(path) -> BinaryGraph:
     if repeats.size:
         no, ln = lines[1 + repeats.min()]
         raise ValueError(f"{path}:{no}: duplicate edge {ln!r}")
+    bad = np.flatnonzero((ij[:, 0] < 0) | (ij[:, 1] >= n) | (ij[:, 0] == ij[:, 1]))
+    if bad.size:
+        (u, v), (no, ln) = ij[bad[0]], lines[1 + bad[0]]
+        fault = f"vertex outside 1..{n}" if u < 0 or v >= n else "self-loop"
+        raise ValueError(f"{path}:{no}: {fault} in edge {ln!r}")
     return BinaryGraph.from_indices(n, _pair_indices(n, ij[:, 0], ij[:, 1]))
 
 
@@ -441,6 +446,8 @@ def read_permutation(path) -> Permutation:
                     images.append(int(token) - 1)
                 except ValueError:
                     raise ValueError(f"{path}:{no}: expected a vertex number, got {token!r}") from None
+    if not images:
+        raise ValueError(f"{path}:1: empty file, expected a permutation")
     try:
         return Permutation(tuple(images))
     except ValueError as err:

@@ -37,7 +37,7 @@ __all__ = [
     "backbone",
     "reconstruct_orbit_graph",
     "orbit_from_backbone_edge",
-    "ComponentUnion",
+    "components",
     "connected_components",
     "is_pseudoforest",
 ]
@@ -505,58 +505,41 @@ def reconstruct_orbit_graph(sigma: Permutation, gamma: BackboneGraph) -> BinaryG
 # -- components and the pseudoforest predicate ---------------------------------
 
 
-class ComponentUnion:
-    """Union-find over vertices with per-component vertex/edge counts.
+def components(n: int, edges) -> list[tuple[tuple[int, ...], int]]:
+    """Components of a multigraph on [n] as (sorted vertices, edge count) pairs.
 
     Self-loops and parallel edges count as edges, so a component's excess
     (edges minus vertices) is -1 for a tree and 0 for a unicyclic component.
+    A merge points the larger root at the smaller, so every root is its
+    component's least vertex and components come ordered by it.
     """
+    parent = list(range(n))
+    count = [0] * n
 
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-        self.verts: dict[int, int] = {}
-        self.edges: dict[int, int] = {}
-
-    def find(self, v: int) -> int:
-        while self.parent[v] != v:
-            v = self.parent[v]
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
         return v
 
-    def add_vertex(self, v: int) -> None:
-        """Activate ``v`` as an isolated vertex unless it is already present."""
-        if v not in self.parent:
-            self.parent[v] = v
-            self.verts[v] = 1
-            self.edges[v] = 0
-
-    def add_edge(self, u: int, v: int) -> int:
-        """Insert an edge, activating endpoints as needed; returns the new root."""
-        self.add_vertex(u)
-        self.add_vertex(v)
-        ru, rv = self.find(u), self.find(v)
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru > rv:
+            ru, rv = rv, ru
         if ru != rv:
-            if self.verts[ru] < self.verts[rv]:
-                ru, rv = rv, ru
-            self.parent[rv] = ru
-            self.verts[ru] += self.verts[rv]
-            self.edges[ru] += self.edges[rv]
-        self.edges[ru] += 1
-        return ru
-
-    def components(self) -> list[tuple[tuple[int, ...], int]]:
-        """(sorted vertices, edge count) per component, ordered by least vertex."""
-        groups: dict[int, list[int]] = {}
-        for v in sorted(self.parent):
-            groups.setdefault(self.find(v), []).append(v)
-        return [(tuple(vs), self.edges[r]) for r, vs in groups.items()]
+            parent[rv] = ru
+            count[ru] += count[rv]
+        count[ru] += 1
+    groups: dict[int, list[int]] = {}
+    for v in range(n):
+        parent[v] = parent[parent[v]]  # parent[v] <= v, so its root is already known
+        groups.setdefault(parent[v], []).append(v)
+    return [(tuple(vs), count[r]) for r, vs in groups.items()]
 
 
 def connected_components(g: BinaryGraph) -> list[tuple[frozenset, int]]:
     """Components over non-isolated vertices as (vertex set, edge count) pairs."""
-    uf = ComponentUnion()
-    for i, j in g.edges:
-        uf.add_edge(i, j)
-    return [(frozenset(vs), e) for vs, e in uf.components()]
+    return [(frozenset(vs), e) for vs, e in components(g.n, g.edges) if e]
 
 
 def is_pseudoforest(g: BinaryGraph) -> bool:

@@ -359,6 +359,51 @@ class TestSweepCommand:
             main(["sweep", "--config", str(cfg)])
 
 
+class TestFileErrors:
+    @pytest.mark.parametrize(
+        "argv, at",
+        [
+            (["orbit", "--sigma", "{missing}"], "{missing}"),
+            (["orbit", "--sigma", "{sigma}", "--backbone", "{missing}"], "{missing}"),
+            (["gf", "--sigma", "{dir}", "--k", "2", "--s", "0.3"], "{dir}"),
+            (["test", "--stat", "edges", "--a", "{missing}", "--b", "{missing}", "--model", "er",
+              "--n", "4", "--p", "0.3", "--s", "0.5"], "{missing}"),
+            (["sweep", "--config", "{missing}"], "{missing}"),
+            (["generate", "--model", "er", "--n", "4", "--p", "0.3", "--s", "0.5",
+              "--hypothesis", "null", "--out", "{sigma}"], "{sigma}"),
+        ],
+        ids=["orbit-sigma", "orbit-backbone", "gf-sigma-directory", "test-graphs", "sweep-config", "generate-out-file"],
+    )
+    def test_missing_or_wrong_kind_of_file_exits_with_one_line(self, tmp_path, argv, at):
+        sigma = tmp_path / "sigma.txt"
+        write_permutation(Permutation.identity(4), sigma)
+        names = {"missing": tmp_path / "nope", "dir": tmp_path, "sigma": sigma}
+        with pytest.raises(SystemExit) as err:
+            main([a.format(**names) for a in argv])
+        assert str(err.value.code).startswith(f"{at.format(**names)}: ")
+        assert "\n" not in str(err.value.code)
+
+    @pytest.mark.parametrize("out", ["missing/rows.csv", "."], ids=["missing-directory", "a-directory"])
+    def test_sweep_out_is_refused_before_the_run(self, tmp_path, monkeypatch, out):
+        from graphcorr import experiments
+
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("model=er\nn=8\ntests=edges\ntrials=5\nseed=9\np=0.4\ns=0.8\n")
+        monkeypatch.setattr(experiments, "run_sweep", lambda *a, **k: pytest.fail("the sweep ran"))
+        out = tmp_path / out
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert err.value.code == f"--out {out}: not a file in an existing directory"
+        assert not (tmp_path / "missing").exists()
+
+    def test_empty_permutation_file_exits_with_one_line(self, tmp_path):
+        empty = tmp_path / "sigma.txt"
+        empty.write_text("")
+        with pytest.raises(SystemExit) as err:
+            main(["orbit", "--sigma", str(empty)])
+        assert err.value.code == f"{empty}:1: empty file, expected a permutation"
+
+
 class TestRepeatedMain:
     """Commands run one after another in one process behave as each does alone."""
 

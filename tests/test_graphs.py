@@ -426,6 +426,8 @@ class TestFileFormats:
             ("", 1),  # an empty file
             ("abc\n1 2\n", 1),  # a header that is not an integer
             ("-3\n", 1),  # a negative number of vertices
+            ("3\n1 5\n", 2),  # a vertex outside 1..n
+            ("3\n2 2\n", 2),  # a self-loop
         ],
     )
     def test_binary_reader_rejects_with_line_number(self, tmp_path, text, line):
@@ -433,6 +435,17 @@ class TestFileFormats:
         path.write_text(text)
         with pytest.raises(ValueError, match=f"g.txt:{line}:"):
             read_binary_graph(path)
+
+    @pytest.mark.parametrize(
+        "text, fault",
+        [("3\n1 2\n1 5\n", "vertex outside 1..3 in edge '1 5'"), ("3\n2 2\n", "self-loop in edge '2 2'")],
+    )
+    def test_binary_reader_names_the_edge_as_written(self, tmp_path, text, fault):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            read_binary_graph(path)
+        assert str(err.value) == f"{path}:{text.count(chr(10))}: {fault}"
 
     @pytest.mark.parametrize(
         "text, line",
@@ -467,6 +480,7 @@ class TestFileFormats:
             ("2 1\n3 0.5\n", "pi.txt:2:", "expected a vertex number, got '0.5'"),
             ("1 1 2\n", "pi.txt:", "mapping is not a bijection"),
             ("1 4\n", "pi.txt:", "mapping is not a bijection"),
+            ("", "pi.txt:1:", "empty file"),
         ],
     )
     def test_permutation_reader_names_the_file(self, tmp_path, text, where, message):

@@ -36,8 +36,8 @@ from graphcorr.moments import (
 )
 from graphcorr.detect import kernel_er
 from graphcorr.orbits import (
-    ComponentUnion,
     census_from_cycle_type,
+    components,
     cycle_type,
     edge_orbits,
     is_pseudoforest,
@@ -206,19 +206,16 @@ def gf_orbit_pseudoforests_unpruned(sigma: Permutation, k: int, s: float) -> flo
     return total
 
 
-def orbit_unions_oracle(orbits, max_excess: int):
-    """The orbit-union search on real vertices: one fresh ComponentUnion per candidate subset.
+def orbit_unions_oracle(sigma, orbits, max_excess: int):
+    """The orbit-union search on real vertices: the components of each candidate subset from scratch.
 
     Same depth-first index order and pruning as the contracted search, with
     the excess of every component counted edge by edge.
     """
 
     def fits(subset) -> bool:
-        uf = ComponentUnion()
-        for j in subset:
-            for u, v in orbits[j].edges:
-                uf.add_edge(u, v)
-        return all(e - len(vs) <= max_excess for vs, e in uf.components())
+        edges = [e for j in subset for e in orbits[j].edges]
+        return all(e - len(vs) <= max_excess for vs, e in components(sigma.n, edges))
 
     def rec(start: int, chosen: tuple[int, ...], edge_count: int):
         for j in range(start, len(orbits)):
@@ -289,8 +286,8 @@ class TestContractedSearch:
                 got = list(_orbit_unions(sigma, orbits))
                 pseudo = [(subset, count) for subset, count, _ in got]
                 forest = [(subset, count) for subset, count, tree in got if tree]
-                assert pseudo == list(orbit_unions_oracle(orbits, 0)), (perm, k)
-                assert forest == list(orbit_unions_oracle(orbits, -1)), (perm, k)
+                assert pseudo == list(orbit_unions_oracle(sigma, orbits, 0)), (perm, k)
+                assert forest == list(orbit_unions_oracle(sigma, orbits, -1)), (perm, k)
 
     def test_in_place_search_yields_the_tuple_search(self):
         # the undo-log search against the tuple search it replaced: whole

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from graphcorr import orbits as orbits_module
 from graphcorr.graphs import BinaryGraph, Permutation, canonical_pair
 from graphcorr.orbits import (
-    ComponentUnion,
     CycleType,
     EdgeOrbit,
     backbone,
@@ -17,6 +16,7 @@ from graphcorr.orbits import (
     census_predict_small,
     classify_orbit,
     complete_orbits,
+    components,
     connected_components,
     cycle_type,
     edge_orbits,
@@ -41,6 +41,27 @@ def edge_permutation(sigma: Permutation) -> dict[tuple[int, int], tuple[int, int
 def is_forest(g: BinaryGraph) -> bool:
     """True when the graph is acyclic."""
     return all(e == len(v) - 1 for v, e in connected_components(g))
+
+
+def search_components(n: int, edges) -> list[tuple[tuple[int, ...], int]]:
+    """Components of a multigraph on [n] by depth-first search from each vertex in turn."""
+    adj = {v: set() for v in range(n)}
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    found, seen = [], set()
+    for start in range(n):
+        if start in seen:
+            continue
+        comp, stack = set(), [start]
+        while stack:
+            v = stack.pop()
+            if v not in comp:
+                comp.add(v)
+                stack.extend(adj[v])
+        seen |= comp
+        found.append((tuple(sorted(comp)), sum(1 for i, _ in edges if i in comp)))
+    return found
 
 
 def label_by_partner_walk(sigma, orbit):
@@ -458,36 +479,21 @@ class TestExcessAndPredicates:
         assert is_forest(g) and is_pseudoforest(g)
 
 
-class TestComponentUnion:
+class TestComponents:
     def test_components_count_loops_and_repeats(self):
-        uf = ComponentUnion()
-        for v in (5, 0, 3):
-            uf.add_vertex(v)
-        for u, v in ((4, 2), (2, 2), (0, 1), (1, 0)):
-            uf.add_edge(u, v)
-        assert uf.components() == [((0, 1), 2), ((2, 4), 2), ((3,), 0), ((5,), 0)]
+        edges = ((4, 2), (2, 2), (0, 1), (1, 0))
+        assert components(6, edges) == [((0, 1), 2), ((2, 4), 2), ((3,), 0), ((5,), 0)]
 
     @settings(max_examples=60, deadline=None)
-    @given(st.data(), st.integers(2, 9))
+    @given(st.data(), st.integers(0, 9))
     def test_matches_search_components(self, data, n):
-        edges = data.draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2)))))
-        g = BinaryGraph(n, frozenset(edges))
-        adj = {}
-        for i, j in edges:
-            adj.setdefault(i, set()).add(j)
-            adj.setdefault(j, set()).add(i)
-        want, seen = [], set()
-        for start in sorted(adj):
-            if start in seen:
-                continue
-            comp, stack = set(), [start]
-            while stack:
-                v = stack.pop()
-                if v not in comp:
-                    comp.add(v)
-                    stack.extend(adj[v])
-            seen |= comp
-            want.append((frozenset(comp), sum(1 for i, _ in edges if i in comp)))
+        # multigraphs with loops and repeated pairs, isolated vertices included
+        vertex = st.integers(0, max(n - 1, 0))
+        edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=12 if n else 0))
+        assert components(n, edges) == search_components(n, edges)
+        simple = {(min(e), max(e)) for e in edges if e[0] != e[1]}
+        want = [(frozenset(vs), e) for vs, e in search_components(n, simple) if e]
+        g = BinaryGraph(n, frozenset(simple))
         assert connected_components(g) == want
         assert is_forest(g) == all(e == len(v) - 1 for v, e in want)
         assert is_pseudoforest(g) == all(e <= len(v) for v, e in want)
