@@ -122,7 +122,7 @@ class ConstructionParams:
 
     def check(self, ct: CycleType, k: int, allow_backward: bool) -> bool:
         """Stage feasibility for the cycle type; infeasible params give empty streams."""
-        for t in range(1, k + 1):
+        for t in {t for stage in (self.a, self.b, self.c, self.d) for t in stage if 1 <= t <= k}:  # no other level can fail
             a, b, c, d = self.at(t)
             if min(a, b, c, d) < 0:
                 return False
@@ -144,45 +144,36 @@ class GeneratedBackbone:
     violations: tuple[str, ...]
 
 
-def stream_bound_forest(ct: CycleType, k: int, params: ConstructionParams) -> int:
-    """Product bound on the forest stream length for the given parameters."""
-    if not params.check(ct, k, allow_backward=False):
+def _stream_bound(ct: CycleType, k: int, params: ConstructionParams, pseudo: bool) -> int:
+    """Product bound on the stream length; forests pass ``check`` only with d = 0 at every level."""
+    if not params.check(ct, k, allow_backward=pseudo):
         return 0
-    total = 1
-    for t in range(1, k + 1):
-        nt = ct.count(t)
-        a, b, c, _ = params.at(t)
-        lower = sum(l * ct.count(l) for l in range(1, t))
-        total *= (
-            math.comb(nt, a)
-            * math.comb(nt - a, b)
-            * math.comb(nt - a - b, c)
-            * (t * nt) ** a
-            * lower**c
-        )
-    return total
-
-
-def stream_bound_pseudoforest(ct: CycleType, k: int, params: ConstructionParams) -> int:
-    """Product bound on the pseudoforest stream length for the given parameters."""
-    if not params.check(ct, k, allow_backward=True):
-        return 0
-    total = 1
-    for t in range(1, k + 1):
+    total, lower = 1, 0  # lower: sum of l * n_l over l < t
+    for t in ct.levels(k):
         nt = ct.count(t)
         a, b, c, d = params.at(t)
-        lower = sum(l * ct.count(l) for l in range(1, t))
         total *= (
             math.comb(nt, a)
             * math.comb(nt - a, b)
             * math.comb(nt - a - b, c)
             * math.comb(nt - a - b - c, d)
-            * (2 * t * nt) ** a
-            * nt**b
+            * ((1 + pseudo) * t * nt) ** a
+            * (nt**b if pseudo else 1)
             * lower**c
             * (t * ct.count(2 * t)) ** d
         )
+        lower += t * nt
     return total
+
+
+def stream_bound_forest(ct: CycleType, k: int, params: ConstructionParams) -> int:
+    """Product bound on the forest stream length for the given parameters."""
+    return _stream_bound(ct, k, params, pseudo=False)
+
+
+def stream_bound_pseudoforest(ct: CycleType, k: int, params: ConstructionParams) -> int:
+    """Product bound on the pseudoforest stream length for the given parameters."""
+    return _stream_bound(ct, k, params, pseudo=True)
 
 
 def _labeled_level_edges(edges, t: int):
@@ -253,7 +244,8 @@ def _stream(ct: CycleType, k: int, params: ConstructionParams, pseudo: bool):
     if not params.check(ct, k, allow_backward=pseudo):  # so forests have d = 0 at every level
         return
     validate = validate_pseudoforest if pseudo else validate_forest
-    per_level = [list(_level_plans(ct, t, *params.at(t), pseudo)) for t in range(1, k + 1)]
+    levels = ct.levels(k)  # an empty level has one empty plan once check passes
+    per_level = [list(_level_plans(ct, t, *params.at(t), pseudo)) for t in levels]
     for combo in itertools.product(*per_level):
         edges = sorted(
             (e for level_edges, _, _ in combo for e in level_edges),
@@ -261,7 +253,7 @@ def _stream(ct: CycleType, k: int, params: ConstructionParams, pseudo: bool):
         )
         splits = set().union(*(s for _, s, _ in combo))
         nodes = tuple(
-            GiantNode((t, i), (t, i) in splits) for t in range(1, k + 1) for i in range(ct.count(t))
+            GiantNode((t, i), (t, i) in splits) for t in levels for i in range(ct.count(t))
         )
         roots = tuple(sorted(r for _, _, level_roots in combo for r in level_roots))
         gamma = BackboneGraph(nodes, tuple(edges), roots)

@@ -15,7 +15,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -57,7 +57,9 @@ __all__ = [
     "cycle_type_tv_check",
 ]
 
-GF_ORBIT_LIMIT = 24
+GF_ORBIT_LIMIT = 24  # most short orbits enumerate_orbit_pseudoforests lists by default
+GF_VERTEX_LIMIT = 12  # most short node cycles the GF counts take: 0.25 s for the identity on 12 nodes
+GF_WORK_LIMIT = 2e10  # work units the GF counts may spend: at most 0.05 ns each measured on a 2-core Xeon
 SECOND_MOMENT_EXACT_LIMIT = 8  # largest n whose cycle types second_moment_exact enumerates
 TV_CUTOFF = 30  # per-coordinate count beyond which cycle_type_tv_check folds Poisson mass
 TV_BOX_LIMIT = 10**6  # keys of the (TV_CUTOFF+1)^k box that cycle_type_tv_check may visit
@@ -289,20 +291,18 @@ def second_moment_bruteforce_er(params: ErParams) -> float:
 
 
 def _orbit_unions(sigma: Permutation, orbits: list[EdgeOrbit]):
-    """Orbit subsets whose union is a pseudoforest, flagged when it is a forest.
+    """Orbit subsets whose union is a pseudoforest, flagged when it is a forest: the lister behind
+    :func:`enumerate_orbit_pseudoforests`.
 
     Yields (indices, edge count, forest) per nonempty subset, depth first in
-    index order, each subset before its extensions; a subset with a component
-    of positive excess prunes every superset that extends it.  ``forest``
-    holds when every join on the way left negative excess; a subgraph of a
-    forest is a forest, so the forest subsets come in the order of a search
-    pruned at excess -1.  The search runs on the node cycles of sigma: an
-    orbit covers the whole node cycles it touches, and the union's components
-    inside one contracted component form one orbit under sigma, so they share
-    one excess, with the sign of the summed orbit lengths minus the summed
-    node-cycle lengths.  That makes both tests, excess <= 0 and < 0, exact.
-    A join points the root of one component at the other's in ``parent`` and
-    writes the excess in place; ``undo`` restores both on backtrack.
+    index order, each subset before its extensions; positive excess prunes
+    every extension.  ``forest`` holds when every join left negative excess;
+    a subgraph of a forest is a forest, so those subsets come in the order of
+    a search pruned at -1.  The search runs on node cycles: an orbit covers
+    the cycles it touches, and the union's components inside one contracted
+    component form one orbit under sigma, so they share the excess sign of
+    the summed orbit lengths minus the summed cycle lengths, and both tests
+    are exact.  Joins write ``parent`` and ``excess``; ``undo`` restores them.
     """
     cycles = node_cycles(sigma)[0]
     index = {v: c for c, cyc in enumerate(cycles) for v in cyc}
@@ -345,24 +345,90 @@ def _short_orbits_checked(sigma: Permutation, k: int, limit: int) -> list[EdgeOr
     return orbits_up_to(sigma, k)
 
 
-@functools.lru_cache(maxsize=1, typed=True)  # typed: an int or numpy s gives its own result type
+def _contracted(short: tuple[int, ...], k: int) -> tuple[list[int], list[tuple[int, int, int, int]]]:
+    """Cycle lengths (ascending) and (u, v, orbit length, count) edge groups of the node-cycle multigraph of a short type.
+
+    An l-cycle carries (l-1)//2 loops of length l, and one of length l/2 for
+    even l; an l- and an m-cycle share gcd(l, m) edges of length lcm(l, m) <= k.
+    """
+    weights = [l for l, c in enumerate(short, 1) for _ in range(c)]
+    groups = [(u, u, length, c) for u, l in enumerate(weights) for length, c in ((l, (l - 1) // 2), (l // 2, 1 - l % 2))]
+    groups += [(u, v, math.lcm(l, m), math.gcd(l, m)) for (u, l), (v, m) in combinations(enumerate(weights), 2)]
+    return weights, [group for group in groups if group[2] <= k and group[3]]
+
+
+@functools.lru_cache(maxsize=1)
+def _orbit_forest_counts(short: tuple[int, ...], k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """(pseudoforest, forest) orbit unions of a short cycle type as (edge count, number) pairs, edge count ascending.
+
+    Subset DP over vertex sets S of :func:`_contracted` (Bjorklund, Husfeldt,
+    Kaski and Koivisto, FOCS 2008), each polynomial in x (x^j: j*g edges, g the
+    gcd of the orbit lengths) one int.  all(S) (``every``) = prod (1 + x^L)
+    over orbits in S; conn(S) = all(S) - sum conn(T) all(S - T) over min S in
+    T < S; F(S) = sum trunc(conn(T)) F(S - T) over min S in T, with trunc
+    keeping w(T) edges (``pcut``, pseudoforests) or w(T) - 1 (``fcut``,
+    forests), w the summed cycle length: the excess test of :func:`_orbit_unions`.
+    Refuses past ``GF_WORK_LIMIT`` units of estimated work, before the subset DP.
+    """
+    weights, groups = _contracted(short, k)
+    g = math.gcd(*(length for _, _, length, _ in groups)) or 1
+    top, edges, full = sum(weights) // g, sum(c for *_, c in groups), 1 << (V := len(weights))
+    def budgeted(bits: int) -> None:  # the fits sums, then 3^V products and 2^V * edges shift-adds of bits-bit ints
+        if (work := fill + 3**V * bits**1.5 + 4 * full * edges * bits) > GF_WORK_LIMIT:
+            raise ExactLimitError(f"{edges} short orbits on {V} node cycles need {work:.1e} work units, over {GF_WORK_LIMIT:.0e}")
+    fill = 20000 * (top + 1) * sum(min(c, top * g // length) for *_, length, c in groups)  # 20000 units a step
+    budgeted(top + 1)  # a lower bound, at one bit per coefficient
+    fits = [1] + [0] * top  # orbit sets by degree: no coefficient below exceeds one of these
+    for _, _, length, count in groups:  # fits *= (1 + x^step)^count
+        step, old = length // g, fits[:]
+        for j in range(1, min(count, top // step) + 1):
+            c = math.comb(count, j)
+            for d in range(j * step, top + 1):
+                fits[d] += c * old[d - j * step]
+    budgeted(bits := (width := max(fits).bit_length()) * (top + 1))
+    mask, at_low = (1 << bits) - 1, [[] for _ in weights]
+    for u, v, length, count in groups:  # u <= v: the orbit joins S at its least vertex u
+        at_low[u].append((1 << v, length // g * width, count))
+    w, conn, pcut, fcut = [0] * full, [0] * full, [0] * full, [0] * full
+    every, pseudo, forest = [1] * full, [1] * full, [1] * full
+    for S in range(1, full):  # T < S holds min S: conn(T), the cuts and F(S - T) are ready
+        low = S & -S
+        rest = t = S ^ low
+        e = every[rest]
+        for bit, shift, count in at_low[low.bit_length() - 1]:
+            if S & bit:
+                for _ in range(count):
+                    e += e << shift & mask
+        every[S], w[S] = e, w[rest] + weights[low.bit_length() - 1]
+        acc = p = f = 0
+        while t:
+            t = (t - 1) & rest
+            if conn[low | t]:
+                acc += conn[low | t] * every[rest ^ t]
+                p += pcut[low | t] * pseudo[rest ^ t]
+                f += fcut[low | t] * forest[rest ^ t]
+        conn[S] = c = e - (acc & mask)  # products pass degree top, but no coefficient below it overflows
+        pcut[S], fcut[S] = c & (1 << width * (w[S] // g + 1)) - 1, c & (1 << width * ((w[S] - 1) // g + 1)) - 1
+        pseudo[S], forest[S] = p + pcut[S], f + fcut[S]
+    one = (1 << width) - 1
+    return tuple(tuple((j * g, c) for j in range(top + 1) if (c := u >> j * width & one)) for u in (pseudo[-1], forest[-1]))
+
+
 def _gf_sums(sigma: Permutation, k: int, s: float) -> tuple[float, float]:
-    """(pseudoforest, forest) generating functions from one search, for the last (sigma, k, s)."""
-    orbits = _short_orbits_checked(sigma, k, GF_ORBIT_LIMIT)
-    power = [s ** (2 * e) for e in range(sum(map(len, orbits)) + 1)]
-    pseudo = forest = 1.0  # the empty union
-    for _, count, tree in _orbit_unions(sigma, orbits):
-        pseudo += power[count]
-        if tree:
-            forest += power[count]
-    return pseudo, forest
+    """(pseudoforest, forest) generating functions of sigma at k, summed from the counts of its short cycle type."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    short = cycle_type(sigma).counts[:k]
+    if sum(short) > GF_VERTEX_LIMIT:
+        raise ExactLimitError(f"{sum(short)} short node cycles exceed the counting limit {GF_VERTEX_LIMIT}")
+    return tuple(math.fsum(c * s ** (2 * e) for e, c in counts) for counts in _orbit_forest_counts(short, k))
 
 
 def gf_orbit_pseudoforests_bruteforce(sigma: Permutation, k: int, s: float) -> float:
     """Generating function sum of s^(2 e(H)) over orbit pseudoforests H.
 
-    Enumerates subsets of the short orbits by depth-first search, pruning any
-    branch whose union already has a component of positive excess.
+    Sums exact counts of the orbit unions by edge count, made once per short
+    cycle type and k; refuses over ``GF_VERTEX_LIMIT`` short node cycles first.
     """
     if not 0 <= s <= 1:
         raise ValueError("s must lie in [0, 1]")
@@ -370,7 +436,7 @@ def gf_orbit_pseudoforests_bruteforce(sigma: Permutation, k: int, s: float) -> f
 
 
 def gf_orbit_forests_bruteforce(sigma: Permutation, k: int, s: float) -> float:
-    """Forest-restricted variant of the orbit generating function, read off the same search."""
+    """Forest-restricted variant of the orbit generating function, read off the same counts."""
     if not 0 <= s <= 1:
         raise ValueError("s must lie in [0, 1]")
     return _gf_sums(sigma, k, s)[1]
@@ -398,10 +464,8 @@ def gf_bound_pseudoforest(ct: CycleType, k: int, s: float) -> float:
     if k < 1:
         raise ValueError("k must be >= 1")
     log_total = 0.0
-    for m in range(1, k + 1):
+    for m in ct.levels(k):
         nm = ct.count(m)
-        if nm == 0:
-            continue
         base = 1.0 + 2 * s ** (2 * m) * sum(l * ct.count(l) for l in range(1, m + 1))
         if m % 2 == 0:
             base += s**m * nm
@@ -421,10 +485,8 @@ def gf_bound_forest(ct: CycleType, k: int, s: float) -> float:
     if k < 1:
         raise ValueError("k must be >= 1")
     log_total = 0.0
-    for m in range(1, k + 1):
+    for m in ct.levels(k):
         nm = ct.count(m)
-        if nm == 0:
-            continue
         base = 1.0 + s ** (2 * m) * sum(l * ct.count(l) for l in range(1, m + 1))
         if m % 2 == 0:
             base += s**m

@@ -67,6 +67,10 @@ class CycleType:
             raise ValueError("orbit length must be >= 1")
         return self.counts[m - 1] if m <= len(self.counts) else 0
 
+    def levels(self, k: int) -> list[int]:
+        """The lengths m <= k that hold a node cycle, ascending; no level above n does."""
+        return [m for m, c in enumerate(self.counts[:k], 1) if c]
+
     @staticmethod
     def from_counts(n: int, counts: dict[int, int]) -> "CycleType":
         arr = [0] * n
@@ -162,22 +166,20 @@ def _zip_walk(p: tuple[int, ...], r: tuple[int, ...], b: int):
 def _walk_orbits(cycles: list[tuple[int, ...]], k: float) -> list[EdgeOrbit]:
     """Edge orbits of length <= k that join the node cycles ``cycles``, sorted by representative pair.
 
-    Each orbit is one :func:`_zip_walk` of the node cycles it joins: offset
-    d in a cycle P walks (P, P, d), and residue b < gcd(|P|, |R|) with a later
-    cycle R walks (P, R, b).  No orbit inside a cycle is longer than the
-    cycle, so only the cross-cycle walks are tested against k.
+    Each orbit is one :func:`_zip_walk` from its least pair, which holds p_0:
+    P at offset d walks (P, P, d), or (P, P, l - d) if p_(l-d) < p_d; a later R
+    at residue b < gcd(l, m) walks (P, R, b'), r_b' least over b' = b mod gcd.
+    In-cycle orbits are no longer than their cycle: only cross walks test k.
     """
     walks = []
     for a, p in enumerate(cycles):
-        walks += [_zip_walk(p, p, d) for d in range(1, len(p) // 2 + 1)]
+        l = len(p)
+        walks += [_zip_walk(p, p, d if 2 * d == l or p[d] < p[l - d] else l - d) for d in range(1, l // 2 + 1)]
         for r in cycles[a + 1 :]:
-            if math.lcm(len(p), len(r)) <= k:
-                walks += [_zip_walk(p, r, b) for b in range(math.gcd(len(p), len(r)))]
-    orbits = []
-    for walk in walks:
-        pairs = [(u, v) if u < v else (v, u) for u, v in walk]
-        i = pairs.index(min(pairs))
-        orbits.append(EdgeOrbit(tuple(pairs[i:] + pairs[:i])))
+            m, g = len(r), math.gcd(l, len(r))
+            if l // g * m <= k:
+                walks += [_zip_walk(p, r, min(range(b, m, g), key=r.__getitem__)) for b in range(g)]
+    orbits = [EdgeOrbit(tuple([(u, v) if u < v else (v, u) for u, v in walk])) for walk in walks]
     orbits.sort(key=lambda o: o.edges[0])
     return orbits
 

@@ -273,12 +273,16 @@ class TestGfCommand:
 
     def test_rejected_inputs_exit_with_one_line(self, tmp_path):
         sig = tmp_path / "sigma.txt"
-        write_permutation(Permutation.identity(10), sig)
+        write_permutation(Permutation.identity(13), sig)
         bad = tmp_path / "bad.txt"
         bad.write_text("1 1 2\n")
+        long = tmp_path / "long.txt"
+        cycles = [tuple(range(30000)), tuple(range(30000, 60001)), (60001, 60002)]
+        write_permutation(Permutation.from_cycles(60003, cycles), long)
         cases = [
-            (["--sigma", str(sig), "--k", "1", "--s", "0.3"], "45 short orbits exceed the brute-force limit"),
-            (["--sigma", str(sig), "--k", "1", "--s", "0.3", "--forest"], "45 short orbits exceed"),
+            (["--sigma", str(sig), "--k", "1", "--s", "0.3"], "13 short node cycles exceed the counting limit 12"),
+            (["--sigma", str(long), "--k", "30001", "--s", "0.3"], "30003 short orbits on 3 node cycles need 6.8e+10 work units"),
+            (["--sigma", str(sig), "--k", "1", "--s", "0.3", "--forest"], "13 short node cycles exceed"),
             (["--sigma", str(bad), "--k", "1", "--s", "0.3"], f"{bad}: mapping is not a bijection"),
             (["--sigma", str(sig), "--k", "0", "--s", "0.3"], "k must be >= 1"),
         ]
@@ -287,8 +291,27 @@ class TestGfCommand:
                 main(["gf", *argv])
             assert str(err.value.code).startswith(message) and "\n" not in err.value.code
 
+    def test_dense_and_huge_k_answer_at_once(self, tmp_path, capsys, deadline):
+        # the identity on 9 nodes has 36 orbits at k = 1 and 66,617,234
+        # pseudoforests; levels above n hold no node cycle
+        dense, small = tmp_path / "dense.txt", tmp_path / "small.txt"
+        write_permutation(Permutation.identity(9), dense)
+        write_permutation(Permutation.from_cycles(4, [(0, 1)]), small)
+        with deadline(1.0, "gf on the identity on 9 nodes"):
+            code, out = run(capsys, "gf", "--sigma", str(dense), "--k", "1", "--s", "0.3")
+        assert code == 0 and out.startswith("pseudoforest generating function: brute ")
+        with deadline(2.0, "gf at --k 99999999999"):
+            huge = run(capsys, "gf", "--sigma", str(small), "--k", "99999999999", "--s", "0.3")
+        assert huge == run(capsys, "gf", "--sigma", str(small), "--k", "4", "--s", "0.3") and huge[0] == 0
+
 
 class TestEnumerateCommand:
+    def test_huge_k_answers_at_once(self, capsys, deadline):
+        with deadline(2.0, "enumerate at --k 10**12"):
+            code, out = run(capsys, "enumerate", "--cycle-type", "1:4", "--k", str(10**12), "--a", "1:2")
+        assert code == 0
+        assert out == run(capsys, "enumerate", "--cycle-type", "1:4", "--k", "4", "--a", "1:2")[1]
+
     def test_stream_summary(self, capsys):
         code, out = run(
             capsys,

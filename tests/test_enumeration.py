@@ -1,6 +1,5 @@
 import itertools
 import math
-import signal
 from dataclasses import dataclass
 
 import pytest
@@ -433,6 +432,41 @@ class TestStreamOracle:
             assert parallel > 500 and loops > 1000
 
 
+class TestEmptyLevels:
+    def test_huge_k_gives_the_streams_and_bounds_of_k_equal_n(self, deadline):
+        # no level above n holds a node cycle, so k = 10**12 takes the time
+        # and gives the bounds and items of k = n
+        for ct, _, params in _oracle_grid():
+            with deadline(2.0, f"the streams of {ct.counts} at k = 10**12"):
+                huge = [
+                    (bound(ct, 10**12, params), list(stream(ct, 10**12, params)))
+                    for bound, stream in (
+                        (stream_bound_forest, algorithm1_forests),
+                        (stream_bound_pseudoforest, algorithm2_pseudoforests),
+                    )
+                ]
+            assert huge == [
+                (stream_bound_forest(ct, ct.n, params), list(algorithm1_forests(ct, ct.n, params))),
+                (stream_bound_pseudoforest(ct, ct.n, params), list(algorithm2_pseudoforests(ct, ct.n, params))),
+            ], (ct, params)
+
+    def test_a_stage_at_an_empty_level_still_fails(self, deadline):
+        ct = CycleType.from_counts(4, {1: 4})
+        with deadline(2.0, "check at k = 10**12"):
+            assert ConstructionParams(a={1: 2}).check(ct, 10**12, allow_backward=True)
+            for params in (
+                ConstructionParams(a={3: 1}),
+                ConstructionParams(c={10**11: 1}),
+                ConstructionParams(d={1: 0, 10**11: 1}),
+            ):
+                assert not params.check(ct, 10**12, allow_backward=True)
+                assert stream_bound_pseudoforest(ct, 10**12, params) == 0
+                assert list(algorithm2_pseudoforests(ct, 10**12, params)) == []
+        # the backward-bridge room test reads the caller's k
+        assert not ConstructionParams(d={1: 1}).check(ct, 1, allow_backward=True)
+        assert ConstructionParams(d={1: 1}).check(ct, 2, allow_backward=True)
+
+
 def fig2_backbone():
     edges1 = [
         (1, 2), (1, 3), (2, 4), (1, 4), (2, 3),
@@ -577,21 +611,12 @@ class TestBruteForceAgreement:
                 gamma = backbone(sigma, BinaryGraph(n, union), k)
                 assert validate_forest(gamma)[0]
 
-    def test_pseudoforests_come_lazily(self):
+    def test_pseudoforests_come_lazily(self, deadline):
         # the 36 edges of K_9 are the identity's orbits at k = 1; K_8 alone has
         # 2,918,122 pseudoforests, so an eager stream would not start in time
         sigma = Permutation.identity(9)
-
-        def expire(signum, frame):
-            raise TimeoutError("the stream did not yield its first subsets within 2 s")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.setitimer(signal.ITIMER_REAL, 2.0)
-        try:
+        with deadline(2.0, "the stream's first subsets"):
             first = list(itertools.islice(enumerate_orbit_pseudoforests(sigma, 1, limit=36), 4))
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
         orbits = orbits_up_to(sigma, 1)
         assert len(orbits) == 36
         assert first == [orbits[:j] for j in range(1, 5)]  # depth first: each subset before its extensions

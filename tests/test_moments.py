@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -273,6 +275,19 @@ def theory_sized_sigmas(count: int, seed: int):
             yield sigma, k
 
 
+def orbit_union_tallies(sigma: Permutation, k: int):
+    """(pseudoforest, forest) tallies of the tuple search as (edge count, unions) pairs, the empty union included."""
+    pseudo, forest = Counter({0: 1}), Counter({0: 1})
+    for _, count, tree in orbit_unions_tuple_oracle(sigma, orbits_up_to(sigma, k)):
+        pseudo[count] += 1
+        forest[count] += tree
+    return tuple(tuple(sorted((e, c) for e, c in tally.items() if c)) for tally in (pseudo, forest))
+
+
+def short_type(sigma: Permutation, k: int) -> tuple[int, ...]:
+    return cycle_type(sigma).counts[:k]
+
+
 class TestContractedSearch:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_same_subsets_as_vertex_search(self, n):
@@ -305,6 +320,8 @@ class TestContractedSearch:
 
     @pytest.mark.parametrize("s", [0.05, 0.3, 1.0])
     def test_gf_sums_add_the_tuple_search_terms_in_order(self, s):
+        # the counts behind both sums are the search's tallies, exactly; the
+        # sums add the same terms grouped by edge count, so they agree to rounding
         for sigma, k in theory_sized_sigmas(200, seed=19):
             pseudo = forest = 1.0
             for _, count, tree in orbit_unions_tuple_oracle(sigma, orbits_up_to(sigma, k)):
@@ -312,33 +329,89 @@ class TestContractedSearch:
                 pseudo += term
                 if tree:
                     forest += term
-            assert moments._gf_sums(sigma, k, s) == (pseudo, forest)
+            assert moments._orbit_forest_counts(short_type(sigma, k), k) == orbit_union_tallies(sigma, k)
+            assert moments._gf_sums(sigma, k, s) == pytest.approx((pseudo, forest), rel=1e-12, abs=0)
+
+
+class TestOrbitForestCounts:
+    def test_counts_equal_search_tallies_on_random_cells(self):
+        rng = rng_from_seed(23)
+        for _ in range(400):
+            n, k = int(rng.integers(2, 11)), int(rng.integers(1, 6))
+            sigma = Permutation(tuple(int(v) for v in rng.permutation(n)))
+            if len(orbits_up_to(sigma, k)) <= 20:  # the search lists up to 2^20 subsets
+                assert moments._orbit_forest_counts(short_type(sigma, k), k) == orbit_union_tallies(sigma, k)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_contracted_multigraph_from_the_cycle_type(self, n):
+        # vertex i of length l is the i-th node cycle of length l by least
+        # node; every orbit of orbits_up_to is one edge between the vertices
+        # of the node cycles it joins, weighted by its length
+        for perm in itertools.permutations(range(n)):
+            sigma = Permutation(perm)
+            cycles = sorted(node_cycles(sigma)[0], key=lambda c: (len(c), c[0]))
+            for k in range(1, 8):
+                short = [c for c in cycles if len(c) <= k]
+                vertex = {v: i for i, c in enumerate(short) for v in c}
+                want = sorted(
+                    tuple(sorted((vertex[o.edges[0][0]], vertex[o.edges[0][1]]))) + (len(o),)
+                    for o in orbits_up_to(sigma, k)
+                )
+                weights, groups = moments._contracted(short_type(sigma, k), k)
+                edges = [(u, v, length) for u, v, length, count in groups for _ in range(count)]
+                assert weights == [len(c) for c in short] and sorted(edges) == want, (perm, k)
+
+    def test_gf_equals_the_unpruned_oracle(self):
+        rng = rng_from_seed(24)
+        checked = 0
+        while checked < 40:
+            n, k = int(rng.integers(4, 10)), int(rng.integers(1, 6))
+            sigma = Permutation(tuple(int(v) for v in rng.permutation(n)))
+            if len(orbits_up_to(sigma, k)) > 12:  # the oracle tests every subset of short orbits
+                continue
+            for s in (0.05, 0.3, 1.0):
+                want = gf_orbit_pseudoforests_unpruned(sigma, k, s)
+                assert gf_orbit_pseudoforests_bruteforce(sigma, k, s) == pytest.approx(want, rel=1e-12, abs=0)
+            checked += 1
+
+    def test_identity_totals(self, deadline):
+        # the forest totals of K_n are the labeled-forest numbers (OEIS A001858);
+        # the pseudoforest totals are the search's subsets plus the empty union
+        forests = [1, 2, 7, 38, 291, 2932, 36961, 561948, 10026505, 205608536]
+        for n, want in enumerate(forests, 1):
+            pseudo, forest = moments._orbit_forest_counts((n,), 1)
+            assert sum(c for _, c in forest) == want
+            if n <= 7:
+                sigma = Permutation.identity(n)
+                assert sum(c for _, c in pseudo) == 1 + sum(1 for _ in _orbit_unions(sigma, orbits_up_to(sigma, 1)))
+        moments._orbit_forest_counts.cache_clear()
+        with deadline(1.0, "the identity on 9 nodes at k = 1"):
+            value = gf_orbit_pseudoforests_bruteforce(Permutation.identity(9), 1, 1.0)
+        assert value == 66617234.0
 
 
 class TestGeneratingFunctions:
-    def test_one_search_serves_both(self, monkeypatch):
-        # pseudoforest then forest, or forest then pseudoforest, at one
-        # (sigma, k, s) runs one search; a new s runs a new one
-        calls = []
-        real = moments._orbit_unions
-        monkeypatch.setattr(moments, "_orbit_unions", lambda *args: calls.append(args) or real(*args))
-        moments._gf_sums.cache_clear()
+    def test_one_search_serves_both(self):
+        # one count per (short cycle type, k) serves both GFs, every s and every
+        # sigma of that type; a new k counts again
+        moments._orbit_forest_counts.cache_clear()
         gf_orbit_pseudoforests_bruteforce(TABLE_SIGMA, 4, 0.3)
         forest = gf_orbit_forests_bruteforce(TABLE_SIGMA, 4, 0.3)
-        assert len(calls) == 1
         gf_orbit_forests_bruteforce(TABLE_SIGMA, 4, 0.2)
         gf_orbit_pseudoforests_bruteforce(TABLE_SIGMA, 4, 0.2)
-        assert len(calls) == 2
-        assert gf_orbit_forests_bruteforce(TABLE_SIGMA, 4, 0.3) == forest
-        assert len(calls) == 3
+        same_type = Permutation.from_cycles(8, [(0, 7), (1, 2), (3, 4, 5, 6)])
+        assert gf_orbit_forests_bruteforce(same_type, 4, 0.3) == forest
+        assert moments._orbit_forest_counts.cache_info().misses == 1
+        gf_orbit_forests_bruteforce(TABLE_SIGMA, 3, 0.3)
+        assert moments._orbit_forest_counts.cache_info().misses == 2
 
     @pytest.mark.parametrize("s", [-0.1, 1.5, math.nan])
     def test_brute_force_rejects_s_outside_unit_interval(self, s):
-        before = moments._gf_sums.cache_info()
+        before = moments._orbit_forest_counts.cache_info()
         for gf in (gf_orbit_pseudoforests_bruteforce, gf_orbit_forests_bruteforce):
             with pytest.raises(ValueError, match=r"s must lie in \[0, 1\]"):
                 gf(TABLE_SIGMA, 4, s)
-        assert moments._gf_sums.cache_info() == before  # rejected before any search or cache lookup
+        assert moments._orbit_forest_counts.cache_info() == before  # rejected before any count or cache lookup
 
     def test_no_short_orbits(self):
         sigma = Permutation.from_cycles(7, [tuple(range(7))])
@@ -402,21 +475,56 @@ class TestGeneratingFunctions:
         assert gf_bound_pseudoforest(lonely, 3, 0.4) == 1.0
 
     def test_orbit_limit_refusal(self):
-        with pytest.raises(ExactLimitError):
-            gf_orbit_pseudoforests_bruteforce(Permutation.identity(10), 1, 0.3)
+        with pytest.raises(ExactLimitError, match="^13 short node cycles exceed the counting limit 12$"):
+            gf_orbit_pseudoforests_bruteforce(Permutation.identity(13), 1, 0.3)
+
+    @pytest.mark.parametrize(
+        "cycles, k, message",
+        [
+            ((30000, 30001, 2), 30001, "30003 short orbits on 3 node cycles need 6.8e+10 work units, over 2e+10"),
+            ((6,) * 11 + (2,), 6, "386 short orbits on 12 node cycles need 2.1e+11 work units, over 2e+10"),
+        ],
+    )
+    def test_work_limit_refusal(self, deadline, cycles, k, message):
+        # few node cycles can carry many orbits or long polynomials: the work
+        # estimate refuses them from the cycle type and the degree table
+        starts = itertools.accumulate(cycles, initial=0)
+        sigma = Permutation.from_cycles(sum(cycles), [tuple(range(a, a + l)) for a, l in zip(starts, cycles)])
+        with deadline(0.5, f"the refusal of {cycles[:3]} at k = {k}"):
+            with pytest.raises(ExactLimitError, match=f"^{re.escape(message)}$"):
+                gf_orbit_pseudoforests_bruteforce(sigma, k, 0.3)
 
     def test_refusal_builds_no_orbit(self, monkeypatch):
         def built(*args):
-            raise AssertionError("an edge orbit was built before the refusal")
+            raise AssertionError("an edge orbit or a contracted graph was built before the refusal")
 
         monkeypatch.setattr(orbits_module, "EdgeOrbit", built)
+        monkeypatch.setattr(moments, "_contracted", built)
         sigma = Permutation.identity(2000)
-        with pytest.raises(ExactLimitError, match="^1999000 short orbits exceed the brute-force limit 24$"):
+        with pytest.raises(ExactLimitError, match="^2000 short node cycles exceed the counting limit 12$"):
             gf_orbit_forests_bruteforce(sigma, 1, 0.5)
-        with pytest.raises(ExactLimitError, match="^1999000 short orbits"):
+        with pytest.raises(ExactLimitError, match="^1999000 short orbits exceed the brute-force limit 24$"):
             list(moments.enumerate_orbit_pseudoforests(sigma, 1))
         with pytest.raises(ValueError, match="k must be >= 1"):
             gf_orbit_pseudoforests_bruteforce(sigma, 0, 0.5)
+
+    def test_empty_levels_cost_nothing(self, deadline):
+        # levels above n hold no node cycle: k = 10**12 gives the values of k = n
+        for perm in [(1, 0, 2, 3), (1, 2, 0, 4, 3, 5)]:
+            sigma = Permutation(perm)
+            ct = cycle_type(sigma)
+
+            def values(k):
+                return (
+                    gf_orbit_pseudoforests_bruteforce(sigma, k, 0.3),
+                    gf_orbit_forests_bruteforce(sigma, k, 0.3),
+                    gf_bound_pseudoforest(ct, k, 0.3),
+                    gf_bound_forest(ct, k, 0.3),
+                )
+
+            with deadline(2.0, "the GFs and their bounds at k = 10**12"):
+                huge = values(10**12)
+            assert huge == values(len(perm))
 
 
 class TestLambertW:
