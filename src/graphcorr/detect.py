@@ -3,7 +3,7 @@
 The core statistic is the maximum edge correlation over node correspondences
 (a quadratic assignment problem), computed exactly by enumeration at small n
 and by seeded 2-swap hill climbing otherwise.  The exact likelihood ratio at
-tiny n and the linear-time edge-count comparison are also provided, together
+small n and the linear-time edge-count comparison are also provided, together
 with the analytic thresholds for each model; ``TESTS`` pairs each statistic
 with its threshold, and every detection decision reads it.
 """
@@ -40,8 +40,7 @@ __all__ = [
     "TESTS",
 ]
 
-QAP_EXACT_DEFAULT_LIMIT = 10
-LR_EXACT_DEFAULT_LIMIT = 7
+QAP_EXACT_DEFAULT_LIMIT = 10  # largest n whose n! table the exact statistics build
 LOCAL_SEARCH_KICK = 3  # random transpositions per perturbation between climbs
 CLIMB_TOL = 1e-12  # smallest 2-swap gain that _climb takes
 CLIMB_BLOCK = 1 << 18  # entries per (rows, n, n) array of one batched climb; more starts climb in turn
@@ -302,9 +301,9 @@ def log_likelihood_ratio_exact(a, b, params) -> float:
     n = a.n
     if a.n != b.n:
         raise ValueError("size mismatch")
-    if n > LR_EXACT_DEFAULT_LIMIT:
+    if n > QAP_EXACT_DEFAULT_LIMIT:
         raise ExactLimitError(
-            f"exact likelihood ratio averages over {n}! permutations; limit is {LR_EXACT_DEFAULT_LIMIT}"
+            f"exact likelihood ratio averages over {n}! permutations; limit is {QAP_EXACT_DEFAULT_LIMIT}"
         )
     m = n * (n - 1) // 2
     if isinstance(params, GaussianParams):
@@ -330,10 +329,11 @@ def log_likelihood_ratio_exact(a, b, params) -> float:
         beta = lab
     else:
         raise TypeError(f"unsupported params type {type(params)!r}")
-    t = _pair_values(a, b)
-    logs = c + beta * t
+    logs = _pair_values(a, b) * beta  # the one n!-sized temporary; the shared table is read-only
+    logs += c
     peak = float(np.max(logs))
-    return peak + math.log(float(np.exp(logs - peak).sum())) - math.lgamma(n + 1)
+    logs -= peak
+    return peak + math.log(float(np.exp(logs, out=logs).sum())) - math.lgamma(n + 1)
 
 
 def threshold_gaussian(n: int, rho: float, a_n: float | None = None) -> float:
@@ -419,9 +419,9 @@ TESTS = {
         ),
         DetectionTest(
             "lr",
-            lambda a, b, params, **search: (math.exp(log_likelihood_ratio_exact(a, b, params)), None),
-            lambda params: 1.0,
-            limit=LR_EXACT_DEFAULT_LIMIT,
+            lambda a, b, params, **search: (log_likelihood_ratio_exact(a, b, params), None),
+            lambda params: 0.0,
+            limit=QAP_EXACT_DEFAULT_LIMIT,
         ),
         # linear-time weak detection: edge counts far apart point to the null
         DetectionTest(

@@ -74,6 +74,8 @@ class SweepConfig:
         bad = [t for t in self.tests if t not in TESTS]
         if bad:
             raise FieldError("tests", f"unknown tests: {bad}")
+        if len(set(self.tests)) < len(self.tests):
+            raise FieldError("tests", f"repeated tests: {sorted({t for t in self.tests if self.tests.count(t) > 1})}")
         for t in self.tests:
             try:
                 TESTS[t].check(self.model, max(self.n_values, default=0))

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -164,6 +165,32 @@ class TestTestCommand:
                 "--p", "0.3", "--s", "0.5",
             ])
         assert err.value.code == "threshold requires m*p*s^2 > 1, got 0.75"
+
+    @pytest.mark.parametrize("s", ["0.5", "1"])
+    def test_lr_decides_on_the_log_scale(self, tmp_path, capsys, s):
+        run(capsys, "generate", "--model", "er", "--n", "7", "--p", "0.9", "--s", "0.9",
+            "--hypothesis", "planted", "--seed", "3", "--out", str(tmp_path))
+        code, out = run(
+            capsys,
+            "test", "--stat", "lr", "--a", str(tmp_path / "a.txt"), "--b", str(tmp_path / "a.txt"),
+            "--model", "er", "--n", "7", "--p", "1e-40", "--s", s,
+        )
+        stat = re.fullmatch(r"statistic (\S+) threshold 0 decision planted\n", out).group(1)
+        assert code == 0 and math.isfinite(float(stat)) and float(stat) > 709  # its exp overflows a float
+
+    def test_lr_runs_up_to_the_exact_limit(self, tmp_path, capsys):
+        from graphcorr.sampling import ErParams, sample_planted_er
+
+        for n in (10, 11):
+            a, b, _ = sample_planted_er(ErParams(n, 0.5, 0.9), 4)
+            write_binary_graph(a, tmp_path / f"a{n}.txt")
+            write_binary_graph(b, tmp_path / f"b{n}.txt")
+        argv = ["test", "--stat", "lr", "--model", "er", "--p", "0.5", "--s", "0.9"]
+        code, out = run(capsys, *argv, "--n", "10", "--a", str(tmp_path / "a10.txt"), "--b", str(tmp_path / "b10.txt"))
+        assert code == 0 and re.fullmatch(r"statistic \S+ threshold 0 decision (planted|null)\n", out)
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--n", "11", "--a", str(tmp_path / "a11.txt"), "--b", str(tmp_path / "b11.txt")])
+        assert err.value.code == "the lr test is limited to n <= 10, got n=11"
 
     def test_edge_count_refused_for_gaussian(self, tmp_path, capsys):
         with pytest.raises(SystemExit, match="does not apply to the gaussian model"):
@@ -497,6 +524,7 @@ class TestSweepConfig:
                 "threshold_mode must be 'auto' or 'oracle'",
             ),
             ("model=er\nn=8\ntests=edges,qap\ntrials=5\np=0.4\ns=0.8\n", 3, "unknown tests: ['qap']"),
+            ("model=er\nn=8\ntests=lr,lr\ntrials=5\np=0.4\ns=0.8\n", 3, "repeated tests: ['lr']"),
             ("model=er\nn=8\ntests=edges\ntrials=5\np=0.4\n# no s\n", 6, "empty parameter grid"),
             ("model=er\nn=8\ntests=qap-ls\nrestarts=0\ntrials=5\np=0.4\ns=0.8\n", 4, "restarts must be >= 1"),
             ("model=er\nn=8\nls_rounds=-1\ntests=qap-ls\ntrials=5\np=0.4\ns=0.8\n", 3, "ls_rounds must be >= 0"),

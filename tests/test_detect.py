@@ -548,8 +548,29 @@ class TestBatchedSearch:
 
 
 def exact_lr(a, b, params):
-    """The statistic of the registry's ``lr`` test: the exact likelihood ratio."""
-    return TESTS["lr"].statistic(a, b, params)[0]
+    """The exact likelihood ratio: the exponential of the registry's ``lr`` statistic."""
+    return math.exp(TESTS["lr"].statistic(a, b, params)[0])
+
+
+def kernel_sum_log_lr(a, b, params):
+    """log of (1/n!) sum over ``permutation_table(n)`` of the kernel products, one kernel call per pair of edges."""
+    n = a.n
+    iu, ju = np.triu_indices(n, 1)
+    perms = permutation_table(n)
+    flat_b = np.zeros((n, n), dtype=np.intp)  # index of each pair of B in its upper-triangle order
+    flat_b[iu, ju] = flat_b[ju, iu] = np.arange(len(iu))
+    xs, ys = a.to_dense()[iu, ju], b.to_dense()[iu, ju]
+    if isinstance(params, ErParams):
+        kern = lambda x, y: kernel_er(int(x), int(y), params.p, params.s)
+    else:
+        kern = lambda x, y: kernel_gaussian(x, y, params.rho)
+    with np.errstate(divide="ignore"):  # a vanishing kernel at s = 1 has log -inf
+        logk = np.log([[kern(x, y) for y in ys] for x in xs])
+    logs = logk[np.arange(len(iu)), flat_b[perms[:, iu], perms[:, ju]]].sum(axis=1)
+    peak = logs.max()
+    if peak == -math.inf:
+        return -math.inf
+    return float(peak + math.log(np.exp(logs - peak).sum()) - math.lgamma(n + 1))
 
 
 class TestLikelihoodRatio:
@@ -597,10 +618,29 @@ class TestLikelihoodRatio:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_refusal(self):
-        params = ErParams(8, 0.4, 0.5)
-        g = BinaryGraph.empty(8)
-        with pytest.raises(ExactLimitError):
+        params = ErParams(11, 0.4, 0.5)
+        g = BinaryGraph.empty(11)
+        with pytest.raises(ExactLimitError, match="averages over 11! permutations; limit is 10"):
             exact_lr(g, g, params)
+
+    @pytest.mark.parametrize(
+        "sample, params",
+        [
+            (sample_planted_er, ErParams(8, 0.3, 0.9)),
+            (sample_null_er, ErParams(8, 0.3, 0.9)),
+            (sample_planted_er, ErParams(8, 0.4, 1.0)),
+            (sample_null_er, ErParams(8, 0.4, 1.0)),
+            (sample_planted_gaussian, GaussianParams(8, 0.6)),
+        ],
+    )
+    def test_n8_against_kernel_sum(self, sample, params):
+        a, b = sample(params, SeedSpec(16, 0))[:2]
+        got = detect.log_likelihood_ratio_exact(a, b, params)
+        want = kernel_sum_log_lr(a, b, params)
+        if want == -math.inf:  # s = 1 and B is no relabelling of A
+            assert got == -math.inf
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_argmax_equivalence_er(self):
         # maximizers of the kernel product coincide with maximizers of T_pi
@@ -700,7 +740,7 @@ class TestRegistry:
         assert set(TESTS) == {"qap-exact", "qap-ls", "lr", "edges"}
         assert TESTS["edges"].models == ("er",)
         assert TESTS["qap-exact"].limit == detect.QAP_EXACT_DEFAULT_LIMIT
-        assert TESTS["lr"].limit == detect.LR_EXACT_DEFAULT_LIMIT
+        assert TESTS["lr"].limit == detect.QAP_EXACT_DEFAULT_LIMIT
 
     def test_statistics_match_direct_calls(self):
         params = ErParams(6, 0.4, 0.8)
@@ -709,7 +749,8 @@ class TestRegistry:
         assert TESTS["qap-ls"].statistic(a, b, params, restarts=3, seed=2) == qap_local_search(
             a, b, restarts=3, seed=2
         )
-        assert TESTS["lr"].statistic(a, b, params) == (math.exp(detect.log_likelihood_ratio_exact(a, b, params)), None)
+        assert TESTS["lr"].statistic(a, b, params) == (detect.log_likelihood_ratio_exact(a, b, params), None)
+        assert TESTS["lr"].threshold(params) == 0.0
         assert TESTS["edges"].statistic(a, b, params) == (-float(abs(a.edge_count - b.edge_count)), None)
         assert TESTS["edges"].threshold(params) == -edge_count_threshold(6, 0.4, 0.8)
         assert TESTS["qap-exact"].threshold(params) == threshold_er(6, 0.4, 0.8)
@@ -765,19 +806,36 @@ class TestRegistry:
             TESTS["lr"].statistic(a, b, params)
         assert calls == ["qap_exact", "log_likelihood_ratio_exact"]
 
-    def test_shared_table_refuses_before_allocating(self, monkeypatch):
-        big = BinaryGraph(detect.QAP_EXACT_DEFAULT_LIMIT + 1)
-        lr_big = BinaryGraph(detect.LR_EXACT_DEFAULT_LIMIT + 1)
+    @pytest.mark.parametrize("name", [name for name, test in TESTS.items() if test.limit is not None])
+    def test_shared_table_refuses_before_allocating(self, name, monkeypatch):
+        big = BinaryGraph(TESTS[name].limit + 1)
         monkeypatch.setattr(detect, "all_statistic_values", lambda a, b: pytest.fail("allocated"))
-        with detect.shared_table():
-            with pytest.raises(ExactLimitError):
-                TESTS["qap-exact"].statistic(big, big, ErParams(big.n, 0.4, 0.8))
-            with pytest.raises(ExactLimitError):
-                TESTS["lr"].statistic(lr_big, lr_big, ErParams(lr_big.n, 0.4, 0.8))
+        monkeypatch.setattr(detect, "_plan", lambda n: pytest.fail("planned"))
+        with detect.shared_table(), pytest.raises(ExactLimitError):
+            TESTS[name].statistic(big, big, ErParams(big.n, 0.4, 0.8))
 
     def test_check(self):
         TESTS["edges"].check("er", 1000)
         with pytest.raises(ValueError):
             TESTS["edges"].check("gaussian", 5)
-        with pytest.raises(ValueError):
-            TESTS["lr"].check("er", detect.LR_EXACT_DEFAULT_LIMIT + 1)
+        TESTS["lr"].check("er", 10)
+        with pytest.raises(ValueError, match="the lr test is limited to n <= 10, got n=11"):
+            TESTS["lr"].check("er", 11)
+
+    def test_lr_decides_on_the_log_scale_where_the_ratio_overflows(self):
+        params = GaussianParams(7, 0.999)
+        a, b, _ = sample_planted_gaussian(params, SeedSpec(17, 0))
+        a, b = WeightedGraph(30 * a.to_dense()), WeightedGraph(30 * b.to_dense())
+        stat, argmax = TESTS["lr"].statistic(a, b, params)
+        assert argmax is None and math.isfinite(stat) and stat > math.log(np.finfo(float).max)
+        assert stat >= TESTS["lr"].threshold(params) == 0.0
+
+    def test_lr_leaves_the_shared_table_unchanged(self):
+        params = ErParams(7, 0.4, 0.8)
+        a, b, _ = sample_planted_er(params, 18)
+        with detect.shared_table():
+            table = detect._pair_values(a, b)
+            before = table.copy()
+            want = detect.log_likelihood_ratio_exact(a, b, params)
+            assert np.array_equal(table, before) and detect._pair_values(a, b) is table
+        assert detect.log_likelihood_ratio_exact(a, b, params) == want

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from graphcorr.experiments import (
     sweep_rows,
     threshold_curves,
 )
-from graphcorr.detect import LR_EXACT_DEFAULT_LIMIT, QAP_EXACT_DEFAULT_LIMIT
+from graphcorr.detect import QAP_EXACT_DEFAULT_LIMIT
 from graphcorr.errors import ExactLimitError, FieldError
 from graphcorr.moments import exact_er_lr_table
 from graphcorr.sampling import ErParams
@@ -119,11 +120,26 @@ class TestSweep:
         assert err.value.field == "master_seed"
 
     def test_rejects_test_above_its_size_limit(self):
-        self.small_config(tests=("lr",), n_values=(LR_EXACT_DEFAULT_LIMIT,), s_values=(0.9,))
-        with pytest.raises(ValueError, match="limited to n <= "):
-            self.small_config(tests=("lr",), n_values=(5, LR_EXACT_DEFAULT_LIMIT + 1))
+        self.small_config(tests=("lr",), n_values=(QAP_EXACT_DEFAULT_LIMIT,), s_values=(0.9,))
+        with pytest.raises(ValueError, match="limited to n <= 10, got n=11"):
+            self.small_config(tests=("lr",), n_values=(5, QAP_EXACT_DEFAULT_LIMIT + 1))
         with pytest.raises(ValueError, match="limited to n <= "):
             self.small_config(tests=("qap-exact",), n_values=(QAP_EXACT_DEFAULT_LIMIT + 1,))
+
+    @pytest.mark.parametrize("tests, repeated", [(("lr", "lr"), ["lr"]), (("edges", "qap-ls", "edges"), ["edges"])])
+    def test_rejects_a_repeated_test(self, tests, repeated):
+        with pytest.raises(FieldError, match=re.escape(f"repeated tests: {repeated}")) as err:
+            self.small_config(tests=tests, n_values=(6,), s_values=(0.9,))
+        assert err.value.field == "tests"
+        self.small_config(tests=("edges",), n_values=(6, 6), s_values=(0.9, 0.9))  # repeated grid values stay
+
+    def test_lr_runs_up_to_the_exact_limit(self):
+        config = SweepConfig(
+            model="er", n_values=(8, 9, QAP_EXACT_DEFAULT_LIMIT), tests=("lr", "qap-exact"), trials=1,
+            master_seed=3, p_values=(0.5,), s_values=(0.9,),
+        )
+        rows = [row.split(",") for row in sweep_rows(config)]
+        assert [(row[1], row[5]) for row in rows] == [(n, t) for n in ("8", "9", "10") for t in ("lr", "qap-exact")]
 
     def test_rejects_test_on_unsupported_model(self):
         with pytest.raises(ValueError, match="does not apply to the gaussian model"):
