@@ -216,7 +216,10 @@ def _parse_counts(flag: str, text: str) -> dict[int, int]:
         parts = item.split(":")
         if len(parts) != 2 or not all(part.strip().isdecimal() for part in parts):
             raise ValueError(f"{flag}: expected length:count of nonnegative integers, got {item!r}")
-        out[int(parts[0])] = int(parts[1])
+        length, count = map(int, parts)
+        if length in out:
+            raise ValueError(f"{flag}: length {length} is given twice")
+        out[length] = count
     return out
 
 

@@ -12,6 +12,7 @@ Vertices are 0-based internally; the text file formats are 1-based.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -139,20 +140,18 @@ class Permutation:
 
 # -- the lexicographic order of S_n that every exact routine follows --
 
-_PERMUTATION_TABLES: dict[int, np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def permutation_table(n: int) -> np.ndarray:
-    """All permutations of [n] in lexicographic order as a cached, read-only (n!, n) int8 array."""
-    if n not in _PERMUTATION_TABLES:
-        arr = np.fromiter(
-            itertools.chain.from_iterable(itertools.permutations(range(n))),
-            dtype=np.int8,
-            count=math.factorial(n) * n,
-        ).reshape(math.factorial(n), n)
-        arr.flags.writeable = False
-        _PERMUTATION_TABLES[n] = arr
-    return _PERMUTATION_TABLES[n]
+    """All permutations of [n] in lexicographic order as a cached, read-only (n!, n) int8 array.  Supports n <= 10."""
+    if n > 10:
+        raise ExactLimitError(f"the table of S_n supports n <= 10, got n={n}")
+    arr = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(n))),
+        dtype=np.int8,
+        count=math.factorial(n) * n,
+    ).reshape(math.factorial(n), n)
+    arr.flags.writeable = False
+    return arr
 
 
 def edge_code_maps(n: int) -> np.ndarray:

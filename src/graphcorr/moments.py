@@ -25,8 +25,8 @@ from .orbits import (
     CycleType,
     EdgeOrbit,
     census_from_cycle_type,
+    components,
     cycle_type,
-    node_cycles,
     orbits_up_to,
 )
 from .sampling import ErParams, GaussianParams, random_permutation, rho_er, rng_from_seed
@@ -194,6 +194,14 @@ def _orbit_factor_log(params, census_items) -> float:
     return sum(nk * math.log(f(k)) for k, nk in census_items)
 
 
+def _orbit_factor(params, census_items) -> float:
+    """exp of :func:`_orbit_factor_log`, or inf where that passes the float range."""
+    try:
+        return math.exp(_orbit_factor_log(params, census_items))
+    except OverflowError:
+        return math.inf
+
+
 @functools.lru_cache(maxsize=SECOND_MOMENT_EXACT_LIMIT)
 def _cycle_type_table(n: int) -> tuple:
     """Read-only (cycle type, weight, census) rows of S_n, for :func:`second_moment_exact`."""
@@ -216,8 +224,8 @@ def second_moment_exact(params) -> SecondMomentReport:
     total = Fraction(0)  # exact accumulation; the rho = 0 value is exactly 1
     contribs = []
     for ct, weight, census in _cycle_type_table(n):
-        factor = math.exp(_orbit_factor_log(params, census))
-        total += weight * Fraction(factor)
+        factor = _orbit_factor(params, census)
+        total += weight * Fraction(factor) if factor < math.inf else math.inf
         contribs.append((ct.counts, float(weight), factor))
     return SecondMomentReport(model, n, float(total), tuple(contribs))
 
@@ -231,9 +239,10 @@ def second_moment_mc(params, trials: int = 2000, seed=0) -> SecondMomentReport:
     vals = np.empty(trials)
     for t in range(trials):
         census = census_from_cycle_type(cycle_type(random_permutation(params.n, rng))).items()
-        vals[t] = math.exp(_orbit_factor_log(params, census))
-    hw = 1.96 * float(vals.std(ddof=1)) / math.sqrt(trials)
-    return SecondMomentReport(model, params.n, float(vals.mean()), (), hw)
+        vals[t] = _orbit_factor(params, census)
+    mean = float(vals.mean())
+    hw = 1.96 * float(vals.std(ddof=1)) / math.sqrt(trials) if mean < math.inf else math.inf
+    return SecondMomentReport(model, params.n, mean, (), hw)
 
 
 def _er_kernel_code_matrix(m: int, p: float, s: float) -> np.ndarray:
@@ -290,50 +299,6 @@ def second_moment_bruteforce_er(params: ErParams) -> float:
 # -- generating functions of orbit (pseudo)forests -------------------------------
 
 
-def _orbit_unions(sigma: Permutation, orbits: list[EdgeOrbit]):
-    """Orbit subsets whose union is a pseudoforest, flagged when it is a forest: the lister behind
-    :func:`enumerate_orbit_pseudoforests`.
-
-    Yields (indices, edge count, forest) per nonempty subset, depth first in
-    index order, each subset before its extensions; positive excess prunes
-    every extension.  ``forest`` holds when every join left negative excess;
-    a subgraph of a forest is a forest, so those subsets come in the order of
-    a search pruned at -1.  The search runs on node cycles: an orbit covers
-    the cycles it touches, and the union's components inside one contracted
-    component form one orbit under sigma, so they share the excess sign of
-    the summed orbit lengths minus the summed cycle lengths, and both tests
-    are exact.  Joins write ``parent`` and ``excess``; ``undo`` restores them.
-    """
-    cycles = node_cycles(sigma)[0]
-    index = {v: c for c, cyc in enumerate(cycles) for v in cyc}
-    ends = [(index[o.edges[0][0]], index[o.edges[0][1]], len(o)) for o in orbits]
-    parent, excess = list(range(len(cycles))), [-len(cyc) for cyc in cycles]
-    chosen, undo = [], []
-    count, forest, j = 0, True, 0
-    while True:
-        if j < len(ends):
-            ru, rv, length = ends[j]
-            while parent[ru] != ru:
-                ru = parent[ru]
-            while parent[rv] != rv:
-                rv = parent[rv]
-            x = excess[ru] + length + (excess[rv] if rv != ru else 0)
-            if x <= 0:
-                undo.append((ru, excess[ru], rv, count, forest))
-                parent[rv], excess[ru] = ru, x
-                chosen.append(j)
-                count += length
-                forest = forest and x < 0
-                yield tuple(chosen), count, forest
-            j += 1
-        elif chosen:
-            ru, excess_ru, rv, count, forest = undo.pop()
-            parent[rv], excess[ru] = rv, excess_ru
-            j = chosen.pop() + 1
-        else:
-            return
-
-
 def _short_orbits_checked(sigma: Permutation, k: int, limit: int) -> list[EdgeOrbit]:
     """orbits_up_to(sigma, k), refused before any orbit is built when the census counts more than ``limit``."""
     if k < 1:
@@ -367,7 +332,8 @@ def _orbit_forest_counts(short: tuple[int, ...], k: int) -> tuple[tuple[tuple[in
     over orbits in S; conn(S) = all(S) - sum conn(T) all(S - T) over min S in
     T < S; F(S) = sum trunc(conn(T)) F(S - T) over min S in T, with trunc
     keeping w(T) edges (``pcut``, pseudoforests) or w(T) - 1 (``fcut``,
-    forests), w the summed cycle length: the excess test of :func:`_orbit_unions`.
+    forests), w the summed cycle length: the union's components inside a
+    connected T are images of each other under sigma, so they share T's excess sign.
     Refuses past ``GF_WORK_LIMIT`` units of estimated work, before the subset DP.
     """
     weights, groups = _contracted(short, k)
@@ -445,12 +411,20 @@ def gf_orbit_forests_bruteforce(sigma: Permutation, k: int, s: float) -> float:
 def enumerate_orbit_pseudoforests(sigma: Permutation, k: int, limit: int = GF_ORBIT_LIMIT):
     """Yield every orbit pseudoforest (as a list of orbits) assembled from short orbits.
 
-    Subsets come lazily, depth first in orbit order; the empty union is not
-    yielded.
+    Subsets come lazily, depth first in orbit order, each before its
+    extensions; the empty union is not yielded.  A union with a component of
+    more edges than vertices is dropped with every extension of its subset.
     """
     orbits = _short_orbits_checked(sigma, k, limit)
-    for subset, _, _ in _orbit_unions(sigma, orbits):
-        yield [orbits[j] for j in subset]
+
+    def extend(start: int, chosen: tuple[EdgeOrbit, ...], union: tuple[tuple[int, int], ...]):
+        for j in range(start, len(orbits)):
+            edges = union + orbits[j].edges
+            if all(e <= len(vs) for vs, e in components(sigma.n, edges)):
+                yield list(subset := chosen + (orbits[j],))
+                yield from extend(j + 1, subset, edges)
+
+    yield from extend(0, (), ())
 
 
 def gf_bound_pseudoforest(ct: CycleType, k: int, s: float) -> float:

@@ -261,16 +261,11 @@ class OrbitClass:
         return f"{self.kind}_{self.m}"
 
 
-def _orbit_lookup(sigma: Permutation):
-    """Node cycles of sigma and the map from each node to its cycle."""
-    orbits, _ = node_cycles(sigma)
-    return orbits, {v: orb for orb in orbits for v in orb}
-
-
 @functools.lru_cache(maxsize=1)
 def _cached_lookup(sigma: Permutation):
-    """:func:`_orbit_lookup` of the last sigma (read-only), for building and classifying its orbits in turn."""
-    return _orbit_lookup(sigma)
+    """Node cycles of sigma and the map from each node to its cycle, kept for the last sigma (read-only)."""
+    orbits, _ = node_cycles(sigma)
+    return orbits, {v: orb for orb in orbits for v in orb}
 
 
 def _oriented(a: tuple[int, ...], b: tuple[int, ...]):
@@ -438,7 +433,7 @@ def backbone(sigma: Permutation, h: BinaryGraph, k: int) -> BackboneGraph:
     Raises if ``h`` is not a union of complete edge orbits drawn from the
     short-orbit set.
     """
-    node_orbits, of_node = _orbit_lookup(sigma)
+    node_orbits, of_node = _cached_lookup(sigma)
     short = [orb for orb in node_orbits if len(orb) <= k]
     gid_of_orbit = {}
     by_level: dict[int, list] = {}

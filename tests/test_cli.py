@@ -361,6 +361,8 @@ class TestEnumerateCommand:
             (["--cycle-type", "2:1,5:0"], "orbit length 5 exceeds n=2"),
             (["--cycle-type", "2:1", "--k", "0"], "k must be >= 1"),  # the last --k wins
             (["--cycle-type", "2:1", "--k", "-1"], "k must be >= 1"),
+            (["--cycle-type", "2:1,2:2"], "--cycle-type: length 2 is given twice"),
+            (["--cycle-type", "2:2", "--a", "2:5,2:1"], "--a: length 2 is given twice"),
         ],
     )
     def test_rejected_counts_exit_with_one_line(self, argv, message):
@@ -584,6 +586,11 @@ class TestOtherCommands:
             "--trials", "50",
         )
         assert code == 0 and out.splitlines()[1].split(",")[3] == "False"
+
+    @pytest.mark.parametrize("n, line", [(8, "gaussian,8,inf,True,"), (40, "gaussian,40,inf,False,inf")])
+    def test_moments_past_the_float_range_print_inf(self, capsys, n, line):
+        code, out = run(capsys, "moments", "--model", "gaussian", "--n", str(n), "--rho", "0.9999999999999999", "--trials", "20")
+        assert code == 0 and out.splitlines()[1] == line
 
     def test_moments_rejects_one_trial_with_one_line(self):
         with pytest.raises(SystemExit) as err:

@@ -6,7 +6,7 @@ import pytest
 
 from graphcorr.errors import ExactLimitError
 from graphcorr.graphs import BinaryGraph, Permutation
-from graphcorr.moments import enumerate_orbit_pseudoforests, _orbit_unions, _short_orbits_checked
+from graphcorr.moments import enumerate_orbit_pseudoforests
 from graphcorr.orbits import (
     BackboneGraph,
     CycleType,
@@ -598,18 +598,12 @@ class TestBruteForceAgreement:
             n = int(rng.integers(5, 9))
             sigma = Permutation(tuple(int(v) for v in rng.permutation(n)))
             k = 4
-            orbits = _short_orbits_checked(sigma, k, 24)
-            found = [subset for subset, _, _ in _orbit_unions(sigma, orbits)]
-            for subset in found:
-                union = frozenset().union(*(orbits[j].edge_set() for j in subset))
-                gamma = backbone(sigma, BinaryGraph(n, union), k)
+            for found in enumerate_orbit_pseudoforests(sigma, k):
+                g = BinaryGraph(n, frozenset().union(*(o.edge_set() for o in found)))
+                gamma = backbone(sigma, g, k)
                 assert validate_pseudoforest(gamma)[0]
-            trees = [subset for subset, _, tree in _orbit_unions(sigma, orbits) if tree]
-            for subset in trees:
-                union = frozenset().union(*(orbits[j].edge_set() for j in subset))
-                assert is_forest(BinaryGraph(n, union))
-                gamma = backbone(sigma, BinaryGraph(n, union), k)
-                assert validate_forest(gamma)[0]
+                if is_forest(g):
+                    assert validate_forest(gamma)[0]
 
     def test_pseudoforests_come_lazily(self, deadline):
         # the 36 edges of K_9 are the identity's orbits at k = 1; K_8 alone has
@@ -665,14 +659,8 @@ class TestLemmaPlainPredicate:
             k = 4
             node_orbs, _ = node_cycles(sigma)
             of_node = {v: orb for orb in node_orbs for v in orb}
-            orbits = _short_orbits_checked(sigma, k, 24)
-            found = [()] + [subset for subset, _, _ in _orbit_unions(sigma, orbits)]
-            for subset in found[: 40]:
-                union = (
-                    frozenset().union(*(orbits[j].edge_set() for j in subset))
-                    if subset
-                    else frozenset()
-                )
+            for found in [[]] + list(itertools.islice(enumerate_orbit_pseudoforests(sigma, k), 39)):
+                union = frozenset().union(*(o.edge_set() for o in found))
                 gamma = backbone(sigma, BinaryGraph(n, union), k)
                 from graphcorr.enumeration import _level_structure
 

@@ -525,6 +525,15 @@ class TestPermutationWalk:
         assert maps.dtype == np.int64
         np.testing.assert_array_equal(maps, _edge_perm_codes_loop(n))
 
+    def test_table_refuses_past_ten_before_building(self, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(np, "fromiter", no_table)  # 13! * 13 int8 entries would be about 81 GB
+        for n in (11, 13):
+            with pytest.raises(ExactLimitError, match=f"supports n <= 10, got n={n}"):
+                permutation_table(n)
+
     def test_edge_code_maps_refuse_n5(self):
         with pytest.raises(ExactLimitError):
             edge_code_maps(5)

@@ -9,7 +9,8 @@ handler in the package or its tests catches ``Exception``,
 top-level function and class is read by the package, or is a paper object
 named in ``PAPER_OBJECTS``, so no helper lives on for its own test only.
 Every name a test module imports is read in it, so no import outlives the
-code that used it.
+code that used it.  Only ``orbits`` assigns through a ``parent[...]``
+subscript, so ``orbits.components`` stays the package's one union-find.
 """
 
 import ast
@@ -193,3 +194,23 @@ def test_test_modules_read_every_import(path):
 def test_unused_import_rule_catches_one():
     tree = ast.parse("import os, sys as system\nfrom math import pi, tau\nprint(system.argv, pi)\n")
     assert list(_unused_imports(tree)) == [(1, "os"), (2, "tau")]
+
+
+def _parent_writes(tree):
+    """Line numbers of stores through a ``parent[...]`` subscript, the mark of a union-find."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            if ast.unparse(node.value).split(".")[-1] == "parent":
+                yield node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "orbits"], ids=lambda p: p.stem)
+def test_one_union_find(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bad = [f"{path.name}:{no}: a parent[...] write outside orbits.components" for no in _parent_writes(tree)]
+    assert not bad, "\n".join(bad)
+
+
+def test_union_find_rule_catches_each_form():
+    src = "parent[v] = u\nparent[a], size[b] = b, 1\nself.parent[v] += 1\nx = parent[v]\nparents[v] = parent[u]\n"
+    assert sorted(_parent_writes(ast.parse(src))) == [1, 2, 3]

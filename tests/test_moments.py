@@ -17,6 +17,7 @@ from graphcorr.graphs import BinaryGraph, Permutation
 from graphcorr.moments import (
     cycle_count_product_average,
     cycle_type_tv_check,
+    enumerate_orbit_pseudoforests,
     gf_bound_forest,
     gf_bound_pseudoforest,
     gf_orbit_forests_bruteforce,
@@ -34,12 +35,11 @@ from graphcorr.moments import (
     second_moment_bruteforce_er,
     second_moment_exact,
     second_moment_mc,
-    _orbit_unions,
 )
 from graphcorr.detect import kernel_er
 from graphcorr.orbits import (
     census_from_cycle_type,
-    components,
+    connected_components,
     cycle_type,
     edge_orbits,
     is_pseudoforest,
@@ -184,6 +184,14 @@ class TestSecondMoment:
             second_moment_mc(ErParams(6, 0.3, 0.6), trials=1)
         assert math.isfinite(second_moment_mc(ErParams(6, 0.3, 0.6), trials=2).mc_halfwidth)
 
+    def test_past_the_float_range_reads_inf(self):
+        # near rho = 1 the orbit products pass the float range: inf, not OverflowError
+        rho = math.nextafter(1.0, 0.0)
+        report = second_moment_exact(GaussianParams(8, rho))
+        assert report.value == math.inf and math.inf in {factor for *_, factor in report.contributions}
+        report = second_moment_mc(GaussianParams(40, rho), trials=20)
+        assert report.value == report.mc_halfwidth == math.inf
+
     def test_refusal(self):
         with pytest.raises(ExactLimitError):
             second_moment_exact(GaussianParams(9, 0.1))
@@ -191,42 +199,28 @@ class TestSecondMoment:
             second_moment_bruteforce_er(ErParams(5, 0.3, 0.5))
 
 
+def orbit_pseudoforests_by_bitmask(sigma: Permutation, orbits):
+    """Independent oracle: (subset, edge count, forest) for every orbit subset whose union passes is_pseudoforest.
+
+    Subsets are index tuples, the empty one included, in lexicographic order;
+    ``forest`` holds when every component of the union has fewer edges than vertices.
+    """
+    found = []
+    for mask in range(1 << len(orbits)):
+        subset = tuple(j for j in range(len(orbits)) if mask >> j & 1)
+        edges = frozenset(e for j in subset for e in orbits[j].edges)
+        g = BinaryGraph(sigma.n, edges)
+        if is_pseudoforest(g):
+            found.append((subset, len(edges), all(e < len(vs) for vs, e in connected_components(g))))
+    return sorted(found)
+
+
 def gf_orbit_pseudoforests_unpruned(sigma: Permutation, k: int, s: float) -> float:
     """Independent oracle: test every subset of short orbits without pruning."""
     orbits = orbits_up_to(sigma, k)
     if len(orbits) > 16:
         raise ExactLimitError("unpruned oracle supports at most 16 orbits")
-    total = 0.0
-    for mask in range(1 << len(orbits)):
-        edges = set()
-        for j in range(len(orbits)):
-            if mask >> j & 1:
-                edges |= orbits[j].edge_set()
-        g = BinaryGraph(sigma.n, frozenset(edges))
-        if is_pseudoforest(g):
-            total += s ** (2 * len(edges))
-    return total
-
-
-def orbit_unions_oracle(sigma, orbits, max_excess: int):
-    """The orbit-union search on real vertices: the components of each candidate subset from scratch.
-
-    Same depth-first index order and pruning as the contracted search, with
-    the excess of every component counted edge by edge.
-    """
-
-    def fits(subset) -> bool:
-        edges = [e for j in subset for e in orbits[j].edges]
-        return all(e - len(vs) <= max_excess for vs, e in components(sigma.n, edges))
-
-    def rec(start: int, chosen: tuple[int, ...], edge_count: int):
-        for j in range(start, len(orbits)):
-            subset, count = chosen + (j,), edge_count + len(orbits[j])
-            if fits(subset):
-                yield subset, count
-                yield from rec(j + 1, subset, count)
-
-    return rec(0, (), 0)
+    return sum(s ** (2 * count) for _, count, _ in orbit_pseudoforests_by_bitmask(sigma, orbits))
 
 
 def tuple_join(root: tuple[int, ...], excess: tuple[int, ...], u: int, v: int, length: int):
@@ -246,7 +240,8 @@ def tuple_join(root: tuple[int, ...], excess: tuple[int, ...], u: int, v: int, l
 def orbit_unions_tuple_oracle(sigma: Permutation, orbits):
     """The contracted search on fresh tuples: every join builds a new state, nothing is undone.
 
-    Yields what ``moments._orbit_unions`` yields, in the same order.
+    Yields (subset, edge count, forest) per nonempty orbit subset whose union
+    is a pseudoforest, depth first in index order, each before its extensions.
     """
     cycles = node_cycles(sigma)[0]
     index = {v: c for c, cyc in enumerate(cycles) for v in cyc}
@@ -288,35 +283,32 @@ def short_type(sigma: Permutation, k: int) -> tuple[int, ...]:
     return cycle_type(sigma).counts[:k]
 
 
+def lister_cells(n: int):
+    """(sigma, k): every sigma in S_n at k <= 4 for n <= 5, else 12 seeded draws with 4-10 short orbits."""
+    if n <= 5:
+        yield from ((Permutation(perm), k) for perm in itertools.permutations(range(n)) for k in range(1, 5))
+        return
+    rng, count = rng_from_seed(n), 12
+    while count:
+        sigma, k = Permutation(tuple(int(v) for v in rng.permutation(n))), int(rng.integers(1, 5))
+        if 4 <= len(orbits_up_to(sigma, k)) <= 10:
+            count -= 1
+            yield sigma, k
+
+
 class TestContractedSearch:
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_same_subsets_as_vertex_search(self, n):
-        # every sigma in S_n, k <= 4: the node-cycle search yields the same
-        # (subset, edge count) list in the same order as the vertex search
-        # pruned at excess 0, and its forest-flagged part the list pruned at -1
-        for perm in itertools.permutations(range(n)):
-            sigma = Permutation(perm)
-            for k in range(1, 5):
-                orbits = orbits_up_to(sigma, k)
-                got = list(_orbit_unions(sigma, orbits))
-                pseudo = [(subset, count) for subset, count, _ in got]
-                forest = [(subset, count) for subset, count, tree in got if tree]
-                assert pseudo == list(orbit_unions_oracle(sigma, orbits, 0)), (perm, k)
-                assert forest == list(orbit_unions_oracle(sigma, orbits, -1)), (perm, k)
-
-    def test_in_place_search_yields_the_tuple_search(self):
-        # the undo-log search against the tuple search it replaced: whole
-        # (subset, edge count, forest) lists, compared exactly
-        for sigma, k in theory_sized_sigmas(200, seed=19):
+        # the lister, and the contracted tuple search behind the count oracle,
+        # yield the subsets the bitmask search over vertices keeps, in its
+        # order; the tuple search also gets each edge count and forest flag
+        for sigma, k in lister_cells(n):
             orbits = orbits_up_to(sigma, k)
-            assert list(_orbit_unions(sigma, orbits)) == list(orbit_unions_tuple_oracle(sigma, orbits))
-
-    def test_in_place_search_on_many_orbits(self):
-        sigma = Permutation.from_cycles(9, [(0, 1), (2, 3), (4, 5)])
-        orbits = orbits_up_to(sigma, 2)
-        got = list(_orbit_unions(sigma, orbits))
-        assert len(orbits) == 21 and len(got) == 17137
-        assert got == list(orbit_unions_tuple_oracle(sigma, orbits))
+            want = orbit_pseudoforests_by_bitmask(sigma, orbits)
+            position = {o: j for j, o in enumerate(orbits)}
+            listed = [tuple(position[o] for o in found) for found in enumerate_orbit_pseudoforests(sigma, k)]
+            assert [()] + listed == [subset for subset, _, _ in want], (sigma.mapping, k)
+            assert [((), 0, True)] + list(orbit_unions_tuple_oracle(sigma, orbits)) == want, (sigma.mapping, k)
 
     @pytest.mark.parametrize("s", [0.05, 0.3, 1.0])
     def test_gf_sums_add_the_tuple_search_terms_in_order(self, s):
@@ -376,14 +368,14 @@ class TestOrbitForestCounts:
 
     def test_identity_totals(self, deadline):
         # the forest totals of K_n are the labeled-forest numbers (OEIS A001858);
-        # the pseudoforest totals are the search's subsets plus the empty union
+        # the pseudoforest totals are the lister's subsets plus the empty union
         forests = [1, 2, 7, 38, 291, 2932, 36961, 561948, 10026505, 205608536]
         for n, want in enumerate(forests, 1):
             pseudo, forest = moments._orbit_forest_counts((n,), 1)
             assert sum(c for _, c in forest) == want
             if n <= 7:
                 sigma = Permutation.identity(n)
-                assert sum(c for _, c in pseudo) == 1 + sum(1 for _ in _orbit_unions(sigma, orbits_up_to(sigma, 1)))
+                assert sum(c for _, c in pseudo) == 1 + sum(1 for _ in enumerate_orbit_pseudoforests(sigma, 1))
         moments._orbit_forest_counts.cache_clear()
         with deadline(1.0, "the identity on 9 nodes at k = 1"):
             value = gf_orbit_pseudoforests_bruteforce(Permutation.identity(9), 1, 1.0)
