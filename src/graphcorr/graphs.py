@@ -2,7 +2,10 @@
 
 A binary graph stores its edge set as one sorted, distinct, read-only int64
 array of pair indices (``index``, ranked as in :func:`pair_index`); ``edges``
-is a frozen set of canonical vertex pairs derived from it on first use.
+is a frozen set of canonical vertex pairs derived from it on first use.  A
+graph built from indices that are valid by construction (sampler output, or
+a graph's own index under a bijection) keeps them raw and sorts, and pushes
+them through its node map, only when ``index`` is first read.
 Weighted graphs are read-only symmetric numpy arrays.  Permutations are
 tuples with a read-only int64 array view.  All values are immutable after
 construction and safe to share across threads.
@@ -26,6 +29,7 @@ __all__ = [
     "Permutation",
     "BinaryGraph",
     "WeightedGraph",
+    "check_vertex_count",
     "canonical_pair",
     "pair_index",
     "pairs_from_indices",
@@ -203,16 +207,30 @@ def symmetric_from_flat(n: int, flat: np.ndarray) -> np.ndarray:
     return w + w.T
 
 
+def check_vertex_count(n) -> int:
+    """``n`` as an int; a bool or anything but an integer is refused with a ``ValueError`` that names ``n``."""
+    # operator.index rejects 3.0 and '3' rather than truncate or parse them, but takes True as 1
+    if not isinstance(n, bool):
+        try:
+            return operator.index(n)
+        except TypeError:
+            pass
+    raise ValueError(f"the number of vertices n must be an integer, got {n!r}")
+
+
 class BinaryGraph:
     """A simple undirected graph on ``n`` labeled vertices, no self-loops.
 
     ``BinaryGraph(n, pairs)`` takes vertex pairs in either orientation;
     :meth:`from_indices` takes pair indices.  Both validate their input.
+    :meth:`from_trusted_indices` takes pair indices that are valid by
+    construction, checks nothing, and sorts them on first read of ``index``.
     """
 
-    __slots__ = ("n", "index", "_edges")
+    __slots__ = ("n", "_raw", "_node_map", "_index", "_edges")
 
     def __init__(self, n: int, edges=frozenset()):
+        n = check_vertex_count(n)
         try:
             # unlike int(), operator.index rejects 0.5 and '1' rather than truncate or parse them
             canon = frozenset(canonical_pair(operator.index(i), operator.index(j)) for i, j in edges)
@@ -225,7 +243,23 @@ class BinaryGraph:
     def from_indices(cls, n: int, idx) -> "BinaryGraph":
         """The graph whose edges have the distinct pair indices ``idx``, given in any order."""
         g = cls.__new__(cls)
-        g._init(n, idx, None)
+        g._init(check_vertex_count(n), idx, None)
+        return g
+
+    @classmethod
+    def from_trusted_indices(cls, n: int, idx: np.ndarray, node_map: np.ndarray | None = None) -> "BinaryGraph":
+        """The graph with an edge {node_map[i], node_map[j]} for each pair {i, j} indexed by ``idx``; nothing is checked.
+
+        The caller guarantees what :meth:`from_indices` would check: ``n`` is
+        an int >= 0, ``idx`` is a one-dimensional int64 array of distinct pair
+        indices in [0, C(n,2)) in any order, and ``node_map``, if given, is a
+        bijection on [n] as an int64 array; neither array is written to later.
+        ``edge_count`` reads ``len(idx)``.  The relabel and the sort run when
+        ``index`` is first read, so a graph read only for its edge count
+        never pays for them.
+        """
+        g = cls.__new__(cls)
+        g._store(n, idx, node_map, None, None)
         return g
 
     def _init(self, n: int, idx, edges: frozenset | None) -> None:
@@ -240,15 +274,28 @@ class BinaryGraph:
         if (idx[1:] == idx[:-1]).any():
             raise ValueError("duplicate pair index")
         idx.flags.writeable = False
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "index", idx)
-        object.__setattr__(self, "_edges", edges)
+        self._store(n, idx, None, idx, edges)
+
+    def _store(self, n: int, raw: np.ndarray, node_map: np.ndarray | None, index: np.ndarray | None, edges) -> None:
+        for name, value in zip(self.__slots__, (n, raw, node_map, index, edges)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("BinaryGraph is immutable")
 
     def __reduce__(self):
         return BinaryGraph.from_indices, (self.n, self.index)
+
+    @property
+    def index(self) -> np.ndarray:
+        """The sorted, distinct pair indices of the edges, a read-only int64 array."""
+        if self._index is None:
+            raw, node_map = self._raw, self._node_map
+            idx = np.sort(raw if node_map is None else map_pair_indices(raw, self.n, node_map))
+            idx.flags.writeable = False
+            # a cache of a pure function, like edges: threads that race here store equal arrays
+            object.__setattr__(self, "_index", idx)
+        return self._index
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinaryGraph):
@@ -271,7 +318,7 @@ class BinaryGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.index)
+        return len(self._raw)
 
     def has_edge(self, i: int, j: int) -> bool:
         i, j = canonical_pair(i, j)
@@ -337,7 +384,7 @@ def relabel(g: Graph, pi: Permutation) -> Graph:
     if pi.n != g.n:
         raise ValueError(f"permutation size {pi.n} != graph size {g.n}")
     if isinstance(g, BinaryGraph):
-        return BinaryGraph.from_indices(g.n, map_pair_indices(g.index, g.n, pi.invert().array))
+        return BinaryGraph.from_trusted_indices(g.n, g.index, pi.invert().array)
     return WeightedGraph(g.weight[np.ix_(pi.array, pi.array)])
 
 

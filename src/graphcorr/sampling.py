@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import BinaryGraph, Permutation, WeightedGraph, map_pair_indices, symmetric_from_flat
+from .graphs import BinaryGraph, Permutation, WeightedGraph, check_vertex_count, symmetric_from_flat
 
 __all__ = [
     "GaussianParams",
@@ -33,6 +33,14 @@ __all__ = [
 ]
 
 
+def _check_n(params) -> None:
+    """Refuse a bool, a non-integer or a value below 1 as ``params.n``; store an int ``n`` as a plain int."""
+    n = check_vertex_count(params.n)
+    if n < 1:
+        raise ValueError("n must be positive")
+    object.__setattr__(params, "n", n)
+
+
 @dataclass(frozen=True)
 class GaussianParams:
     """Correlated Gaussian weight model: n nodes, correlation rho in [0, 1)."""
@@ -43,8 +51,7 @@ class GaussianParams:
     def __post_init__(self):
         if not 0 <= self.rho < 1:
             raise ValueError("rho must lie in [0, 1)")
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        _check_n(self)
 
 
 @dataclass(frozen=True)
@@ -63,8 +70,7 @@ class ErParams:
             raise ValueError("p must lie in (0, 1)")
         if not 0 < self.s <= 1:
             raise ValueError("s must lie in (0, 1]")
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        _check_n(self)
 
 
 @dataclass(frozen=True)
@@ -148,17 +154,12 @@ def _gnp_indices(m: int, q: float, rng: np.random.Generator, forbidden=None) -> 
     return r + np.searchsorted(f - np.arange(len(f)), r, side="right")
 
 
-def _indices_to_graph(n: int, idx: np.ndarray, pi: Permutation | None = None) -> BinaryGraph:
-    """Graph on the pairs ``idx``, each pair (i, j) placed at (pi(i), pi(j))."""
-    return BinaryGraph.from_indices(n, idx if pi is None else map_pair_indices(idx, n, pi.array))
-
-
 def sample_null_er(params: ErParams, seed: SeedSpec | int):
     """Two independent G(n, ps) graphs."""
     rng = rng_from_seed(seed)
     n, m, q = params.n, params.n * (params.n - 1) // 2, params.p * params.s
-    a = _indices_to_graph(n, _gnp_indices(m, q, rng))
-    b = _indices_to_graph(n, _gnp_indices(m, q, rng))
+    a = BinaryGraph.from_trusted_indices(n, _gnp_indices(m, q, rng))
+    b = BinaryGraph.from_trusted_indices(n, _gnp_indices(m, q, rng))
     return a, b
 
 
@@ -176,5 +177,7 @@ def sample_planted_er(params: ErParams, seed: SeedSpec | int):
     a_idx = _gnp_indices(m, p * s, rng)
     keep = a_idx[rng.random(len(a_idx)) < s]
     fresh = _gnp_indices(m, p * s * (1 - s) / (1 - p * s), rng, forbidden=a_idx)
-    return _indices_to_graph(n, a_idx), _indices_to_graph(n, np.concatenate([keep, fresh]), pi), pi
+    # choice(replace=False) draws distinct indices, fresh avoids a_idx and pi is a bijection
+    b_idx = np.concatenate([keep, fresh])
+    return BinaryGraph.from_trusted_indices(n, a_idx), BinaryGraph.from_trusted_indices(n, b_idx, pi.array), pi
 

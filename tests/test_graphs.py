@@ -310,6 +310,11 @@ class TestArrayAgainstSetOracle:
         assert sorted(moved.tolist()) == sorted(
             pair_index(pi(i), pi(j), a.n) for i, j in a.edges
         )
+        # relabel defers its sort; the value matches the eager, validated build
+        eager = BinaryGraph.from_indices(a.n, map_pair_indices(a.index, a.n, pi.invert().array))
+        lazy = relabel(a, pi)
+        assert lazy.edge_count == a.edge_count
+        assert lazy == eager and hash(lazy) == hash(eager) and not lazy.index.flags.writeable
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 12).flatmap(lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
@@ -341,6 +346,16 @@ class TestBinaryGraphValue:
     def test_rejects_negative_vertex_count(self, make):
         with pytest.raises(ValueError, match="number of vertices must be >= 0"):
             make()
+
+    @pytest.mark.parametrize("n", [3.0, np.float64(3), True, np.True_, "3", None])
+    @pytest.mark.parametrize("make", [BinaryGraph, lambda n: BinaryGraph.from_indices(n, [0])])
+    def test_rejects_non_integer_vertex_count(self, make, n):
+        with pytest.raises(ValueError, match="vertices n must be an integer"):
+            make(n)
+
+    def test_numpy_integer_vertex_count_is_an_int(self):
+        g = BinaryGraph.from_indices(np.int64(3), [0])
+        assert type(g.n) is int and g == BinaryGraph(3, [(0, 1)])
 
     def test_from_indices_sorts_and_copies(self):
         idx = np.array([5, 0, 3])

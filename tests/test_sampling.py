@@ -1,5 +1,8 @@
 import hashlib
 import math
+import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from graphcorr.detect import TESTS
 from graphcorr.graphs import BinaryGraph, intersect, relabel
-from graphcorr import sampling
+from graphcorr import graphs, sampling
 from graphcorr.sampling import (
     ErParams,
     GaussianParams,
@@ -60,7 +64,7 @@ def sample_planted_er_parent(params, seed):
     parent = sampling._gnp_indices(n * (n - 1) // 2, p, rng)
     a_idx = parent[rng.random(len(parent)) < s]
     matched = parent[rng.random(len(parent)) < s]
-    return sampling._indices_to_graph(n, a_idx), sampling._indices_to_graph(n, matched, pi), pi
+    return BinaryGraph.from_trusted_indices(n, a_idx), BinaryGraph.from_trusted_indices(n, matched, pi.array), pi
 
 
 def planted_gaussian_oracle(params, seed):
@@ -86,6 +90,28 @@ class TestParams:
         with pytest.raises(ValueError):
             ErParams(5, 0.5, 0.0)
         ErParams(5, 0.5, 1.0)  # s = 1 allowed
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ErParams(2.5, 0.5, 0.5),
+            lambda: ErParams(5.0, 0.5, 0.5),
+            lambda: ErParams(True, 0.5, 0.5),
+            lambda: ErParams("5", 0.5, 0.5),
+            lambda: GaussianParams(3.0, 0.5),
+            lambda: GaussianParams(True, 0.5),
+            lambda: GaussianParams(np.float64(3), 0.5),
+        ],
+    )
+    def test_rejects_non_integer_n(self, make):
+        with pytest.raises(ValueError, match="vertices n must be an integer"):
+            make()
+
+    def test_numpy_integer_n_is_an_int(self):
+        for params in (ErParams(np.int64(5), 0.5, 0.5), GaussianParams(np.int32(5), 0.5)):
+            assert type(params.n) is int and params.n == 5
+        with pytest.raises(ValueError, match="n must be positive"):
+            ErParams(0, 0.5, 0.5)
 
     def test_rho_er_values(self):
         assert rho_er(0.5, 1.0) == 1.0
@@ -146,6 +172,54 @@ class TestStreamPin:
                     for x in sampler(ErParams(n, p, 0.8), SeedSpec(seed, 5)):
                         h.update(repr(sorted(x.edges) if isinstance(x, BinaryGraph) else x.mapping).encode())
         assert h.hexdigest() == ER_STREAM_SHA256
+
+
+class TestSampledGraphs:
+    """Sampler graphs sort and relabel their pair indices on first read, into the same value as an eager build."""
+
+    @pytest.mark.parametrize("n", [1, 2, 30, 2000])
+    @pytest.mark.parametrize("p, s", [(0.01, 0.8), (0.01, 1.0), (1e-9, 1e-3)], ids=["er", "s=1", "empty"])
+    def test_value_matches_eager_build(self, n, p, s):
+        params = ErParams(n, p, s)
+        for sampler in (sample_null_er, sample_planted_er):
+            for t in range(2):
+                draw = sampler(params, SeedSpec(15, t))
+                for g in draw[:2]:
+                    count = g.edge_count  # read before anything builds index
+                    eager = BinaryGraph.from_indices(n, g.index)
+                    assert g.edge_count == count == len(g.index)
+                    assert g == eager and hash(g) == hash(eager)
+                    assert pickle.loads(pickle.dumps(g)) == g
+                    assert g.index.dtype == np.int64 and not g.index.flags.writeable
+                    assert (np.diff(g.index) > 0).all()
+                    if p < 1e-6:
+                        assert count == 0 and g.edges == frozenset()
+
+    def test_threads_racing_on_the_first_read_agree(self):
+        params = ErParams(300, 0.05, 0.8)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                for t in range(10):
+                    expected = sample_planted_er(params, SeedSpec(17, t))[1].index
+                    _, b, _ = sample_planted_er(params, SeedSpec(17, t))
+                    seen = list(pool.map(lambda _: b.index, range(16), timeout=60))
+                    assert all(np.array_equal(x, expected) and not x.flags.writeable for x in seen)
+        finally:
+            sys.setswitchinterval(old)
+
+    def test_edge_count_test_never_relabels(self, monkeypatch):
+        calls = []
+        real = graphs.map_pair_indices
+        monkeypatch.setattr(graphs, "map_pair_indices", lambda *args: calls.append(args) or real(*args))
+        params = ErParams(200, 0.1, 0.8)
+        a, b, _ = sample_planted_er(params, SeedSpec(16, 0))
+        TESTS["edges"].statistic(a, b, params)
+        assert calls == []
+        dense = b.to_dense()
+        assert len(calls) == 1
+        assert np.array_equal(b.to_dense(), dense) and b.edges and len(calls) == 1
 
 
 class TestGaussian:
