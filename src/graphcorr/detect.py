@@ -42,7 +42,7 @@ __all__ = [
 
 QAP_EXACT_DEFAULT_LIMIT = 10  # largest n whose n! table the exact statistics build
 LOCAL_SEARCH_KICK = 3  # random transpositions per perturbation between climbs
-CLIMB_TOL = 1e-12  # smallest 2-swap gain that _climb takes
+CLIMB_TOL = 1e-12  # smallest 2-swap gain _climb takes, relative to 4n·max|A|·max|B| where that exceeds 1
 CLIMB_BLOCK = 1 << 18  # entries per (rows, n, n) array of one batched climb; more starts climb in turn
 PROFILE_DEPTH = 3  # neighborhood-profile iterations of the rank-matching start
 SUFFIX = 5  # trailing positions whose orders all_statistic_values covers with one matmul per prefix
@@ -182,9 +182,9 @@ def qap_exact(a, b) -> tuple[float, Permutation]:
 def _climb(am: np.ndarray, bm: np.ndarray, p: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
     """First-improvement 2-swap hill climbing from every row of the (k, n) starts ``p`` at once.
 
-    Each row climbs as it would alone: a step swaps the row's first pair i < j,
-    in row-major order, whose gain exceeds ``CLIMB_TOL``.  The gains of the
-    whole (rows, n, n) block are read off g = A @ bp with bp = B[p][:, p].  A
+    Each row climbs as it would alone: a step swaps the row's first pair i < j, in row-major
+    order, whose gain exceeds ``CLIMB_TOL`` times 4n·max|A|·max|B| (at least 1).  The gains of
+    the whole (rows, n, n) block are read off g = A @ bp with bp = B[p][:, p].  A
     swap changes g by the rank-one term (A[:, i] − A[:, j]) (bp[j] − bp[i])ᵀ
     followed by swapping columns i and j, so neither the gather nor the matmul
     is redone.  A row with no improving pair leaves the batch.  The climb runs
@@ -205,7 +205,9 @@ def _climb(am: np.ndarray, bm: np.ndarray, p: np.ndarray, dtype) -> tuple[np.nda
     aw = am.astype(dtype, copy=False)
     am2 = 2 * aw
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    tol = np.dtype(dtype).type(CLIMB_TOL)  # 0 in an integer dtype, where a gain is at least 1
+    # rounding noise on large weights is no gain; 0 in an integer dtype, where a gain is at least 1
+    scale = 4 * n * float(np.abs(am).max(initial=0) * np.abs(bm).max(initial=0))
+    tol = np.dtype(dtype).type(CLIMB_TOL * max(1.0, scale))
     rows = np.arange(len(live))
     while live.size:
         d = np.diagonal(g, axis1=1, axis2=2)

@@ -29,6 +29,7 @@ __all__ = [
     "Permutation",
     "BinaryGraph",
     "WeightedGraph",
+    "strict_index",
     "check_vertex_count",
     "canonical_pair",
     "pair_index",
@@ -98,6 +99,9 @@ class Permutation:
         arr = np.asarray(self.mapping)
         # an integer dtype rules out 0.5, '1' and None rather than truncate or parse them
         if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+            raise ValueError("mapping entries must be integers")
+        # numpy reads (True, 0) as ints; an array's dtype already says whether it holds bools
+        if not isinstance(self.mapping, np.ndarray) and any(isinstance(v, (bool, np.bool_)) for v in self.mapping):
             raise ValueError("mapping entries must be integers")
         arr = arr.astype(np.int64)
         if not np.array_equal(np.sort(arr), np.arange(len(arr))):
@@ -207,15 +211,19 @@ def symmetric_from_flat(n: int, flat: np.ndarray) -> np.ndarray:
     return w + w.T
 
 
+def strict_index(v) -> int:
+    """``operator.index(v)``, with a bool refused too: 0.5, '1' and True raise ``TypeError``, not truncated or parsed."""
+    if isinstance(v, bool):
+        raise TypeError(f"{v!r} is a bool, not an integer")
+    return operator.index(v)
+
+
 def check_vertex_count(n) -> int:
     """``n`` as an int; a bool or anything but an integer is refused with a ``ValueError`` that names ``n``."""
-    # operator.index rejects 3.0 and '3' rather than truncate or parse them, but takes True as 1
-    if not isinstance(n, bool):
-        try:
-            return operator.index(n)
-        except TypeError:
-            pass
-    raise ValueError(f"the number of vertices n must be an integer, got {n!r}")
+    try:
+        return strict_index(n)
+    except TypeError:
+        raise ValueError(f"the number of vertices n must be an integer, got {n!r}") from None
 
 
 class BinaryGraph:
@@ -232,8 +240,7 @@ class BinaryGraph:
     def __init__(self, n: int, edges=frozenset()):
         n = check_vertex_count(n)
         try:
-            # unlike int(), operator.index rejects 0.5 and '1' rather than truncate or parse them
-            canon = frozenset(canonical_pair(operator.index(i), operator.index(j)) for i, j in edges)
+            canon = frozenset(canonical_pair(strict_index(i), strict_index(j)) for i, j in edges)
         except TypeError:
             raise ValueError("edges must be pairs of integer vertices") from None
         ij = np.array(list(canon)).reshape(-1, 2)  # object dtype if a vertex overflows int64

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -146,22 +147,18 @@ def partitions_as_cycle_types(n: int):
     The weight is the exact fraction of permutations with that type,
     1 / prod(l^(n_l) n_l!).
     """
+    counts = [0] * n  # counts[m-1]: m-cycles placed so far, parts placed largest first
 
-    def parts(remaining, max_part):
+    def walk(remaining: int, max_part: int, weight: Fraction):
         if remaining == 0:
-            yield {}
+            yield CycleType(tuple(counts)), weight
             return
-        for part in range(min(remaining, max_part), 0, -1):
-            for rest in parts(remaining - part, part):
-                counts = dict(rest)
-                counts[part] = counts.get(part, 0) + 1
-                yield counts
+        for m in range(min(remaining, max_part), 0, -1):
+            counts[m - 1] += 1  # one more m-cycle divides the weight by m * (its new count)
+            yield from walk(remaining - m, m, weight / (m * counts[m - 1]))
+            counts[m - 1] -= 1
 
-    for counts in parts(n, n):
-        weight = Fraction(1)
-        for l, c in counts.items():
-            weight /= Fraction(l) ** c * math.factorial(c)
-        yield CycleType.from_counts(n, counts), weight
+    yield from walk(n, n, Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -588,41 +585,28 @@ def cycle_type_tv_check(n: int, k: int, trials: int, seed=0) -> TvCheckResult:
             f"TV check visits (cutoff+1)^k = {(TV_CUTOFF + 1) ** k} keys; limit is {TV_BOX_LIMIT}"
         )
     rng = rng_from_seed(seed)
-    counts: dict[tuple[int, ...], int] = {}
-    for _ in range(trials):
-        perm = rng.permutation(n)
-        cvec = [0] * k
-        seen = np.zeros(n, dtype=bool)
-        for start in range(n):
-            if seen[start]:
-                continue
-            length = 0
-            v = start
-            while not seen[v]:
-                seen[v] = True
-                v = perm[v]
-                length += 1
-            if length <= k:
-                cvec[length - 1] += 1
-        key = tuple(cvec)
-        counts[key] = counts.get(key, 0) + 1
-
-    pmf_1d = []
-    for l in range(1, k + 1):
-        lam = 1.0 / l
-        row = np.array([math.exp(-lam) * lam**z / math.factorial(z) for z in range(TV_CUTOFF + 1)])
-        pmf_1d.append(row)
-
+    counts = Counter()
+    block = max(1, (1 << 16) // n)  # permutations stacked at once: bounds memory at 2^16 entries an array
+    for lo in range(0, trials, block):
+        perms = np.array([rng.permutation(n) for _ in range(min(block, trials - lo))])
+        power, cvec = perms, []
+        for l in range(1, k + 1):
+            # sigma^l fixes the points on the d-cycles for each d | l: drop the d < l ones, counted already
+            fixed = (power == np.arange(n)).sum(axis=1)
+            cvec.append((fixed - sum(d * cvec[d - 1] for d in range(1, l) if l % d == 0)) // l)
+            power = np.take_along_axis(perms, power, axis=1)
+        counts.update(zip(*(c.tolist() for c in cvec)))
+    lams = [1.0 / l for l in range(1, k + 1)]
+    pmf_1d = [np.array([math.exp(-lam) * lam**z / math.factorial(z) for z in range(TV_CUTOFF + 1)]) for lam in lams]
     tv = 0.0
     pmf_mass = 0.0
     emp_seen = 0
     for key in product(range(TV_CUTOFF + 1), repeat=k):
         pmf = math.prod(pmf_1d[l][key[l]] for l in range(k))
-        emp = counts.get(key, 0) / trials
-        tv += abs(emp - pmf)
+        seen = counts.get(key, 0)
+        tv += abs(seen / trials - pmf)
         pmf_mass += pmf
-        if key in counts:
-            emp_seen += counts[key]
+        emp_seen += seen
     # fold in any mass outside the box
     tv += (1 - pmf_mass) + (trials - emp_seen) / trials
     return TvCheckResult(0.5 * tv, poisson_truncation_bound(n / k), trials)

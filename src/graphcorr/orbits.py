@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .graphs import BinaryGraph, Permutation, intersect
+from .graphs import BinaryGraph, Permutation, intersect, strict_index
 
 __all__ = [
     "CycleType",
@@ -53,7 +53,10 @@ class CycleType:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        try:
+            object.__setattr__(self, "counts", tuple(map(strict_index, self.counts)))
+        except TypeError:
+            raise ValueError("orbit counts must be integers") from None
         if any(c < 0 for c in self.counts):
             raise ValueError("orbit counts must be nonnegative")
 
@@ -397,7 +400,7 @@ class BackboneGraph:
 
     nodes: tuple[GiantNode, ...]
     edges: tuple[GiantEdge, ...]
-    roots: tuple[tuple[int, int], ...] = ()
+    roots: tuple[tuple[int, int], ...] = field(default=(), compare=False)
 
     def node_by_gid(self, gid) -> GiantNode:
         for nd in self.nodes:

@@ -33,8 +33,10 @@ __all__ = [
 ]
 
 
-def _check_n(params) -> None:
-    """Refuse a bool, a non-integer or a value below 1 as ``params.n``; store an int ``n`` as a plain int."""
+def _check_params(params, *reals) -> None:
+    """Refuse a bool among ``reals``, and a bool, non-integer or value below 1 as ``params.n``; store ``n`` as a plain int."""
+    if any(isinstance(x, (bool, np.bool_)) for x in reals):
+        raise ValueError(f"model parameters must be real numbers, not bools, got {params!r}")
     n = check_vertex_count(params.n)
     if n < 1:
         raise ValueError("n must be positive")
@@ -51,7 +53,7 @@ class GaussianParams:
     def __post_init__(self):
         if not 0 <= self.rho < 1:
             raise ValueError("rho must lie in [0, 1)")
-        _check_n(self)
+        _check_params(self, self.rho)
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,7 @@ class ErParams:
             raise ValueError("p must lie in (0, 1)")
         if not 0 < self.s <= 1:
             raise ValueError("s must lie in (0, 1]")
-        _check_n(self)
+        _check_params(self, self.p, self.s)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -545,6 +549,29 @@ class TestBatchedSearch:
     def test_no_pair_to_swap(self, n):
         for a in (BinaryGraph(n), WeightedGraph(np.zeros((n, n)))):
             assert qap_local_search(a, a, restarts=3, rounds=3) == (0.0, Permutation.identity(n))
+
+    def test_weighted_twins_end(self):
+        # vertices 0 and 1 are twins in both graphs, so swapping them gains exactly 0; on weights near
+        # 1e4 that gain reads as rounding noise near 1e-9, and a climb that takes it swaps the twins for
+        # ever.  The search runs in a child process, so a hang fails the test instead of stalling the suite.
+        script = """
+import numpy as np
+from graphcorr.detect import qap_exact, qap_local_search, statistic_given_pi
+from graphcorr.graphs import Permutation, WeightedGraph
+for seed in (1, 2, 3):
+    rng = np.random.default_rng(seed)
+    pair = []
+    for _ in range(2):
+        w = np.triu(rng.uniform(0, 1e4, (6, 6)), 1)
+        w = w + w.T
+        w[1, 2:] = w[2:, 1] = w[0, 2:]
+        pair.append(WeightedGraph(w))
+    val, _ = qap_local_search(*pair, restarts=4, seed=seed, rounds=2)
+    assert statistic_given_pi(*pair, Permutation.identity(6)) <= val <= qap_exact(*pair)[0] * (1 + 1e-12)
+"""
+        src = str(Path(detect.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=30)
 
 
 def exact_lr(a, b, params):

@@ -54,6 +54,12 @@ class TestPermutation:
         pi = Permutation.from_cycles(4, [(0, 1), (2, 3)])
         assert pi.mapping == (1, 0, 3, 2)
 
+    @pytest.mark.parametrize("mapping", [(True, 0), [1, False], (0, True, 2), [np.True_, 0]])
+    def test_rejects_bool_entries(self, mapping):
+        # numpy reads (True, 0) as the int array (1, 0)
+        with pytest.raises(ValueError, match="mapping entries must be integers"):
+            Permutation(mapping)
+
     def test_rejects_non_integer_entries(self):
         # int() would truncate (0.5, 1) to the identity
         with pytest.raises(ValueError):
@@ -186,6 +192,12 @@ class TestValidation:
         # int() would truncate (0.5, 1.9) to (0, 1) and parse '1' as 1
         with pytest.raises(ValueError, match="integer"):
             BinaryGraph(3, frozenset({edge}))
+
+    @pytest.mark.parametrize("edge", [(True, 2), (0, False)])
+    def test_rejects_bool_vertices(self, edge):
+        # operator.index takes True as 1
+        with pytest.raises(ValueError, match="integer"):
+            BinaryGraph(3, [edge])
 
     def test_accepts_numpy_integer_vertices(self):
         g = BinaryGraph(3, frozenset({(np.int64(2), np.int8(0))}))

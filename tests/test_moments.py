@@ -38,6 +38,7 @@ from graphcorr.moments import (
 )
 from graphcorr.detect import kernel_er
 from graphcorr.orbits import (
+    CycleType,
     census_from_cycle_type,
     connected_components,
     cycle_type,
@@ -565,6 +566,64 @@ class TestIntersectionEdgeBound:
             planted_intersection_edge_bound(11, 10, 0.3, 0.5)
 
 
+def partitions_by_dict_recursion(n: int):
+    """Reference (CycleType, weight) walk: a dict of counts rebuilt at every step, weights multiplied out per type."""
+
+    def parts(remaining, max_part):
+        if remaining == 0:
+            yield {}
+            return
+        for part in range(min(remaining, max_part), 0, -1):
+            for rest in parts(remaining - part, part):
+                counts = dict(rest)
+                counts[part] = counts.get(part, 0) + 1
+                yield counts
+
+    for counts in parts(n, n):
+        weight = Fraction(1)
+        for l, c in counts.items():
+            weight /= Fraction(l) ** c * math.factorial(c)
+        yield CycleType.from_counts(n, counts), weight
+
+
+def cycle_type_tv_check_by_walk(n: int, k: int, trials: int, seed=0) -> moments.TvCheckResult:
+    """Reference TV check: the same draws, each permutation's short cycles counted by walking it one element at a time."""
+    rng = rng_from_seed(seed)
+    counts = {}
+    for _ in range(trials):
+        perm = rng.permutation(n)
+        cvec = [0] * k
+        seen = np.zeros(n, dtype=bool)
+        for start in range(n):
+            if seen[start]:
+                continue
+            length = 0
+            v = start
+            while not seen[v]:
+                seen[v] = True
+                v = perm[v]
+                length += 1
+            if length <= k:
+                cvec[length - 1] += 1
+        key = tuple(cvec)
+        counts[key] = counts.get(key, 0) + 1
+    pmf_1d = []
+    for l in range(1, k + 1):
+        lam = 1.0 / l
+        pmf_1d.append(np.array([math.exp(-lam) * lam**z / math.factorial(z) for z in range(moments.TV_CUTOFF + 1)]))
+    tv = 0.0
+    pmf_mass = 0.0
+    emp_seen = 0
+    for key in itertools.product(range(moments.TV_CUTOFF + 1), repeat=k):
+        pmf = math.prod(pmf_1d[l][key[l]] for l in range(k))
+        tv += abs(counts.get(key, 0) / trials - pmf)
+        pmf_mass += pmf
+        if key in counts:
+            emp_seen += counts[key]
+    tv += (1 - pmf_mass) + (trials - emp_seen) / trials
+    return moments.TvCheckResult(0.5 * tv, poisson_truncation_bound(n / k), trials)
+
+
 class TestPoissonCycleFacts:
     def test_single_fixed_point(self):
         assert poisson_cycle_moment([1]) == 1.0
@@ -596,6 +655,23 @@ class TestPoissonCycleFacts:
         res = cycle_type_tv_check(30, 2, trials=20_000, seed=3)
         assert res.tv_estimate <= 0.05
         assert res.poisson_bound < 1e-5
+
+    @pytest.mark.parametrize(
+        "n, k, trials, seed",
+        [
+            (30, 2, 20_000, 3),
+            (12, 4, 5000, 5),  # n_4 subtracts the points on 1- and 2-cycles from those sigma^4 fixes
+            (40, 3, 3000, 9),
+            (2, 1, 100, 1),
+            (20, 3, 3 * (65536 // 20) + 17, 4),  # three full blocks of 3276 permutations and a partial one
+        ],
+    )
+    def test_tv_check_equals_the_element_walk(self, n, k, trials, seed):
+        assert cycle_type_tv_check(n, k, trials, seed) == cycle_type_tv_check_by_walk(n, k, trials, seed)
+
+    def test_partitions_equal_the_dict_recursion(self):
+        for n in range(13):
+            assert list(partitions_as_cycle_types(n)) == list(partitions_by_dict_recursion(n))
 
     def test_fixed_point_law_close_to_poisson(self):
         # exact law of the fixed-point count for n = 8 against Poisson(1)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from graphcorr import orbits as orbits_module
 from graphcorr.graphs import BinaryGraph, Permutation, canonical_pair
 from graphcorr.orbits import (
+    BackboneGraph,
     CycleType,
     EdgeOrbit,
     backbone,
@@ -104,6 +105,16 @@ class TestNodeCycles:
     def test_single_cycle(self):
         _, ct = node_cycles(Permutation.from_cycles(6, [tuple(range(6))]))
         assert ct.count(6) == 1
+
+    @pytest.mark.parametrize("counts", [(1.5, True), (True,), (0, 2.0), ("1",)])
+    def test_cycle_type_rejects_non_integer_counts(self, counts):
+        # int() would truncate 1.5, take True as 1 and parse '1'
+        with pytest.raises(ValueError, match="orbit counts must be integers"):
+            CycleType(counts)
+
+    def test_cycle_type_stores_numpy_counts_as_ints(self):
+        ct = CycleType((np.int64(2), np.int8(1)))
+        assert ct.counts == (2, 1) and all(type(c) is int for c in ct.counts)
 
     def test_cycle_type_invariant(self):
         with pytest.raises(ValueError):
@@ -379,6 +390,10 @@ class TestBackbone:
             (5, 6), (6, 7), (7, 8), (5, 8),
         ]
         return BinaryGraph(8, frozenset((i - 1, j - 1) for i, j in edges1))
+
+    def test_roots_are_ignored_by_equality(self):
+        rooted, bare = BackboneGraph((), (), ((1, 0),)), BackboneGraph((), (), ())
+        assert rooted == bare and hash(rooted) == hash(bare)
 
     def test_fig2_backbone(self):
         gamma = backbone(TABLE_SIGMA, self.fig2_graph(), 8)

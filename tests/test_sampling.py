@@ -107,6 +107,15 @@ class TestParams:
         with pytest.raises(ValueError, match="vertices n must be an integer"):
             make()
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: ErParams(5, 0.5, True), lambda: GaussianParams(5, False), lambda: ErParams(5, 0.5, np.True_)],
+    )
+    def test_rejects_bool_parameters(self, make):
+        # the range checks read True as 1 and False as 0
+        with pytest.raises(ValueError, match="not bools"):
+            make()
+
     def test_numpy_integer_n_is_an_int(self):
         for params in (ErParams(np.int64(5), 0.5, 0.5), GaussianParams(np.int32(5), 0.5)):
             assert type(params.n) is int and params.n == 5
