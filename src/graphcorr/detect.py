@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExactLimitError
-from .graphs import BinaryGraph, Permutation, map_pair_indices, permutation_table
+from .graphs import BinaryGraph, Permutation, map_pair_indices, permutation_table, strict_index
 from .sampling import ErParams, GaussianParams, rng_from_seed
 
 __all__ = [
@@ -179,58 +179,67 @@ def qap_exact(a, b) -> tuple[float, Permutation]:
     return float(vals[idx]), Permutation(np.concatenate([pre[k], rest[k][permutation_table(rest.shape[1])[s]]]))
 
 
-def _climb(am: np.ndarray, bm: np.ndarray, p: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+def _climb_state(am: np.ndarray, bm: np.ndarray, dtype) -> tuple[np.ndarray, ...]:
+    """What every :func:`_climb` of one search reads: (triu(A, 1), A, A for the matmul, raveled B, thr).
+
+    A, B and ``thr`` are in the climb ``dtype``; the start's matmul runs in float32 on integer
+    climbs, exact as A @ bp holds integers at most n < 2^24.  ``thr`` is the least gain a step
+    takes above the diagonal and the dtype's largest value (inf) on and below it.
+    """
+    n, integer = am.shape[0], np.issubdtype(dtype, np.integer)
+    # rounding noise on large weights is no gain; 0 in an integer dtype, where a gain is at least 1
+    scale = 4 * n * float(np.abs(am).max(initial=0) * np.abs(bm).max(initial=0))
+    tol = np.dtype(dtype).type(CLIMB_TOL * max(1.0, scale))
+    thr = np.where(np.tri(n, dtype=bool), np.iinfo(dtype).max if integer else np.inf, tol).astype(dtype)
+    aw = am.astype(dtype)
+    return np.triu(am, 1), aw, am.astype(np.float32) if integer else aw, bm.astype(dtype).ravel(), thr
+
+
+def _climb(state: tuple[np.ndarray, ...], p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First-improvement 2-swap hill climbing from every row of the (k, n) starts ``p`` at once.
 
     Each row climbs as it would alone: a step swaps the row's first pair i < j, in row-major
-    order, whose gain exceeds ``CLIMB_TOL`` times 4n·max|A|·max|B| (at least 1).  The gains of
-    the whole (rows, n, n) block are read off g = A @ bp with bp = B[p][:, p].  A
-    swap changes g by the rank-one term (A[:, i] − A[:, j]) (bp[j] − bp[i])ᵀ
-    followed by swapping columns i and j, so neither the gather nor the matmul
-    is redone.  A row with no improving pair leaves the batch.  The climb runs
-    in ``dtype``: float64, or on 0/1 matrices an integer type that holds
-    ±(4n + 2), where every gain is exact.  Returns the (k,) values T_p and the
-    (k, n) climbed permutations.
+    order, whose gain exceeds ``CLIMB_TOL`` times 4n·max|A|·max|B| (at least 1).  With
+    bp = B[p][:, p] and g = A @ bp, the gains of the (rows, n, n) block are t + tᵀ for
+    t = A∘bp + g − diag(g) along rows.  A swap changes g by the rank-one term (A[:, i] − A[:, j])
+    (bp[j] − bp[i])ᵀ followed by swapping columns i and j, so neither the gather nor the matmul
+    is redone.  A row with no improving pair leaves the batch, its value read off its bp.  The
+    climb runs in the dtype of ``state`` (:func:`_climb_state`): float64, or on 0/1 matrices an
+    integer type that holds ±(2n + 2), where every gain is exact.  Returns the (k,) values T_p
+    and the (k, n) climbed permutations.
     """
     k, n = p.shape
     block = max(1, CLIMB_BLOCK // max(1, n * n))
     if k > block:
-        parts = [_climb(am, bm, p[lo : lo + block], dtype) for lo in range(0, k, block)]
+        parts = [_climb(state, p[lo : lo + block]) for lo in range(0, k, block)]
         return np.concatenate([v for v, _ in parts]), np.concatenate([q for _, q in parts])
-    out, p = p.copy(), p.copy()
+    au, aw, amm, bflat, thr = state
+    vals, out, p = np.zeros(k), p.copy(), p.copy()
     live = np.arange(k if n > 1 else 0)  # below two vertices there is no pair to swap
-    bp = bm[p[:, :, None], p[:, None, :]]
-    g = (am @ bp).astype(dtype, copy=False)
-    bp = bp.astype(dtype, copy=False)
-    aw = am.astype(dtype, copy=False)
-    am2 = 2 * aw
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    # rounding noise on large weights is no gain; 0 in an integer dtype, where a gain is at least 1
-    scale = 4 * n * float(np.abs(am).max(initial=0) * np.abs(bm).max(initial=0))
-    tol = np.dtype(dtype).type(CLIMB_TOL * max(1.0, scale))
-    rows = np.arange(len(live))
+    bp = bflat[(p * n)[:, :, None] + p[:, None, :]]
+    g = (amm @ bp.astype(amm.dtype, copy=False)).astype(aw.dtype, copy=False)
+    rows, split = np.arange(len(live)), np.array([n, 1])
     while live.size:
-        d = np.diagonal(g, axis1=1, axis2=2)
-        delta = g + g.transpose(0, 2, 1)
-        delta -= d[:, :, None]
-        delta -= d[:, None, :]
-        delta += am2 * bp
-        cand = ((delta > tol) & upper).reshape(len(live), n * n)
-        first = cand.argmax(axis=1)
-        moving = cand[rows, first]
+        t = aw * bp
+        t += g
+        t -= g.diagonal(axis1=1, axis2=2)[:, None, :]
+        flat = (t + t.transpose(0, 2, 1) > thr).reshape(len(live), n * n)
+        first = flat.argmax(axis=1)
+        moving = flat[rows, first]
         if not moving.all():
             out[live[~moving]] = p[~moving]
+            vals[live[~moving]] = (au * bp[~moving]).sum(axis=(1, 2))
             live, p, first, rows = live[moving], p[moving], first[moving], rows[: moving.sum()]
-            g = g[moving]
-            bp = bp[moving]
-        i, j = np.divmod(first, n)
+            g, bp = g[moving], bp[moving]
+        r, ij = rows[:, None], first[:, None] // split % n  # row r swaps columns (i, j), i < j
+        ji, ai, bi = ij[:, ::-1], aw[ij], bp[r, ij]
         # A is symmetric, so its rows i and j are the columns A[:, i] and A[:, j]
-        g += (aw[i] - aw[j])[:, :, None] * (bp[rows, j] - bp[rows, i])[:, None, :]
-        g[rows, :, i], g[rows, :, j] = g[rows, :, j], g[rows, :, i]
-        bp[rows, i], bp[rows, j] = bp[rows, j], bp[rows, i]
-        bp[rows, :, i], bp[rows, :, j] = bp[rows, :, j], bp[rows, :, i]
-        p[rows, i], p[rows, j] = p[rows, j], p[rows, i]
-    return np.triu(am * bm[out[:, :, None], out[:, None, :]], 1).sum(axis=(1, 2)), out
+        g += (ai[:, 0] - ai[:, 1])[:, :, None] * (bi[:, 1] - bi[:, 0])[:, None, :]
+        g[r, :, ij] = g[r, :, ji]
+        bp[r, ij] = bi[:, ::-1]
+        bp[r, :, ij] = bp[r, :, ji]
+        p[r, ij] = p[r, ji]
+    return vals, out
 
 
 def _profile_start(am: np.ndarray, bm: np.ndarray) -> np.ndarray:
@@ -254,11 +263,16 @@ def qap_local_search(a, b, restarts: int = 20, seed=0, rounds: int = 30) -> tupl
     all starts climb as one batch per round; under a seed the result equals
     that of searching the starts one after another, the first best start
     winning.  The result is at least the identity statistic and never
-    exceeds the exact maximum.  Raises ValueError for ``restarts < 1`` or
-    ``rounds < 0``.
+    exceeds the exact maximum.  Raises TypeError for a bool or non-integer
+    ``restarts`` or ``rounds``, ValueError for ``restarts < 1`` or ``rounds < 0``.
     """
     if a.n != b.n:
         raise ValueError("size mismatch")
+    for name, v in (("restarts", restarts), ("rounds", rounds)):
+        try:
+            strict_index(v)
+        except TypeError:
+            raise TypeError(f"{name} must be an integer, got {v!r}") from None
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if rounds < 0:
@@ -267,19 +281,19 @@ def qap_local_search(a, b, restarts: int = 20, seed=0, rounds: int = 30) -> tupl
     if n < 2:
         rounds = 0  # no pair to swap, so no kick
     am, bm = a.to_dense(), b.to_dense()
-    binary = isinstance(a, BinaryGraph) and isinstance(b, BinaryGraph)  # every gain is an integer in ±(4n + 2)
-    dtype = np.min_scalar_type(-(4 * n + 2)) if binary else np.float64
+    binary = isinstance(a, BinaryGraph) and isinstance(b, BinaryGraph)  # a gain and its partial sums are integers in ±2n
+    state = _climb_state(am, bm, np.min_scalar_type(-(2 * n + 2)) if binary else np.float64)
     rng = rng_from_seed(seed)
     starts = [np.arange(n), _profile_start(am, bm)][:restarts]
     starts += [rng.permutation(n) for _ in range(restarts - len(starts))]
     kicks = rng.integers(0, n, (restarts, rounds, LOCAL_SEARCH_KICK, 2))
-    cur_val, cur_p = _climb(am, bm, np.array(starts, dtype=np.intp), dtype)
+    cur_val, cur_p = _climb(state, np.array(starts, dtype=np.intp))
     r = np.arange(restarts)
     for t in range(rounds):
         p = cur_p.copy()
         for i, j in kicks[:, t].transpose(1, 2, 0):
             p[r, i], p[r, j] = p[r, j], p[r, i]
-        val, p = _climb(am, bm, p, dtype)
+        val, p = _climb(state, p)
         keep = val >= cur_val
         cur_val[keep], cur_p[keep] = val[keep], p[keep]
     best = int(np.argmax(cur_val))

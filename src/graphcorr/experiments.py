@@ -19,7 +19,7 @@ import numpy as np
 
 from .detect import TESTS, shared_table
 from .errors import FieldError
-from .graphs import code_edge_counts, edge_code_maps
+from .graphs import code_edge_counts, edge_code_maps, strict_index
 from .moments import exact_er_lr_table
 from .sampling import (
     ErParams,
@@ -69,6 +69,11 @@ class SweepConfig:
     def __post_init__(self):
         if self.model not in ("gaussian", "er"):
             raise FieldError("model", "model must be 'gaussian' or 'er'")
+        for name in ("trials", "master_seed", "restarts", "ls_rounds"):
+            try:
+                strict_index(getattr(self, name))
+            except TypeError:
+                raise FieldError(name, f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.trials < 1:
             raise FieldError("trials", "trials must be >= 1")
         bad = [t for t in self.tests if t not in TESTS]

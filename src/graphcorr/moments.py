@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -585,7 +584,7 @@ def cycle_type_tv_check(n: int, k: int, trials: int, seed=0) -> TvCheckResult:
             f"TV check visits (cutoff+1)^k = {(TV_CUTOFF + 1) ** k} keys; limit is {TV_BOX_LIMIT}"
         )
     rng = rng_from_seed(seed)
-    counts = Counter()
+    box = np.zeros((TV_CUTOFF + 1,) * k, dtype=np.int64)  # how many draws have each key inside the box
     block = max(1, (1 << 16) // n)  # permutations stacked at once: bounds memory at 2^16 entries an array
     for lo in range(0, trials, block):
         perms = np.array([rng.permutation(n) for _ in range(min(block, trials - lo))])
@@ -595,18 +594,15 @@ def cycle_type_tv_check(n: int, k: int, trials: int, seed=0) -> TvCheckResult:
             fixed = (power == np.arange(n)).sum(axis=1)
             cvec.append((fixed - sum(d * cvec[d - 1] for d in range(1, l) if l % d == 0)) // l)
             power = np.take_along_axis(perms, power, axis=1)
-        counts.update(zip(*(c.tolist() for c in cvec)))
+        keys = np.array(cvec)
+        np.add.at(box, tuple(keys[:, keys.max(axis=0) <= TV_CUTOFF]), 1)
     lams = [1.0 / l for l in range(1, k + 1)]
     pmf_1d = [np.array([math.exp(-lam) * lam**z / math.factorial(z) for z in range(TV_CUTOFF + 1)]) for lam in lams]
-    tv = 0.0
-    pmf_mass = 0.0
-    emp_seen = 0
-    for key in product(range(TV_CUTOFF + 1), repeat=k):
-        pmf = math.prod(pmf_1d[l][key[l]] for l in range(k))
-        seen = counts.get(key, 0)
-        tv += abs(seen / trials - pmf)
-        pmf_mass += pmf
-        emp_seen += seen
+    # keys in lexicographic order; outer products multiply as math.prod does, accumulate adds in a += loop's order
+    pmf = functools.reduce(np.multiply.outer, pmf_1d).ravel()
+    tv = np.add.accumulate(np.abs(box.ravel() / trials - pmf))[-1]
+    pmf_mass = np.add.accumulate(pmf)[-1]
+    emp_seen = int(box.sum())
     # fold in any mass outside the box
     tv += (1 - pmf_mass) + (trials - emp_seen) / trials
     return TvCheckResult(0.5 * tv, poisson_truncation_bound(n / k), trials)

@@ -499,17 +499,17 @@ class TestBatchedSearch:
         for a, b in _search_pairs(model, n):
             am, bm = a.to_dense(), b.to_dense()
             starts = np.array([rng.permutation(n) for _ in range(7)])
-            vals, ps = detect._climb(am, bm, starts, dtype)
+            vals, ps = detect._climb(detect._climb_state(am, bm, dtype), starts)
             for row, start in enumerate(starts):
                 val, p = _climb_oracle(am, bm, start)
                 assert vals[row] == val
                 assert ps[row].tolist() == p.tolist()
 
-    @pytest.mark.parametrize("n", [2, 31, 32, 70])  # int8 up to n=31, int16 above
+    @pytest.mark.parametrize("n", [2, 63, 64, 70])  # int8 up to n=63, int16 above
     def test_integer_climb_equals_float_climb(self, n):
         rng = np.random.default_rng(n)
-        dtype = np.min_scalar_type(-(4 * n + 2))
-        assert dtype == (np.int8 if n <= 31 else np.int16)
+        dtype = np.min_scalar_type(-(2 * n + 2))
+        assert dtype == (np.int8 if n <= 63 else np.int16)
         m = n * (n - 1) // 2
         pairs = [_search_pairs("er", n)[1], (BinaryGraph.complete(n), BinaryGraph.empty(n))]
         for drop in (1, 3):  # complete graphs minus a few edges: every g entry is near n
@@ -518,21 +518,21 @@ class TestBatchedSearch:
         for a, b in pairs:
             am, bm = a.to_dense(), b.to_dense()
             starts = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(4)])
-            want_vals, want_ps = detect._climb(am, bm, starts, np.float64)
-            vals, ps = detect._climb(am, bm, starts, dtype)
+            want_vals, want_ps = detect._climb(detect._climb_state(am, bm, np.float64), starts)
+            vals, ps = detect._climb(detect._climb_state(am, bm, dtype), starts)
             assert vals.dtype == np.float64
             assert vals.tolist() == want_vals.tolist()
             assert ps.tolist() == want_ps.tolist()
 
     @pytest.mark.parametrize(
-        "model,n,dtype", [("er", 31, np.int8), ("er", 32, np.int16), ("gaussian", 31, np.float64)]
+        "model,n,dtype", [("er", 63, np.int8), ("er", 64, np.int16), ("gaussian", 31, np.float64)]
     )
     def test_search_climbs_in_the_input_dtype(self, model, n, dtype, monkeypatch):
         seen, climb = set(), detect._climb
 
-        def spy(am, bm, p, work):
-            seen.add(np.dtype(work))
-            return climb(am, bm, p, work)
+        def spy(state, p):
+            seen.add(state[1].dtype)  # A in the climb dtype
+            return climb(state, p)
 
         monkeypatch.setattr(detect, "_climb", spy)
         a, b = _search_pairs(model, n)[0]
@@ -543,6 +543,16 @@ class TestBatchedSearch:
     def test_rejects_bad_settings(self, restarts, rounds):
         a, b = sample_null_er(ErParams(6, 0.4, 0.8), SeedSpec(1, 0))
         with pytest.raises(ValueError, match="restarts must be >= 1|rounds must be >= 0"):
+            qap_local_search(a, b, restarts=restarts, rounds=rounds)
+
+    @pytest.mark.parametrize(
+        "name,restarts,rounds",
+        [("restarts", True, 10), ("restarts", 2.5, 10), ("restarts", 2.0, 10), ("rounds", 1, True), ("rounds", 1, 1.5)],
+    )
+    def test_rejects_bool_or_float_settings(self, name, restarts, rounds, monkeypatch):
+        monkeypatch.setattr(detect, "rng_from_seed", None)  # the check comes before any draw
+        a, b = sample_null_er(ErParams(6, 0.4, 0.8), SeedSpec(1, 0))
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
             qap_local_search(a, b, restarts=restarts, rounds=rounds)
 
     @pytest.mark.parametrize("n", [0, 1])

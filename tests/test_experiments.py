@@ -119,6 +119,16 @@ class TestSweep:
             self.small_config(master_seed=-4)
         assert err.value.field == "master_seed"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("trials", True), ("trials", 1.5), ("master_seed", True), ("master_seed", 1.5), ("restarts", True),
+         ("restarts", 2.5), ("ls_rounds", 1.5)],
+    )
+    def test_rejects_bool_or_float_counts(self, field, value):
+        with pytest.raises(FieldError, match=re.escape(f"{field} must be an integer, got {value!r}")) as err:
+            self.small_config(**{field: value})
+        assert err.value.field == field
+
     def test_rejects_test_above_its_size_limit(self):
         self.small_config(tests=("lr",), n_values=(QAP_EXACT_DEFAULT_LIMIT,), s_values=(0.9,))
         with pytest.raises(ValueError, match="limited to n <= 10, got n=11"):
