@@ -351,7 +351,8 @@ class BinaryGraph:
 class WeightedGraph:
     """A weighted undirected graph: symmetric finite real matrix, zero diagonal.
 
-    A NaN or infinite entry is rejected before any other check.  A matrix
+    A dtype other than integer or float is refused before conversion, then
+    a NaN or infinite entry before any other check.  A matrix
     that is symmetric with zero diagonal up to ``np.allclose`` is accepted
     and stored as its strict upper triangle mirrored, so every routine reads
     the same weight for a pair, whichever triangle it indexes.
@@ -360,7 +361,10 @@ class WeightedGraph:
     weight: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weight, dtype=np.float64)
+        w = np.asarray(self.weight)
+        if w.dtype.kind not in "iuf":
+            raise ValueError(f"weight matrix must hold real numbers, got dtype {w.dtype}")
+        w = w.astype(np.float64, copy=False)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weight must be a square matrix")
         if not np.isfinite(w).all():

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import BinaryGraph, Permutation, WeightedGraph, check_vertex_count, symmetric_from_flat
+from .graphs import BinaryGraph, Permutation, WeightedGraph, check_vertex_count, strict_index, symmetric_from_flat
 
 __all__ = [
     "GaussianParams",
@@ -87,14 +87,21 @@ class SeedSpec:
 
 
 def rng_from_seed(seed: SeedSpec | int, *extra: int) -> np.random.Generator:
-    """Philox generator for a seed spec; ``extra`` indices address substreams."""
+    """Philox generator for a seed spec; ``extra`` indices address substreams.
+
+    A bool, float or string in the address raises a ``TypeError`` naming the seed.
+    """
     if isinstance(seed, SeedSpec):
         sid = seed.stream_id if isinstance(seed.stream_id, tuple) else (seed.stream_id,)
-        key = sid + extra
-        entropy = seed.master_seed
+        entropy, key = seed.master_seed, sid + extra
     else:
-        entropy = int(seed)
-        key = extra
+        entropy, key = seed, extra
+    try:
+        entropy = strict_index(entropy)
+        for v in key:
+            strict_index(v)
+    except TypeError:
+        raise TypeError(f"a seed must be built of integers, got {seed!r}") from None
     ss = np.random.SeedSequence(entropy=entropy, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
 
@@ -146,13 +153,16 @@ def _gnp_indices(m: int, q: float, rng: np.random.Generator, forbidden=None) -> 
     Each admissible index is kept independently with probability q: a
     Binomial count, then a uniform subset of that size from
     ``Generator.choice``.  Rank r among the admissible indices maps to
-    r + #{forbidden f: f - (number of forbidden below f) <= r}.
+    r + #{forbidden f: f - (number of forbidden below f) <= r}.  The ranks are
+    sorted after the draw, which moves no draw, so each lookup of
+    ``searchsorted`` starts where the last one ended.
     """
     if forbidden is None:
         return rng.choice(m, int(rng.binomial(m, q)), replace=False)
     f = np.sort(np.asarray(forbidden, dtype=np.int64))
     admissible = m - len(f)
     r = rng.choice(admissible, int(rng.binomial(admissible, q)), replace=False)
+    r.sort()
     return r + np.searchsorted(f - np.arange(len(f)), r, side="right")
 
 

@@ -208,6 +208,29 @@ class TestValidation:
         with pytest.raises(ValueError):
             WeightedGraph(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "w",
+        [
+            np.array([[0, 1 + 2j], [1 + 2j, 0]]),
+            np.array([["0", "1"], ["1", "0"]]),
+            np.array([[False, True], [True, False]]),
+            np.array([["0", "1"], ["1", "0"]], dtype=object),
+            [[0, None], [None, 0]],
+        ],
+        ids=["complex", "str", "bool", "object-str", "list-none"],
+    )
+    def test_weighted_graph_refuses_non_real_dtypes(self, w):
+        # once converted, the imaginary part is dropped and strings are parsed
+        with pytest.raises(ValueError, match="real numbers, got dtype"):
+            WeightedGraph(w)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint16, np.float16, np.float32, np.float64])
+    def test_weighted_graph_takes_integer_and_float_dtypes(self, dtype):
+        w = np.array([[0, 1, 2], [1, 0, 3], [2, 3, 0]], dtype=dtype)
+        wg = WeightedGraph(w)
+        assert wg.weight.dtype == np.float64 and np.array_equal(wg.weight, w.astype(np.float64))
+        assert np.array_equal(WeightedGraph(w.tolist()).weight, wg.weight)
+
     def test_weighted_graph_mirrors_upper_triangle(self):
         w = np.array([[1e-10, 1.0, 2.0], [1.0 + 1e-9, 0.0, 3.0], [2.0, 3.0 - 1e-9, -1e-10]])
         wg = WeightedGraph(w)

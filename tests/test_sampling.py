@@ -1,6 +1,7 @@
 import hashlib
 import math
 import pickle
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from graphcorr.detect import TESTS
+from graphcorr.detect import TESTS, qap_local_search
 from graphcorr.graphs import BinaryGraph, intersect, relabel
 from graphcorr import graphs, sampling
 from graphcorr.sampling import (
@@ -65,6 +66,16 @@ def sample_planted_er_parent(params, seed):
     a_idx = parent[rng.random(len(parent)) < s]
     matched = parent[rng.random(len(parent)) < s]
     return BinaryGraph.from_trusted_indices(n, a_idx), BinaryGraph.from_trusted_indices(n, matched, pi.array), pi
+
+
+def _gnp_indices_parent(m, q, rng, forbidden=None):
+    """The decode as it stood before the ranks were sorted: ranks searched in draw order (oracle)."""
+    if forbidden is None:
+        return rng.choice(m, int(rng.binomial(m, q)), replace=False)
+    f = np.sort(np.asarray(forbidden, dtype=np.int64))
+    admissible = m - len(f)
+    r = rng.choice(admissible, int(rng.binomial(admissible, q)), replace=False)
+    return r + np.searchsorted(f - np.arange(len(f)), r, side="right")
 
 
 def planted_gaussian_oracle(params, seed):
@@ -164,6 +175,45 @@ class TestDeterminism:
         g2 = rng_from_seed(SeedSpec(5, (1, 2, 3))).integers(0, 1 << 30, 4)
         g3 = rng_from_seed(SeedSpec(5, (1, 2, 4))).integers(0, 1 << 30, 4)
         assert np.array_equal(g1, g2) and not np.array_equal(g1, g3)
+
+
+class TestSeedRefusals:
+    """A seed is an integer address: a bool, float or string is refused, not truncated or parsed."""
+
+    @pytest.mark.parametrize(
+        "seed",
+        [2.7, 2.0, "5", True, np.True_, np.float64(3), SeedSpec(True, 0), SeedSpec(2.5, 0), SeedSpec("1", 0),
+         SeedSpec(1, True), SeedSpec(1, (True, 0)), SeedSpec(1, (0, 1.5)), SeedSpec(1, ("2",))],
+        ids=repr,
+    )
+    def test_rng_from_seed_refuses(self, seed):
+        with pytest.raises(TypeError, match=f"seed must be built of integers, got {re.escape(repr(seed))}"):
+            rng_from_seed(seed)
+
+    def test_extra_indices_refused_too(self):
+        with pytest.raises(TypeError, match="seed"):
+            rng_from_seed(SeedSpec(1, 0), True)
+        with pytest.raises(TypeError, match="seed"):
+            rng_from_seed(3, 0.5)
+
+    def test_samplers_and_search_refuse_a_float_seed(self):
+        a, b, _ = sample_planted_er(ErParams(12, 0.5, 0.8), SeedSpec(1, 0))
+        with pytest.raises(TypeError, match="2.5"):
+            qap_local_search(a, b, seed=2.5)
+        with pytest.raises(TypeError, match="seed"):
+            sample_null_er(ErParams(12, 0.5, 0.8), 1.0)
+
+    def test_numpy_integers_give_the_same_streams(self):
+        draw = lambda seed, *extra: rng_from_seed(seed, *extra).integers(0, 1 << 30, 4)
+        assert np.array_equal(draw(np.int64(7)), draw(7))
+        assert np.array_equal(draw(SeedSpec(np.int32(7), (np.int8(1), 2))), draw(SeedSpec(7, (1, 2))))
+        assert np.array_equal(draw(SeedSpec(7, 1), np.uint8(4)), draw(SeedSpec(7, 1), 4))
+
+    def test_negative_seed_keeps_numpys_refusal(self):
+        with pytest.raises(ValueError):
+            rng_from_seed(-1)
+        with pytest.raises(ValueError):
+            rng_from_seed(SeedSpec(-3, 0))
 
 
 # sha256 over the sorted edges and the alignments of the three ER samplers at
@@ -301,6 +351,63 @@ class TestGnpIndices:
         assert not set(idx.tolist()) & set(forbidden)
         if q == 1:
             assert sorted(idx.tolist()) == sorted(set(range(m)) - set(forbidden))
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(0, 300), q=st.floats(0, 1), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_sorted_decode_matches_parent_decode(self, m, q, data, seed):
+        forbidden = data.draw(st.lists(st.integers(0, max(m - 1, 0)), unique=True, max_size=m))
+        self.assert_same_as_parent(m, q, forbidden, seed)
+
+    # a fresh-edge q of the planted sampler, p s (1 - s) / (1 - p s), near its supremum 1 (p, s -> 1)
+    Q_MAX = 0.999999 * 0.999 * 0.001 / (1 - 0.999999 * 0.999)
+
+    @pytest.mark.parametrize("q", [0.0, 0.01, 0.5, Q_MAX, 1.0])
+    @pytest.mark.parametrize(
+        "m, forbidden",
+        [
+            (0, []),
+            (1, []),
+            (500, []),
+            (500, [v for v in range(500) if v != 137]),
+            (500, [v for v in range(500) if v != 0]),
+            (500, [0, 499]),
+            (500, [0, 1, 2, 250, 497, 498, 499]),
+            (20000, list(range(0, 20000, 3))),
+        ],
+        ids=["m0", "m1", "none", "all-but-one", "all-but-first", "both-ends", "ends-runs", "every-third"],
+    )
+    def test_sorted_decode_matches_parent_at_the_edges(self, m, forbidden, q):
+        for seed in range(4):
+            self.assert_same_as_parent(m, q, forbidden, seed)
+
+    @staticmethod
+    def assert_same_as_parent(m, q, forbidden, seed):
+        rng, rng_parent = rng_from_seed(SeedSpec(seed, 3)), rng_from_seed(SeedSpec(seed, 3))
+        for fb in (forbidden, None):
+            idx = sampling._gnp_indices(m, q, rng, forbidden=fb)
+            ref = _gnp_indices_parent(m, q, rng_parent, forbidden=fb)
+            assert idx.dtype == ref.dtype and np.array_equal(np.sort(idx), np.sort(ref))
+            if fb is not None:
+                assert (np.diff(idx) > 0).all()  # sorted ranks decode to ascending indices
+        assert rng.integers(1 << 62) == rng_parent.integers(1 << 62)  # the sort moved no draw
+
+    @pytest.mark.parametrize("n", [2, 30, 2000])
+    def test_planted_graphs_match_parent_decode(self, n, monkeypatch):
+        draws = [
+            (params, SeedSpec(seed, t))
+            for params in (ErParams(n, 0.01, 0.8), ErParams(n, 0.6, 0.3))
+            for seed in (0, 29)
+            for t in range(3)
+        ]
+        got = [sample_planted_er(params, seed) for params, seed in draws]
+        monkeypatch.setattr(sampling, "_gnp_indices", _gnp_indices_parent)
+        for (params, seed), (a, b, pi) in zip(draws, got):
+            a_ref, b_ref, pi_ref = sample_planted_er(params, seed)
+            assert pi == pi_ref
+            for g, ref in ((a, a_ref), (b, b_ref)):
+                assert g.edge_count == ref.edge_count
+                assert g == ref and hash(g) == hash(ref)
+                assert g.edges == ref.edges
 
     def test_inclusion_patterns_uniform(self):
         # q = 1/2: each admissible index an independent fair coin, so all 2^5
