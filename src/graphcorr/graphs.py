@@ -5,7 +5,10 @@ array of pair indices (``index``, ranked as in :func:`pair_index`); ``edges``
 is a frozen set of canonical vertex pairs derived from it on first use.  A
 graph built from indices that are valid by construction (sampler output, or
 a graph's own index under a bijection) keeps them raw and sorts, and pushes
-them through its node map, only when ``index`` is first read.
+them through its node map, only when ``index`` is first read.  The raw
+indices may also be a draw whose size is already known: the ER samplers
+hand over the second graph's last edge-set draw uncalled, with its count,
+and the first read of ``index`` runs it, once, under a module-level lock.
 Weighted graphs are read-only symmetric numpy arrays.  Permutations are
 tuples with a read-only int64 array view.  All values are immutable after
 construction and safe to share across threads.
@@ -19,6 +22,7 @@ import functools
 import itertools
 import math
 import operator
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,10 +130,27 @@ class Permutation:
 
     @staticmethod
     def from_cycles(n: int, cycles) -> "Permutation":
-        """Build a permutation from disjoint cycles of 0-based nodes."""
+        """Build a permutation from disjoint cycles of 0-based nodes.
+
+        A node outside [0, n), a node repeated within or across cycles, and a
+        bool or non-integer node raise a ``ValueError`` that names the node.
+        """
         m = list(range(n))
+        seen = set()
         for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:] + type(cyc)((cyc[0],))):
+            nodes = []
+            for v in cyc:
+                try:
+                    v = strict_index(v)
+                except TypeError:
+                    raise ValueError(f"cycle node {v!r} is not an integer") from None
+                if not 0 <= v < n:
+                    raise ValueError(f"cycle node {v} lies outside [0, {n})")
+                if v in seen:
+                    raise ValueError(f"cycle node {v} appears more than once")
+                seen.add(v)
+                nodes.append(v)
+            for a, b in zip(nodes, nodes[1:] + nodes[:1]):
                 m[a] = b
         return Permutation(tuple(m))
 
@@ -226,16 +247,21 @@ def check_vertex_count(n) -> int:
         raise ValueError(f"the number of vertices n must be an integer, got {n!r}") from None
 
 
+# held by the first read of a deferred graph's index, so its draw runs once
+_FIRST_READ = threading.Lock()
+
+
 class BinaryGraph:
     """A simple undirected graph on ``n`` labeled vertices, no self-loops.
 
     ``BinaryGraph(n, pairs)`` takes vertex pairs in either orientation;
     :meth:`from_indices` takes pair indices.  Both validate their input.
     :meth:`from_trusted_indices` takes pair indices that are valid by
-    construction, checks nothing, and sorts them on first read of ``index``.
+    construction, or a draw of them with its count, checks nothing, and
+    draws and sorts them on first read of ``index``.
     """
 
-    __slots__ = ("n", "_raw", "_node_map", "_index", "_edges")
+    __slots__ = ("n", "_raw", "_node_map", "_count", "_index", "_edges")
 
     def __init__(self, n: int, edges=frozenset()):
         n = check_vertex_count(n)
@@ -254,19 +280,22 @@ class BinaryGraph:
         return g
 
     @classmethod
-    def from_trusted_indices(cls, n: int, idx: np.ndarray, node_map: np.ndarray | None = None) -> "BinaryGraph":
+    def from_trusted_indices(cls, n: int, idx, node_map: np.ndarray | None = None, count: int | None = None) -> "BinaryGraph":
         """The graph with an edge {node_map[i], node_map[j]} for each pair {i, j} indexed by ``idx``; nothing is checked.
 
         The caller guarantees what :meth:`from_indices` would check: ``n`` is
         an int >= 0, ``idx`` is a one-dimensional int64 array of distinct pair
         indices in [0, C(n,2)) in any order, and ``node_map``, if given, is a
         bijection on [n] as an int64 array; neither array is written to later.
-        ``edge_count`` reads ``len(idx)``.  The relabel and the sort run when
-        ``index`` is first read, so a graph read only for its edge count
-        never pays for them.
+        ``idx`` may instead be a draw: a function of no arguments that returns
+        such an array, with ``count`` its length.  ``edge_count`` reads
+        ``count``, or ``len(idx)``.  The draw, the relabel and the sort run
+        when ``index`` is first read, once, under a module-level lock, so a
+        graph read only for its edge count never pays for them.  The draw
+        must not read another graph's ``index``.
         """
         g = cls.__new__(cls)
-        g._store(n, idx, node_map, None, None)
+        g._store(n, idx, node_map, len(idx) if count is None else count, None, None)
         return g
 
     def _init(self, n: int, idx, edges: frozenset | None) -> None:
@@ -281,10 +310,10 @@ class BinaryGraph:
         if (idx[1:] == idx[:-1]).any():
             raise ValueError("duplicate pair index")
         idx.flags.writeable = False
-        self._store(n, idx, None, idx, edges)
+        self._store(n, None, None, len(idx), idx, edges)
 
-    def _store(self, n: int, raw: np.ndarray, node_map: np.ndarray | None, index: np.ndarray | None, edges) -> None:
-        for name, value in zip(self.__slots__, (n, raw, node_map, index, edges)):
+    def _store(self, n: int, raw, node_map: np.ndarray | None, count: int, index: np.ndarray | None, edges) -> None:
+        for name, value in zip(self.__slots__, (n, raw, node_map, count, index, edges)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -296,13 +325,21 @@ class BinaryGraph:
     @property
     def index(self) -> np.ndarray:
         """The sorted, distinct pair indices of the edges, a read-only int64 array."""
-        if self._index is None:
-            raw, node_map = self._raw, self._node_map
-            idx = np.sort(raw if node_map is None else map_pair_indices(raw, self.n, node_map))
-            idx.flags.writeable = False
-            # a cache of a pure function, like edges: threads that race here store equal arrays
-            object.__setattr__(self, "_index", idx)
-        return self._index
+        idx = self._index
+        if idx is None:
+            with _FIRST_READ:
+                idx = self._index
+                if idx is None:  # no other thread built it while this one waited
+                    raw, node_map = self._raw, self._node_map
+                    if callable(raw):
+                        raw = raw()
+                    idx = np.sort(raw if node_map is None else map_pair_indices(raw, self.n, node_map))
+                    idx.flags.writeable = False
+                    object.__setattr__(self, "_index", idx)
+                    # release the draw and its generator; edge_count reads _count
+                    object.__setattr__(self, "_raw", None)
+                    object.__setattr__(self, "_node_map", None)
+        return idx
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinaryGraph):
@@ -325,7 +362,7 @@ class BinaryGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._raw)
+        return self._count
 
     def has_edge(self, i: int, j: int) -> bool:
         i, j = canonical_pair(i, j)

@@ -148,31 +148,48 @@ def sample_planted_gaussian(params: GaussianParams, seed: SeedSpec | int):
 
 
 def _gnp_indices(m: int, q: float, rng: np.random.Generator, forbidden=None) -> np.ndarray:
-    """Linear pair indices of a G(m, q) draw over [0, m) minus ``forbidden``.
+    """Linear pair indices of a G(m, q) draw over [0, m) minus ``forbidden``."""
+    return _gnp_deferred(m, q, rng, forbidden)[1]()
 
-    Each admissible index is kept independently with probability q: a
-    Binomial count, then a uniform subset of that size from
-    ``Generator.choice``.  Rank r among the admissible indices maps to
+
+def _gnp_deferred(m: int, q: float, rng: np.random.Generator, forbidden=None):
+    """A G(m, q) draw over [0, m) minus ``forbidden``, split into ``(count, draw)``.
+
+    Each admissible index is kept independently with probability q: the
+    Binomial count is drawn from ``rng`` now, and ``draw()`` draws a uniform
+    subset of that size from ``Generator.choice`` when called, once.  Calling
+    it right away gives the eager draw; a caller that defers it must draw
+    nothing else from ``rng``.  Rank r among the admissible indices maps to
     r + #{forbidden f: f - (number of forbidden below f) <= r}.  The ranks are
     sorted after the draw, which moves no draw, so each lookup of
     ``searchsorted`` starts where the last one ended.
     """
-    if forbidden is None:
-        return rng.choice(m, int(rng.binomial(m, q)), replace=False)
-    f = np.sort(np.asarray(forbidden, dtype=np.int64))
-    admissible = m - len(f)
-    r = rng.choice(admissible, int(rng.binomial(admissible, q)), replace=False)
-    r.sort()
-    return r + np.searchsorted(f - np.arange(len(f)), r, side="right")
+    admissible = m if forbidden is None else m - len(forbidden)
+    count = int(rng.binomial(admissible, q))
+
+    def draw() -> np.ndarray:
+        r = rng.choice(admissible, count, replace=False)
+        if forbidden is None:
+            return r
+        f = np.sort(np.asarray(forbidden, dtype=np.int64))
+        r.sort()
+        return r + np.searchsorted(f - np.arange(len(f)), r, side="right")
+
+    return count, draw
 
 
 def sample_null_er(params: ErParams, seed: SeedSpec | int):
-    """Two independent G(n, ps) graphs."""
+    """Two independent G(n, ps) graphs.
+
+    B's edge set is drawn, from the end of the same stream, on the first
+    read of ``B.index``, once; its Binomial count is drawn here, so
+    ``B.edge_count`` reads no edge.
+    """
     rng = rng_from_seed(seed)
     n, m, q = params.n, params.n * (params.n - 1) // 2, params.p * params.s
     a = BinaryGraph.from_trusted_indices(n, _gnp_indices(m, q, rng))
-    b = BinaryGraph.from_trusted_indices(n, _gnp_indices(m, q, rng))
-    return a, b
+    count, draw = _gnp_deferred(m, q, rng)
+    return a, BinaryGraph.from_trusted_indices(n, draw, count=count)
 
 
 def sample_planted_er(params: ErParams, seed: SeedSpec | int):
@@ -180,16 +197,20 @@ def sample_planted_er(params: ErParams, seed: SeedSpec | int):
 
     A is G(n, ps); aligned with A, the second graph keeps an A-edge with
     probability s and creates a non-A edge with probability ps(1-s)/(1-ps),
-    realizing the planted joint law in a single pass.
+    realizing the planted joint law in a single pass.  The fresh edges'
+    Binomial count is drawn here; their set, its decode against A and the
+    join with the kept A-edges run on the first read of ``B.index``, once,
+    so ``B.edge_count`` reads no edge.
     """
     rng = rng_from_seed(seed)
     n, p, s = params.n, params.p, params.s
     m = n * (n - 1) // 2
     pi = random_permutation(n, rng)
     a_idx = _gnp_indices(m, p * s, rng)
-    keep = a_idx[rng.random(len(a_idx)) < s]
-    fresh = _gnp_indices(m, p * s * (1 - s) / (1 - p * s), rng, forbidden=a_idx)
+    kept = rng.random(len(a_idx)) < s
+    fresh_count, fresh = _gnp_deferred(m, p * s * (1 - s) / (1 - p * s), rng, forbidden=a_idx)
     # choice(replace=False) draws distinct indices, fresh avoids a_idx and pi is a bijection
-    b_idx = np.concatenate([keep, fresh])
-    return BinaryGraph.from_trusted_indices(n, a_idx), BinaryGraph.from_trusted_indices(n, b_idx, pi.array), pi
-
+    b = BinaryGraph.from_trusted_indices(
+        n, lambda: np.concatenate([a_idx[kept], fresh()]), pi.array, count=int(np.count_nonzero(kept)) + fresh_count
+    )
+    return BinaryGraph.from_trusted_indices(n, a_idx), b, pi

@@ -24,6 +24,19 @@ from graphcorr.moments import exact_er_lr_table
 from graphcorr.sampling import ErParams
 
 
+def min_error_sum_loop(null_stats, planted_stats):
+    """One np.mean pass per distinct threshold, keeping strict improvements (oracle)."""
+    ns = np.sort(np.asarray(null_stats, dtype=float))
+    ps = np.asarray(planted_stats, dtype=float)
+    best, best_tau = 1.0, math.inf
+    for tau in np.unique(np.concatenate([ns, ps])):
+        t1 = float(np.mean(ns >= tau))
+        t2 = float(np.mean(ps < tau))
+        if t1 + t2 < best:
+            best, best_tau = t1 + t2, float(tau)
+    return best, best_tau
+
+
 class TestSweep:
     def small_config(self, **kw):
         base = dict(
@@ -171,6 +184,32 @@ class TestSweep:
         assert err == 0.0 and 3 < tau <= 10
         err, _ = min_error_sum([0, 1], [0, 1])
         assert err == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("trials", [1, 2, 7, 20, 200])
+    @pytest.mark.parametrize("values", ["untied", "tied", "signal", "infinite"])
+    def test_min_error_sum_matches_the_threshold_loop(self, trials, values):
+        rng = np.random.default_rng(trials)
+        for _ in range(20):
+            if values == "untied":
+                null, planted = rng.standard_normal(trials), rng.standard_normal(trials + 3) + 0.5
+            elif values == "tied":
+                null, planted = rng.integers(0, 4, trials), rng.integers(1, 5, 2 * trials)
+            elif values == "signal":  # edge-count-like statistics: negative integers, many ties
+                null, planted = -rng.poisson(3, trials), -rng.poisson(1, trials)
+            else:
+                null = np.where(rng.random(trials) < 0.3, -np.inf, rng.standard_normal(trials))
+                planted = np.where(rng.random(trials) < 0.3, np.inf, rng.standard_normal(trials))
+            for pair in ((null, planted), (planted, null), (list(null), list(null))):
+                got, want = min_error_sum(*pair), min_error_sum_loop(*pair)
+                assert got == want and all(type(v) is float for v in got)
+
+    def test_min_error_sum_edge_cases(self):
+        assert min_error_sum([], []) == (1.0, math.inf)
+        assert min_error_sum([], [1.0]) == min_error_sum([1.0], []) == (1.0, math.inf)
+        assert min_error_sum([5, 5], [5]) == min_error_sum_loop([5, 5], [5]) == (1.0, math.inf)
+        assert min_error_sum([0, 2], [1, 3]) == min_error_sum_loop([0, 2], [1, 3]) == (0.5, 1.0)  # first of two minima
+        with pytest.raises(ValueError, match="NaN"):
+            min_error_sum([0.0, math.nan], [1.0])
 
 
 class TestSharedTable:

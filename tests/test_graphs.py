@@ -53,6 +53,26 @@ class TestPermutation:
     def test_from_cycles(self):
         pi = Permutation.from_cycles(4, [(0, 1), (2, 3)])
         assert pi.mapping == (1, 0, 3, 2)
+        assert Permutation.from_cycles(5, [[4, np.int64(0), 2], (3,)]).mapping == (2, 1, 4, 3, 0)
+
+    @pytest.mark.parametrize(
+        "cycles, message",
+        [
+            ([(2, -1)], "cycle node -1 lies outside"),
+            ([(1, -2)], "cycle node -2 lies outside"),
+            ([(0, 5)], r"cycle node 5 lies outside \[0, 3\)"),
+            ([(0, 3)], "cycle node 3 lies outside"),
+            ([(0, 1), (0, 1)], "cycle node 0 appears more than once"),
+            ([(0, 1), (2, 1)], "cycle node 1 appears more than once"),
+            ([(0, 1, 0)], "cycle node 0 appears more than once"),
+            ([(0, True)], "cycle node True is not an integer"),
+            ([(0, 1.0)], "cycle node 1.0 is not an integer"),
+            ([("0", 1)], "cycle node '0' is not an integer"),
+        ],
+    )
+    def test_from_cycles_refuses_bad_nodes(self, cycles, message):
+        with pytest.raises(ValueError, match=message):
+            Permutation.from_cycles(3, cycles)
 
     @pytest.mark.parametrize("mapping", [(True, 0), [1, False], (0, True, 2), [np.True_, 0]])
     def test_rejects_bool_entries(self, mapping):

@@ -3,6 +3,7 @@ import math
 import pickle
 import re
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -76,6 +77,39 @@ def _gnp_indices_parent(m, q, rng, forbidden=None):
     admissible = m - len(f)
     r = rng.choice(admissible, int(rng.binomial(admissible, q)), replace=False)
     return r + np.searchsorted(f - np.arange(len(f)), r, side="right")
+
+
+def _gnp_deferred_parent(m, q, rng, forbidden=None):
+    """The unsorted decode drawn at once, in the ``(count, draw)`` form the samplers take (oracle)."""
+    idx = _gnp_indices_parent(m, q, rng, forbidden)
+    return len(idx), lambda: idx
+
+
+class WatchedGenerator:
+    """A generator from ``rng_from_seed`` that counts its ``choice`` draws; once gated, each one waits for ``release``."""
+
+    def __init__(self, rng):
+        self.rng, self.choices, self.gated = rng, 0, False
+        self.started, self.release = threading.Event(), threading.Event()
+
+    def choice(self, *args, **kwargs):
+        self.choices += 1
+        if self.gated:
+            self.started.set()
+            assert self.release.wait(60)
+        return self.rng.choice(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def watched_draw(monkeypatch, sampler, params, seed):
+    """``sampler(params, seed)`` on a :class:`WatchedGenerator`, returned next to the draw."""
+    watched = []
+    with monkeypatch.context() as m:
+        m.setattr(sampling, "rng_from_seed", lambda s: watched.append(WatchedGenerator(rng_from_seed(s))) or watched[-1])
+        draw = sampler(params, seed)
+    return draw, watched[0]
 
 
 def planted_gaussian_oracle(params, seed):
@@ -234,7 +268,7 @@ class TestStreamPin:
 
 
 class TestSampledGraphs:
-    """Sampler graphs sort and relabel their pair indices on first read, into the same value as an eager build."""
+    """Sampler graphs draw B's edge set, sort and relabel on first read, into the same value as an eager build."""
 
     @pytest.mark.parametrize("n", [1, 2, 30, 2000])
     @pytest.mark.parametrize("p, s", [(0.01, 0.8), (0.01, 1.0), (1e-9, 1e-3)], ids=["er", "s=1", "empty"])
@@ -254,31 +288,53 @@ class TestSampledGraphs:
                     if p < 1e-6:
                         assert count == 0 and g.edges == frozenset()
 
-    def test_threads_racing_on_the_first_read_agree(self):
+    def test_threads_racing_on_the_first_read_agree(self, monkeypatch):
         params = ErParams(300, 0.05, 0.8)
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(8) as pool:
-                for t in range(10):
-                    expected = sample_planted_er(params, SeedSpec(17, t))[1].index
-                    _, b, _ = sample_planted_er(params, SeedSpec(17, t))
-                    seen = list(pool.map(lambda _: b.index, range(16), timeout=60))
-                    assert all(np.array_equal(x, expected) and not x.flags.writeable for x in seen)
+                for sampler in (sample_null_er, sample_planted_er):
+                    for t in range(10):
+                        expected = sampler(params, SeedSpec(17, t))[1].index
+                        b = sampler(params, SeedSpec(17, t))[1]
+                        seen = list(pool.map(lambda k: b.index if k % 4 else b.edge_count, range(16), timeout=60))
+                        counts, indices = seen[::4], [x for k, x in enumerate(seen) if k % 4]
+                        assert all(x == len(expected) for x in counts)
+                        assert all(np.array_equal(x, expected) and not x.flags.writeable for x in indices)
+                    # edge_count read while the first read of index is drawing B's edges
+                    draw, rng = watched_draw(monkeypatch, sampler, params, SeedSpec(17, t))
+                    b = draw[1]
+                    rng.gated = True
+                    first = pool.submit(lambda: b.index)
+                    assert rng.started.wait(60)
+                    waiting = pool.submit(lambda: b.index)
+                    assert b.edge_count == len(expected) and not first.done() and not waiting.done()
+                    rng.release.set()
+                    assert np.array_equal(first.result(60), expected) and waiting.result(60) is first.result()
+                    assert rng.choices == 2  # A's draw in the sampler, B's once on first read
         finally:
             sys.setswitchinterval(old)
 
     def test_edge_count_test_never_relabels(self, monkeypatch):
-        calls = []
-        real = graphs.map_pair_indices
-        monkeypatch.setattr(graphs, "map_pair_indices", lambda *args: calls.append(args) or real(*args))
         params = ErParams(200, 0.1, 0.8)
-        a, b, _ = sample_planted_er(params, SeedSpec(16, 0))
-        TESTS["edges"].statistic(a, b, params)
-        assert calls == []
-        dense = b.to_dense()
-        assert len(calls) == 1
-        assert np.array_equal(b.to_dense(), dense) and b.edges and len(calls) == 1
+        for sampler, relabels in ((sample_null_er, 0), (sample_planted_er, 1)):
+            with monkeypatch.context() as m:
+                m.setattr(sampling, "_gnp_deferred", _gnp_deferred_parent)
+                eager = sampler(params, SeedSpec(16, 0))[1]  # drawn and decoded at once
+                eager.index
+            unread = [sampler(params, SeedSpec(16, 0))[1] for _ in range(2)]
+            assert unread[0] == eager and hash(unread[1]) == hash(eager)
+            (a, b, *_), rng = watched_draw(monkeypatch, sampler, params, SeedSpec(16, 0))
+            calls, real = [], graphs.map_pair_indices
+            with monkeypatch.context() as m:
+                m.setattr(graphs, "map_pair_indices", lambda *args: calls.append(args) or real(*args))
+                TESTS["edges"].statistic(a, b, params)
+                assert calls == [] and rng.choices == 1  # A's draw only: B's edges are neither drawn nor relabeled
+                assert pickle.dumps(b) == pickle.dumps(eager)  # the first read of index
+                assert rng.choices == 2 and len(calls) == relabels
+                assert b.edge_count == eager.edge_count and np.array_equal(b.to_dense(), eager.to_dense())
+                assert b.edges == eager.edges and rng.choices == 2 and len(calls) == relabels
 
 
 class TestGaussian:
@@ -400,7 +456,7 @@ class TestGnpIndices:
             for t in range(3)
         ]
         got = [sample_planted_er(params, seed) for params, seed in draws]
-        monkeypatch.setattr(sampling, "_gnp_indices", _gnp_indices_parent)
+        monkeypatch.setattr(sampling, "_gnp_deferred", _gnp_deferred_parent)  # A's and B's draws, decoded at once
         for (params, seed), (a, b, pi) in zip(draws, got):
             a_ref, b_ref, pi_ref = sample_planted_er(params, seed)
             assert pi == pi_ref
