@@ -69,7 +69,7 @@ from .sampling import (
     sample_planted_gaussian,
 )
 
-__all__ = ["CriterionResult", "CRITERIA", "run_criterion", "verify"]
+__all__ = ["CriterionResult", "CRITERIA", "matching_criteria", "run_criterion", "verify"]
 
 DEFAULT_SEED = 20240917
 
@@ -491,19 +491,26 @@ def run_criterion(name: str, seed: int = DEFAULT_SEED) -> CriterionResult:
     raise KeyError(f"unknown criterion {name!r}; known: {[c for c, _ in CRITERIA]}")
 
 
-def verify(suite: str | None = None, seed: int = DEFAULT_SEED, out=print, as_json: bool = False) -> bool:
+def matching_criteria(suite: str | None = None) -> list[str]:
+    """Names of the criteria that contain ``suite``, all of them without it; a filter that matches none raises ``ValueError``."""
+    names = [name for name, _ in CRITERIA if not suite or suite in name]
+    if not names:
+        raise ValueError(f"--suite {suite!r} matches no criterion; known: {', '.join(name for name, _ in CRITERIA)}")
+    return names
+
+
+def verify(suite: str | None = None, seed: int = DEFAULT_SEED, as_json: bool = False) -> bool:
     """Run the acceptance criteria (optionally filtered by substring).
 
     Prints one PASS/FAIL line per criterion with the measured values, or with
     ``as_json`` one JSON object with the fields of its ``CriterionResult``,
-    and returns overall success.
+    and returns overall success.  A filter that matches no criterion is
+    refused before any runs.
     """
     all_ok = True
-    for name, _ in CRITERIA:
-        if suite and suite not in name:
-            continue
+    for name in matching_criteria(suite):
         res = run_criterion(name, seed=seed)
         status = "PASS" if res.passed else "FAIL"
-        out(json.dumps(asdict(res)) if as_json else f"[{status}] {res.name} ({res.seconds:.1f}s): {res.measured}")
+        print(json.dumps(asdict(res)) if as_json else f"[{status}] {res.name} ({res.seconds:.1f}s): {res.measured}")
         all_ok = all_ok and res.passed
     return all_ok

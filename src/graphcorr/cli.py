@@ -336,6 +336,8 @@ def _cmd_curves(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    with _one_line_errors():  # only the filter: a ValueError inside a criterion is a bug and keeps its traceback
+        acceptance.matching_criteria(args.suite)
     ok = acceptance.verify(suite=args.suite, seed=args.seed, as_json=args.json)
     return 0 if ok else 1
 

@@ -94,10 +94,17 @@ class SweepConfig:
             raise FieldError("ls_rounds", "ls_rounds must be >= 0")
         if self.threshold_mode not in ("auto", "oracle"):
             raise FieldError("threshold_mode", "threshold_mode must be 'auto' or 'oracle'")
-        if not self.cells():
+        for name in ("rho_values", "p_values", "s_values"):
+            if getattr(self, name) and (name == "rho_values") != (self.model == "gaussian"):
+                raise FieldError(name, f"{name} do not apply to model {self.model!r}")
+        try:
+            cells = self.cells()
+        except FieldError as err:  # the model parameter names its grid field
+            raise FieldError(f"{err.field}_values", str(err)) from None
+        if not cells:
             raise FieldError(None, "empty parameter grid")
         if self.threshold_mode == "auto":
-            for params in self.cells():
+            for params in cells:
                 for t in self.tests:
                     try:
                         TESTS[t].threshold(params)
@@ -182,18 +189,8 @@ def _run_cell(args) -> list[tuple[str, ErrorEstimate]]:
             tau = TESTS[test].threshold(params)
         t1 = float(np.mean(np.asarray(null_stats) >= tau))
         t2 = float(np.mean(np.asarray(planted_stats) < tau))
-        out.append(
-            (
-                test,
-                ErrorEstimate(
-                    t1,
-                    t2,
-                    binomial_halfwidth(t1, config.trials),
-                    binomial_halfwidth(t2, config.trials),
-                    config.trials,
-                ),
-            )
-        )
+        halfwidths = binomial_halfwidth(t1, config.trials), binomial_halfwidth(t2, config.trials)
+        out.append((test, ErrorEstimate(t1, t2, *halfwidths, config.trials)))
     return out
 
 
@@ -203,14 +200,11 @@ def _format_cell_rows(config, cell_index, results) -> list[str]:
         rho, p, s = f"{params.rho:.6g}", "", ""
     else:
         rho, p, s = "", f"{params.p:.6g}", f"{params.s:.6g}"
-    rows = []
-    for test, est in results:
-        rows.append(
-            f"{config.model},{params.n},{rho},{p},{s},{test},{est.trials},"
-            f"{est.type1:.6f},{est.type2:.6f},{est.err_sum:.6f},{est.ci:.6f},"
-            f"{config.master_seed}"
-        )
-    return rows
+    return [
+        f"{config.model},{params.n},{rho},{p},{s},{test},{est.trials},"
+        f"{est.type1:.6f},{est.type2:.6f},{est.err_sum:.6f},{est.ci:.6f},{config.master_seed}"
+        for test, est in results
+    ]
 
 
 def sweep_workers(config: SweepConfig) -> int:
@@ -230,10 +224,7 @@ def sweep_rows(config: SweepConfig) -> list[str]:
             results = list(pool.map(_run_cell, [(config, c) for c in cells]))
     else:
         results = [_run_cell((config, c)) for c in cells]
-    rows = []
-    for c in cells:
-        rows.extend(_format_cell_rows(config, c, results[c]))
-    return rows
+    return [row for c in cells for row in _format_cell_rows(config, c, results[c])]
 
 
 def run_sweep(config: SweepConfig, out_path=None) -> str:

@@ -3,12 +3,12 @@
 A binary graph stores its edge set as one sorted, distinct, read-only int64
 array of pair indices (``index``, ranked as in :func:`pair_index`); ``edges``
 is a frozen set of canonical vertex pairs derived from it on first use.  A
-graph built from indices that are valid by construction (sampler output, or
-a graph's own index under a bijection) keeps them raw and sorts, and pushes
-them through its node map, only when ``index`` is first read.  The raw
-indices may also be a draw whose size is already known: the ER samplers
-hand over the second graph's last edge-set draw uncalled, with its count,
-and the first read of ``index`` runs it, once, under a module-level lock.
+graph built from indices that are valid by construction keeps one deferred
+source, the raw indices or a draw of them whose size is already known, and
+sorts it only when ``index`` is first read.  The draw runs then, once, under
+a module-level lock: the ER samplers hand over the second graph's last
+edge-set draw uncalled, with its count, and :func:`relabel` and the planted
+sampler run the relabel inside the draw.
 Weighted graphs are read-only symmetric numpy arrays.  Permutations are
 tuples with a read-only int64 array view.  All values are immutable after
 construction and safe to share across threads.
@@ -261,7 +261,7 @@ class BinaryGraph:
     draws and sorts them on first read of ``index``.
     """
 
-    __slots__ = ("n", "_raw", "_node_map", "_count", "_index", "_edges")
+    __slots__ = ("n", "_raw", "_count", "_index", "_edges")
 
     def __init__(self, n: int, edges=frozenset()):
         n = check_vertex_count(n)
@@ -280,22 +280,21 @@ class BinaryGraph:
         return g
 
     @classmethod
-    def from_trusted_indices(cls, n: int, idx, node_map: np.ndarray | None = None, count: int | None = None) -> "BinaryGraph":
-        """The graph with an edge {node_map[i], node_map[j]} for each pair {i, j} indexed by ``idx``; nothing is checked.
+    def from_trusted_indices(cls, n: int, idx, count: int | None = None) -> "BinaryGraph":
+        """The graph whose edges have the pair indices ``idx``; nothing is checked.
 
         The caller guarantees what :meth:`from_indices` would check: ``n`` is
-        an int >= 0, ``idx`` is a one-dimensional int64 array of distinct pair
-        indices in [0, C(n,2)) in any order, and ``node_map``, if given, is a
-        bijection on [n] as an int64 array; neither array is written to later.
+        an int >= 0 and ``idx`` is a one-dimensional int64 array of distinct
+        pair indices in [0, C(n,2)) in any order, not written to later.
         ``idx`` may instead be a draw: a function of no arguments that returns
-        such an array, with ``count`` its length.  ``edge_count`` reads
-        ``count``, or ``len(idx)``.  The draw, the relabel and the sort run
-        when ``index`` is first read, once, under a module-level lock, so a
-        graph read only for its edge count never pays for them.  The draw
-        must not read another graph's ``index``.
+        such an array, with ``count`` its length; a relabel runs inside it.
+        ``edge_count`` reads ``count``, or ``len(idx)``.  The draw and the
+        sort run when ``index`` is first read, once, under a module-level
+        lock, so a graph read only for its edge count never pays for them.
+        The draw must not read any graph's ``index``.
         """
         g = cls.__new__(cls)
-        g._store(n, idx, node_map, len(idx) if count is None else count, None, None)
+        g._store(n, idx, len(idx) if count is None else count, None, None)
         return g
 
     def _init(self, n: int, idx, edges: frozenset | None) -> None:
@@ -310,10 +309,10 @@ class BinaryGraph:
         if (idx[1:] == idx[:-1]).any():
             raise ValueError("duplicate pair index")
         idx.flags.writeable = False
-        self._store(n, None, None, len(idx), idx, edges)
+        self._store(n, None, len(idx), idx, edges)
 
-    def _store(self, n: int, raw, node_map: np.ndarray | None, count: int, index: np.ndarray | None, edges) -> None:
-        for name, value in zip(self.__slots__, (n, raw, node_map, count, index, edges)):
+    def _store(self, n: int, raw, count: int, index: np.ndarray | None, edges) -> None:
+        for name, value in zip(self.__slots__, (n, raw, count, index, edges)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -330,15 +329,11 @@ class BinaryGraph:
             with _FIRST_READ:
                 idx = self._index
                 if idx is None:  # no other thread built it while this one waited
-                    raw, node_map = self._raw, self._node_map
-                    if callable(raw):
-                        raw = raw()
-                    idx = np.sort(raw if node_map is None else map_pair_indices(raw, self.n, node_map))
+                    idx = np.sort(self._raw() if callable(self._raw) else self._raw)
                     idx.flags.writeable = False
                     object.__setattr__(self, "_index", idx)
                     # release the draw and its generator; edge_count reads _count
                     object.__setattr__(self, "_raw", None)
-                    object.__setattr__(self, "_node_map", None)
         return idx
 
     def __eq__(self, other) -> bool:
@@ -431,8 +426,9 @@ def relabel(g: Graph, pi: Permutation) -> Graph:
     """Return the relabeled graph with entries ``result[i][j] = g[pi(i)][pi(j)]``."""
     if pi.n != g.n:
         raise ValueError(f"permutation size {pi.n} != graph size {g.n}")
-    if isinstance(g, BinaryGraph):
-        return BinaryGraph.from_trusted_indices(g.n, g.index, pi.invert().array)
+    if isinstance(g, BinaryGraph):  # g.index is read now: the draw runs under the first-read lock, not reentrant
+        idx, n, inv = g.index, g.n, pi.invert().array
+        return BinaryGraph.from_trusted_indices(n, lambda: map_pair_indices(idx, n, inv), count=len(idx))
     return WeightedGraph(g.weight[np.ix_(pi.array, pi.array)])
 
 

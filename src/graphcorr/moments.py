@@ -378,6 +378,8 @@ def _orbit_forest_counts(short: tuple[int, ...], k: int) -> tuple[tuple[tuple[in
 
 def _gf_sums(sigma: Permutation, k: int, s: float) -> tuple[float, float]:
     """(pseudoforest, forest) generating functions of sigma at k, summed from the counts of its short cycle type."""
+    if not 0 <= s <= 1:
+        raise ValueError("s must lie in [0, 1]")
     if k < 1:
         raise ValueError("k must be >= 1")
     short = cycle_type(sigma).counts[:k]
@@ -392,15 +394,11 @@ def gf_orbit_pseudoforests_bruteforce(sigma: Permutation, k: int, s: float) -> f
     Sums exact counts of the orbit unions by edge count, made once per short
     cycle type and k; refuses over ``GF_VERTEX_LIMIT`` short node cycles first.
     """
-    if not 0 <= s <= 1:
-        raise ValueError("s must lie in [0, 1]")
     return _gf_sums(sigma, k, s)[0]
 
 
 def gf_orbit_forests_bruteforce(sigma: Permutation, k: int, s: float) -> float:
     """Forest-restricted variant of the orbit generating function, read off the same counts."""
-    if not 0 <= s <= 1:
-        raise ValueError("s must lie in [0, 1]")
     return _gf_sums(sigma, k, s)[1]
 
 

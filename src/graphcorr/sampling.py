@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graphs
+from .errors import FieldError
 from .graphs import BinaryGraph, Permutation, WeightedGraph, check_vertex_count, strict_index, symmetric_from_flat
 
 __all__ = [
@@ -39,7 +41,7 @@ def _check_params(params, *reals) -> None:
         raise ValueError(f"model parameters must be real numbers, not bools, got {params!r}")
     n = check_vertex_count(params.n)
     if n < 1:
-        raise ValueError("n must be positive")
+        raise FieldError("n", "n must be positive")
     object.__setattr__(params, "n", n)
 
 
@@ -52,7 +54,7 @@ class GaussianParams:
 
     def __post_init__(self):
         if not 0 <= self.rho < 1:
-            raise ValueError("rho must lie in [0, 1)")
+            raise FieldError("rho", "rho must lie in [0, 1)")
         _check_params(self, self.rho)
 
 
@@ -69,9 +71,9 @@ class ErParams:
 
     def __post_init__(self):
         if not 0 < self.p < 1:
-            raise ValueError("p must lie in (0, 1)")
+            raise FieldError("p", "p must lie in (0, 1)")
         if not 0 < self.s <= 1:
-            raise ValueError("s must lie in (0, 1]")
+            raise FieldError("s", "s must lie in (0, 1]")
         _check_params(self, self.p, self.s)
 
 
@@ -198,9 +200,9 @@ def sample_planted_er(params: ErParams, seed: SeedSpec | int):
     A is G(n, ps); aligned with A, the second graph keeps an A-edge with
     probability s and creates a non-A edge with probability ps(1-s)/(1-ps),
     realizing the planted joint law in a single pass.  The fresh edges'
-    Binomial count is drawn here; their set, its decode against A and the
-    join with the kept A-edges run on the first read of ``B.index``, once,
-    so ``B.edge_count`` reads no edge.
+    Binomial count is drawn here; their set, its decode against A, the join
+    with the kept A-edges and the relabel through pi run on the first read
+    of ``B.index``, once, so ``B.edge_count`` reads no edge.
     """
     rng = rng_from_seed(seed)
     n, p, s = params.n, params.p, params.s
@@ -209,8 +211,10 @@ def sample_planted_er(params: ErParams, seed: SeedSpec | int):
     a_idx = _gnp_indices(m, p * s, rng)
     kept = rng.random(len(a_idx)) < s
     fresh_count, fresh = _gnp_deferred(m, p * s * (1 - s) / (1 - p * s), rng, forbidden=a_idx)
-    # choice(replace=False) draws distinct indices, fresh avoids a_idx and pi is a bijection
+    count = int(np.count_nonzero(kept)) + fresh_count
+    # choice(replace=False) draws distinct indices, fresh avoids a_idx and pi is a bijection; the draw looks
+    # map_pair_indices up on the graphs module when B is read, so a wrapper installed there sees the relabel
     b = BinaryGraph.from_trusted_indices(
-        n, lambda: np.concatenate([a_idx[kept], fresh()]), pi.array, count=int(np.count_nonzero(kept)) + fresh_count
+        n, lambda: graphs.map_pair_indices(np.concatenate([a_idx[kept], fresh()]), n, pi.array), count
     )
     return BinaryGraph.from_trusted_indices(n, a_idx), b, pi

@@ -531,6 +531,15 @@ class TestSweepConfig:
             ("model=er\nn=8\ntests=qap-ls\nrestarts=0\ntrials=5\np=0.4\ns=0.8\n", 4, "restarts must be >= 1"),
             ("model=er\nn=8\nls_rounds=-1\ntests=qap-ls\ntrials=5\np=0.4\ns=0.8\n", 3, "ls_rounds must be >= 0"),
             ("model=er\nn=8\ntests=edges\ntrials=5\np=0.4\ns=0.8\nseed=-4\n", 7, "master_seed must be >= 0, got -4"),
+            # a grid value the model refuses is named at its own key's line, not the config's last
+            ("model=er\nn=8\np=2\ntests=edges\ntrials=5\ns=0.8\nseed=1\n", 3, "p must lie in (0, 1)"),
+            ("model=er\nn=8\np=0.4\ns=nan\ntests=edges\ntrials=5\nseed=1\n", 4, "s must lie in (0, 1]"),
+            ("model=er\nn=0\np=0.4\ns=0.8\ntests=edges\ntrials=5\nseed=1\n", 2, "n must be positive"),
+            ("model=gaussian\nn=8\nrho=1.5\ntests=qap-ls\ntrials=5\nseed=1\n", 3, "rho must lie in [0, 1)"),
+            # so is a grid key of the other model
+            ("model=er\nn=8\nrho=0.5\np=0.4\ns=0.8\ntests=edges\ntrials=5\n", 3, "rho_values do not apply to model 'er'"),
+            ("model=gaussian\nn=8\nrho=0.5\ntests=qap-ls\np=0.4\ntrials=5\n", 5, "p_values do not apply to model 'gaussian'"),
+            ("model=gaussian\nn=8\ns=0.8\nrho=0.5\ntests=qap-ls\ntrials=5\n", 3, "s_values do not apply to model 'gaussian'"),
         ],
     )
     def test_rejection_names_path_and_line(self, tmp_path, text, line, message):
@@ -616,6 +625,19 @@ class TestOtherCommands:
     def test_verify_single_suite(self, capsys):
         code, out = run(capsys, "verify", "--suite", "02-orbit-table")
         assert code == 0 and out.startswith("[PASS]")
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_verify_refuses_a_suite_that_matches_nothing(self, capsys, monkeypatch, flags):
+        from graphcorr import acceptance
+
+        monkeypatch.setattr(acceptance, "run_criterion", lambda *args, **kwargs: pytest.fail("a criterion ran"))
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--suite", "zzz", *flags])
+        names = ", ".join(name for name, _ in acceptance.CRITERIA)
+        assert err.value.code == f"--suite 'zzz' matches no criterion; known: {names}"
+        assert len(acceptance.CRITERIA) == 12 and capsys.readouterr().out == ""
+        with pytest.raises(ValueError, match="matches no criterion"):
+            acceptance.verify(suite="zzz")
 
     def test_verify_json(self, capsys):
         code, out = run(capsys, "verify", "--suite", "02-orbit-table", "--json")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from graphcorr.detect import TESTS, qap_local_search
-from graphcorr.graphs import BinaryGraph, intersect, relabel
+from graphcorr.graphs import BinaryGraph, Permutation, intersect, relabel
 from graphcorr import graphs, sampling
 from graphcorr.sampling import (
     ErParams,
@@ -66,7 +66,8 @@ def sample_planted_er_parent(params, seed):
     parent = sampling._gnp_indices(n * (n - 1) // 2, p, rng)
     a_idx = parent[rng.random(len(parent)) < s]
     matched = parent[rng.random(len(parent)) < s]
-    return BinaryGraph.from_trusted_indices(n, a_idx), BinaryGraph.from_trusted_indices(n, matched, pi.array), pi
+    b = BinaryGraph.from_trusted_indices(n, graphs.map_pair_indices(matched, n, pi.array))
+    return BinaryGraph.from_trusted_indices(n, a_idx), b, pi
 
 
 def _gnp_indices_parent(m, q, rng, forbidden=None):
@@ -110,6 +111,26 @@ def watched_draw(monkeypatch, sampler, params, seed):
         m.setattr(sampling, "rng_from_seed", lambda s: watched.append(WatchedGenerator(rng_from_seed(s))) or watched[-1])
         draw = sampler(params, seed)
     return draw, watched[0]
+
+
+def eager_relabel(g, pi):
+    """``relabel(g, pi)`` built from vertex pairs: an edge {pi^-1(u), pi^-1(v)} for each edge {u, v} of ``g`` (oracle)."""
+    inv = pi.invert()
+    return BinaryGraph(g.n, [(inv(u), inv(v)) for u, v in g.edges])
+
+
+def in_thread(call):
+    """``call()`` run in a daemon thread, so a call that deadlocks fails the test after 60 s instead of hanging.
+
+    It takes no arguments, since a failure report shows arguments, and the repr of a graph reads its index.
+    """
+    out = []
+    worker = threading.Thread(target=lambda: out.append(call()), daemon=True)
+    worker.start()
+    worker.join(60)
+    assert not worker.is_alive(), "the call did not return within 60 s"
+    assert out, "the call raised in its thread"
+    return out[0]
 
 
 def planted_gaussian_oracle(params, seed):
@@ -288,20 +309,53 @@ class TestSampledGraphs:
                     if p < 1e-6:
                         assert count == 0 and g.edges == frozenset()
 
+    @pytest.mark.parametrize("n", [1, 2, 30, 2000])
+    def test_relabel_of_an_unread_graph_matches_the_eager_relabel(self, n, monkeypatch):
+        monkeypatch.setattr(graphs, "_FIRST_READ", threading.Lock())  # a deadlock keeps this lock, not the suite's
+        params = ErParams(n, 0.01, 0.8)
+        for t in range(2):
+            b, pi = sample_planted_er(params, SeedSpec(18, t))[1:]
+            sigma = random_permutation(n, rng_from_seed(SeedSpec(18, t), 1))
+            # B^pi of a B never read, then its relabel, read first: a draw that took the first-read lock again would deadlock
+            once = in_thread(lambda: relabel(b, pi))
+            twice = in_thread(lambda: relabel(once, sigma))
+            in_thread(lambda: twice.index)
+            eager_once = eager_relabel(b, pi)
+            eager_twice = eager_relabel(eager_once, sigma)
+            assert once == eager_once and twice == eager_twice
+            for source, perm, eager in ((b, pi, eager_once), (once, sigma, eager_twice)):
+                # each read below is the first read of a relabelled graph
+                assert relabel(source, perm).edge_count == eager.edge_count
+                assert relabel(source, perm) == eager and hash(relabel(source, perm)) == hash(eager)
+                assert pickle.dumps(relabel(source, perm)) == pickle.dumps(eager)
+                index = relabel(source, perm).index
+                assert index.dtype == np.int64 and not index.flags.writeable
+
     def test_threads_racing_on_the_first_read_agree(self, monkeypatch):
         params = ErParams(300, 0.05, 0.8)
+        monkeypatch.setattr(graphs, "_FIRST_READ", threading.Lock())  # a deadlock keeps this lock, not the suite's
+        probe = relabel(sample_planted_er(params, SeedSpec(17, 0))[1], Permutation.identity(params.n))
+        in_thread(lambda: probe.index)  # a relabel that deadlocks fails here, not in the pool
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(8) as pool:
                 for sampler in (sample_null_er, sample_planted_er):
                     for t in range(10):
-                        expected = sampler(params, SeedSpec(17, t))[1].index
-                        b = sampler(params, SeedSpec(17, t))[1]
-                        seen = list(pool.map(lambda k: b.index if k % 4 else b.edge_count, range(16), timeout=60))
-                        counts, indices = seen[::4], [x for k, x in enumerate(seen) if k % 4]
-                        assert all(x == len(expected) for x in counts)
-                        assert all(np.array_equal(x, expected) and not x.flags.writeable for x in indices)
+                        eager = BinaryGraph.from_indices(params.n, sampler(params, SeedSpec(17, t))[1].index)
+                        sigma = random_permutation(params.n, rng_from_seed(SeedSpec(17, t), 1))
+                        b, moved = sampler(params, SeedSpec(17, t))[1], relabel(sampler(params, SeedSpec(17, t))[1], sigma)
+                        unread = ((b, eager, int(sampler is sample_planted_er)), (moved, eager_relabel(eager, sigma), 1))
+                        for g, ref, relabels in unread:
+                            calls, real = [], graphs.map_pair_indices
+                            with monkeypatch.context() as m:
+                                m.setattr(graphs, "map_pair_indices", lambda *args: calls.append(args) or real(*args))
+                                seen = list(pool.map(lambda k: g.index if k % 4 else g.edge_count, range(16), timeout=60))
+                            counts, indices = seen[::4], [x for k, x in enumerate(seen) if k % 4]
+                            assert all(x == ref.edge_count for x in counts)
+                            assert all(np.array_equal(x, ref.index) and not x.flags.writeable for x in indices)
+                            assert len(calls) == relabels  # the draw, with its relabel, ran once
+                        expected = eager.index
                     # edge_count read while the first read of index is drawing B's edges
                     draw, rng = watched_draw(monkeypatch, sampler, params, SeedSpec(17, t))
                     b = draw[1]
