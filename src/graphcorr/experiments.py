@@ -109,7 +109,7 @@ class SweepConfig:
                     try:
                         TESTS[t].threshold(params)
                     except ValueError as err:
-                        raise ValueError(f"no auto threshold for {t} at {params}: {err}") from None
+                        raise FieldError("tests", f"no auto threshold for {t} at {params}: {err}") from None
 
     def cells(self) -> list:
         if self.model == "gaussian":

@@ -60,7 +60,7 @@ __all__ = [
 GF_ORBIT_LIMIT = 24  # most short orbits enumerate_orbit_pseudoforests lists by default
 GF_VERTEX_LIMIT = 12  # most short node cycles the GF counts take: 0.25 s for the identity on 12 nodes
 GF_WORK_LIMIT = 2e10  # work units the GF counts may spend: at most 0.05 ns each measured on a 2-core Xeon
-SECOND_MOMENT_EXACT_LIMIT = 8  # largest n whose cycle types second_moment_exact enumerates
+SECOND_MOMENT_EXACT_LIMIT = 42  # largest n second_moment_exact walks: 0.80 s at ER p=0.3, s=0.5 on a 2-core Xeon (n=43: 1.02 s)
 TV_CUTOFF = 30  # per-coordinate count beyond which cycle_type_tv_check folds Poisson mass
 TV_BOX_LIMIT = 10**6  # keys of the (TV_CUTOFF+1)^k box that cycle_type_tv_check may visit
 
@@ -140,24 +140,34 @@ def incomplete_orbit_moment_er(k: int, p: float, s: float) -> float:
 # -- exact second moments --------------------------------------------------------
 
 
-def partitions_as_cycle_types(n: int):
-    """Yield (CycleType, weight) over all cycle types of S_n.
+def _cycle_type_walk(n: int, g):
+    """Yield (counts, log weight, log orbit factor) per cycle type of S_n, parts placed largest first.
 
-    The weight is the exact fraction of permutations with that type,
-    1 / prod(l^(n_l) n_l!).
+    The log orbit factor sums g(|O|) over the edge orbits O.  An m-cycle joining c
+    m-cycles and c_l l-cycles (l > m) divides the weight by m(c+1) and adds
+    ((m-1)//2 + cm) g(m) + [m even] g(m/2) + sum_l c_l gcd(l, m) g(lcm(l, m)) to it.
     """
-    counts = [0] * n  # counts[m-1]: m-cycles placed so far, parts placed largest first
+    counts = [0] * n
 
-    def walk(remaining: int, max_part: int, weight: Fraction):
-        if remaining == 0:
-            yield CycleType(tuple(counts)), weight
+    def walk(remaining: int, max_part: int, log_w: float, log_f: float, parts: tuple[int, ...]):
+        if remaining == 0:  # parts: the distinct cycle lengths placed so far, each >= max_part
+            yield tuple(counts), log_w, log_f
             return
         for m in range(min(remaining, max_part), 0, -1):
-            counts[m - 1] += 1  # one more m-cycle divides the weight by m * (its new count)
-            yield from walk(remaining - m, m, weight / (m * counts[m - 1]))
-            counts[m - 1] -= 1
+            c = counts[m - 1]
+            step = ((m - 1) // 2 + c * m) * g(m) + (0.0 if m % 2 else g(m // 2))
+            step += sum(counts[l - 1] * math.gcd(l, m) * g(math.lcm(l, m)) for l in parts if l != m)
+            counts[m - 1] = c + 1
+            yield from walk(remaining - m, m, log_w - math.log(m * (c + 1)), log_f + step, parts if c else parts + (m,))
+            counts[m - 1] = c
 
-    yield from walk(n, n, Fraction(1))
+    yield from walk(n, n, 0.0, 0.0, ())
+
+
+def partitions_as_cycle_types(n: int):
+    """Yield (CycleType, weight) over the cycle types of S_n in :func:`_cycle_type_walk` order; weight 1 / prod(l^(n_l) n_l!)."""
+    for counts, _, _ in _cycle_type_walk(n, lambda k: 0.0):
+        yield CycleType(counts), Fraction(1, math.prod(l**c * math.factorial(c) for l, c in enumerate(counts, 1)))
 
 
 @dataclass(frozen=True)
@@ -165,8 +175,8 @@ class SecondMomentReport:
     """Second moment of the likelihood ratio under the null.
 
     ``value`` is exact when computed by cycle-type enumeration; Monte-Carlo
-    reports carry a half-width instead.  ``contributions`` maps each cycle
-    type to (probability weight, orbit-product factor).
+    reports carry a half-width instead.  ``contributions`` holds one
+    (counts, probability weight, orbit-product factor) row per cycle type.
     """
 
     model: str
@@ -180,35 +190,31 @@ class SecondMomentReport:
         return self.mc_halfwidth is None
 
 
-def _orbit_factor_log(params, census_items) -> float:
+def _log_orbit_moment(params):
+    """k -> log of the model's expected factor for a k-edge orbit, memoised."""
     if isinstance(params, GaussianParams):
         f = lambda k: orbit_moment_gaussian(k, params.rho)
     elif isinstance(params, ErParams):
         f = lambda k: orbit_moment_er(k, params.p, params.s)
     else:
         raise TypeError(f"unsupported params type {type(params)!r}")
-    return sum(nk * math.log(f(k)) for k, nk in census_items)
+    return functools.cache(lambda k: math.log(f(k)))
 
 
-def _orbit_factor(params, census_items) -> float:
-    """exp of :func:`_orbit_factor_log`, or inf where that passes the float range."""
+def _exp_or_inf(x: float) -> float:
+    """exp(x), or inf where that passes the float range."""
     try:
-        return math.exp(_orbit_factor_log(params, census_items))
+        return math.exp(x)
     except OverflowError:
         return math.inf
-
-
-@functools.lru_cache(maxsize=SECOND_MOMENT_EXACT_LIMIT)
-def _cycle_type_table(n: int) -> tuple:
-    """Read-only (cycle type, weight, census) rows of S_n, for :func:`second_moment_exact`."""
-    return tuple((ct, w, tuple(census_from_cycle_type(ct).items())) for ct, w in partitions_as_cycle_types(n))
 
 
 def second_moment_exact(params) -> SecondMomentReport:
     """Exact null second moment of the likelihood ratio.
 
-    Averages the orbit-factor product over the uniform relative permutation,
-    grouped by cycle type.  Refuses n above ``SECOND_MOMENT_EXACT_LIMIT``.
+    Averages the orbit-factor product over the uniform relative permutation in
+    one :func:`_cycle_type_walk`, summed in logs with a max shift, and exactly
+    1.0 when every orbit factor is 1.  Refuses n above ``SECOND_MOMENT_EXACT_LIMIT`` first.
     """
     n = params.n
     if n > SECOND_MOMENT_EXACT_LIMIT:
@@ -217,13 +223,11 @@ def second_moment_exact(params) -> SecondMomentReport:
             "use second_moment_mc for larger n"
         )
     model = "gaussian" if isinstance(params, GaussianParams) else "er"
-    total = Fraction(0)  # exact accumulation; the rho = 0 value is exactly 1
-    contribs = []
-    for ct, weight, census in _cycle_type_table(n):
-        factor = _orbit_factor(params, census)
-        total += weight * Fraction(factor) if factor < math.inf else math.inf
-        contribs.append((ct.counts, float(weight), factor))
-    return SecondMomentReport(model, n, float(total), tuple(contribs))
+    rows = list(_cycle_type_walk(n, _log_orbit_moment(params)))
+    shift = max(log_w + log_f for _, log_w, log_f in rows)
+    total = _exp_or_inf(shift) * math.fsum(math.exp(log_w + log_f - shift) for _, log_w, log_f in rows)
+    contribs = tuple((counts, math.exp(log_w), _exp_or_inf(log_f)) for counts, log_w, log_f in rows)
+    return SecondMomentReport(model, n, total if any(log_f for *_, log_f in rows) else 1.0, contribs)
 
 
 def second_moment_mc(params, trials: int = 2000, seed=0) -> SecondMomentReport:
@@ -232,10 +236,11 @@ def second_moment_mc(params, trials: int = 2000, seed=0) -> SecondMomentReport:
         raise ValueError("trials must be >= 2 for a confidence half-width")
     rng = rng_from_seed(seed)
     model = "gaussian" if isinstance(params, GaussianParams) else "er"
+    g = _log_orbit_moment(params)
     vals = np.empty(trials)
     for t in range(trials):
-        census = census_from_cycle_type(cycle_type(random_permutation(params.n, rng))).items()
-        vals[t] = _orbit_factor(params, census)
+        census = census_from_cycle_type(cycle_type(random_permutation(params.n, rng)))
+        vals[t] = _exp_or_inf(sum(nk * g(k) for k, nk in census.items()))
     mean = float(vals.mean())
     hw = 1.96 * float(vals.std(ddof=1)) / math.sqrt(trials) if mean < math.inf else math.inf
     return SecondMomentReport(model, params.n, mean, (), hw)
@@ -421,12 +426,8 @@ def enumerate_orbit_pseudoforests(sigma: Permutation, k: int, limit: int = GF_OR
     yield from extend(0, (), ())
 
 
-def gf_bound_pseudoforest(ct: CycleType, k: int, s: float) -> float:
-    """Closed-form upper bound on the orbit-pseudoforest generating function.
-
-    prod over m <= k of
-    (1 + s^m n_m [m even] + 2 s^(2m) sum_{l<=m} l n_l + s^(4m) m n_{2m} [2m<=k])^(n_m).
-    """
+def _gf_bound(ct: CycleType, k: int, s: float, pseudo: bool) -> float:
+    """The closed form of :func:`gf_bound_pseudoforest` (``pseudo``) or :func:`gf_bound_forest`."""
     if not 0 <= s <= 1:
         raise ValueError("s must lie in [0, 1]")
     if k < 1:
@@ -434,13 +435,22 @@ def gf_bound_pseudoforest(ct: CycleType, k: int, s: float) -> float:
     log_total = 0.0
     for m in ct.levels(k):
         nm = ct.count(m)
-        base = 1.0 + 2 * s ** (2 * m) * sum(l * ct.count(l) for l in range(1, m + 1))
+        base = 1.0 + (1 + pseudo) * s ** (2 * m) * sum(l * ct.count(l) for l in range(1, m + 1))
         if m % 2 == 0:
-            base += s**m * nm
-        if 2 * m <= k:
+            base += s**m * (nm if pseudo else 1)
+        if pseudo and 2 * m <= k:
             base += s ** (4 * m) * m * ct.count(2 * m)
         log_total += nm * math.log(base)
     return math.exp(log_total)
+
+
+def gf_bound_pseudoforest(ct: CycleType, k: int, s: float) -> float:
+    """Closed-form upper bound on the orbit-pseudoforest generating function.
+
+    prod over m <= k of
+    (1 + s^m n_m [m even] + 2 s^(2m) sum_{l<=m} l n_l + s^(4m) m n_{2m} [2m<=k])^(n_m).
+    """
+    return _gf_bound(ct, k, s, True)
 
 
 def gf_bound_forest(ct: CycleType, k: int, s: float) -> float:
@@ -448,18 +458,7 @@ def gf_bound_forest(ct: CycleType, k: int, s: float) -> float:
 
     prod over m <= k of (1 + s^m [m even] + s^(2m) sum_{l<=m} l n_l)^(n_m).
     """
-    if not 0 <= s <= 1:
-        raise ValueError("s must lie in [0, 1]")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    log_total = 0.0
-    for m in ct.levels(k):
-        nm = ct.count(m)
-        base = 1.0 + s ** (2 * m) * sum(l * ct.count(l) for l in range(1, m + 1))
-        if m % 2 == 0:
-            base += s**m
-        log_total += nm * math.log(base)
-    return math.exp(log_total)
+    return _gf_bound(ct, k, s, False)
 
 
 # -- Lambert W and the intersection-density ceiling ------------------------------

@@ -15,6 +15,7 @@ from graphcorr.graphs import (
     write_binary_graph,
     write_permutation,
 )
+from graphcorr.moments import SECOND_MOMENT_EXACT_LIMIT
 
 
 def run(capsys, *argv):
@@ -540,6 +541,9 @@ class TestSweepConfig:
             ("model=er\nn=8\nrho=0.5\np=0.4\ns=0.8\ntests=edges\ntrials=5\n", 3, "rho_values do not apply to model 'er'"),
             ("model=gaussian\nn=8\nrho=0.5\ntests=qap-ls\np=0.4\ntrials=5\n", 5, "p_values do not apply to model 'gaussian'"),
             ("model=gaussian\nn=8\ns=0.8\nrho=0.5\ntests=qap-ls\ntrials=5\n", 3, "s_values do not apply to model 'gaussian'"),
+            # an auto threshold the tests cannot set is named at the tests line
+            ("model=er\nn=5\ntests=qap-ls\np=0.2\ns=0.5\ntrials=1\nseed=3\n", 3, "no auto threshold for qap-ls"),
+            ("model=er\nn=5\ntests=qap-ls\nthreshold=auto\np=0.2\ns=0.5\ntrials=1\nseed=3\n", 3, "no auto threshold for qap-ls"),
         ],
     )
     def test_rejection_names_path_and_line(self, tmp_path, text, line, message):
@@ -591,20 +595,28 @@ class TestOtherCommands:
 
     def test_moments_falls_back_beyond_exact_limit(self, capsys):
         code, out = run(
-            capsys, "moments", "--model", "er", "--n", "9", "--p", "0.3", "--s", "0.5",
+            capsys, "moments", "--model", "er", "--n", str(SECOND_MOMENT_EXACT_LIMIT + 1), "--p", "0.3", "--s", "0.5",
             "--trials", "50",
         )
         assert code == 0 and out.splitlines()[1].split(",")[3] == "False"
 
-    @pytest.mark.parametrize("n, line", [(8, "gaussian,8,inf,True,"), (40, "gaussian,40,inf,False,inf")])
+    @pytest.mark.parametrize(
+        "n, line",
+        [(8, "gaussian,8,inf,True,"), (SECOND_MOMENT_EXACT_LIMIT + 1, f"gaussian,{SECOND_MOMENT_EXACT_LIMIT + 1},inf,False,inf")],
+    )
     def test_moments_past_the_float_range_print_inf(self, capsys, n, line):
         code, out = run(capsys, "moments", "--model", "gaussian", "--n", str(n), "--rho", "0.9999999999999999", "--trials", "20")
         assert code == 0 and out.splitlines()[1] == line
 
     def test_moments_rejects_one_trial_with_one_line(self):
         with pytest.raises(SystemExit) as err:
-            main(["moments", "--model", "er", "--n", "9", "--p", "0.3", "--s", "0.5", "--trials", "1"])
+            main(["moments", "--model", "er", "--n", str(SECOND_MOMENT_EXACT_LIMIT + 1), "--p", "0.3", "--s", "0.5", "--trials", "1"])
         assert err.value.code == "trials must be >= 2 for a confidence half-width"
+
+    def test_moments_walks_exactly_to_n_40(self, capsys):
+        # Monte Carlo reads 1.25 +- 0.02 at this cell, far from the exact value
+        code, out = run(capsys, "moments", "--model", "er", "--n", "40", "--p", "0.3", "--s", "0.5")
+        assert code == 0 and out.splitlines()[1] == "er,40,141265.039794,True,"
 
     def test_moments_does_not_hide_other_errors(self, monkeypatch):
         from graphcorr import cli

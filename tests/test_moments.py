@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -120,7 +121,88 @@ class TestIncompleteOrbitMoment:
                     assert incomplete_orbit_moment_er(k, float(p), float(s)) <= 1 + 1e-12
 
 
+def second_moment_by_census(params):
+    """Reference exact second moment: an edge-orbit census per cycle type and an exact Fraction sum.
+
+    Returns (value, rows), one (counts, weight, factor) row per cycle type.
+    """
+    if isinstance(params, GaussianParams):
+        f = lambda k: orbit_moment_gaussian(k, params.rho)
+    else:
+        f = lambda k: orbit_moment_er(k, params.p, params.s)
+    total, rows = Fraction(0), []
+    for ct, weight in partitions_by_dict_recursion(params.n):
+        try:
+            factor = math.exp(sum(nk * math.log(f(k)) for k, nk in census_from_cycle_type(ct).items()))
+        except OverflowError:
+            factor = math.inf
+        total += weight * Fraction(factor) if factor < math.inf else math.inf
+        rows.append((ct.counts, float(weight), factor))
+    return float(total), rows
+
+
+def second_moment_cells(count: int, seed: int) -> list:
+    """Seeded ER and Gaussian cells at n <= 8; every tenth Gaussian cell has rho = 0."""
+    rng = rng_from_seed(seed)
+    cells = []
+    for i in range(count):
+        n = int(rng.integers(1, 9))
+        if i % 2:
+            cells.append(GaussianParams(n, 0.0 if i % 20 == 1 else float(rng.uniform(0, 0.95))))
+        else:
+            cells.append(ErParams(n, float(rng.uniform(0.01, 0.99)), float(rng.uniform(0.01, 1.0))))
+    return cells
+
+
 class TestSecondMoment:
+    def test_walk_matches_the_census_oracle(self):
+        for params in second_moment_cells(400, 32):
+            report = second_moment_exact(params)
+            value, rows = second_moment_by_census(params)
+            assert report.value == pytest.approx(value, rel=1e-13)
+            assert [counts for counts, *_ in report.contributions] == [counts for counts, *_ in rows]
+            for (_, weight, factor), (_, want_weight, want_factor) in zip(report.contributions, rows):
+                assert weight == pytest.approx(want_weight, rel=1e-13)
+                assert factor == pytest.approx(want_factor, rel=1e-13)
+
+    def test_rho_zero_exact_one_at_every_n(self):
+        # the shifted log sum alone reads 1.0000000000000002 at n = 8 and 0.9999999999999999 at n = 15
+        assert all(second_moment_exact(GaussianParams(n, 0.0)).value == 1.0 for n in range(1, 31))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_near_one_matches_the_census_oracle(self, n):
+        # factors up to exp(1008) here: exp turns the log sum's few-ulp error into a relative
+        # one of about |log F| * eps per rounding, so the bound scales with log F and n
+        rho = math.nextafter(1.0, 0.0)
+        report = second_moment_exact(GaussianParams(n, rho))
+        value, rows = second_moment_by_census(GaussianParams(n, rho))
+        close = lambda got, want: got == want if math.isinf(want) else got == pytest.approx(
+            want, rel=4 * n * sys.float_info.epsilon * max(1.0, math.log(want))
+        )
+        assert close(report.value, value)
+        for (counts, _, factor), (want_counts, _, want_factor) in zip(report.contributions, rows, strict=True):
+            assert counts == want_counts and close(factor, want_factor)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_brute_force_over_the_symmetric_group(self, n):
+        lengths = [
+            [len(o) for o in edge_orbits(Permutation(pm))[0]] for pm in itertools.permutations(range(n))
+        ]
+        for params, f in [
+            (ErParams(n, 0.3, 0.6), lambda k: orbit_moment_er(k, 0.3, 0.6)),
+            (GaussianParams(n, 0.7), lambda k: orbit_moment_gaussian(k, 0.7)),
+        ]:
+            brute = math.fsum(math.prod(f(k) for k in ls) for ls in lengths) / len(lengths)
+            assert second_moment_exact(params).value == pytest.approx(brute, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [12, 16, 20])
+    def test_mc_brackets_exact_past_eight(self, n):
+        # where the near-identity types carry the sum, MC misses them: ER s = 0.6 at n = 20
+        # reads 9.84 exact against 1.72 +- 0.20 from 4000 draws
+        for params in (ErParams(n, 0.3, 0.5), GaussianParams(n, 0.3)):
+            report = second_moment_mc(params, trials=4000, seed=2)
+            assert abs(report.value - second_moment_exact(params).value) < 3 * report.mc_halfwidth
+
     def test_rho_zero_exact_one(self):
         assert second_moment_exact(GaussianParams(6, 0.0)).value == 1.0
 
@@ -195,7 +277,7 @@ class TestSecondMoment:
 
     def test_refusal(self):
         with pytest.raises(ExactLimitError):
-            second_moment_exact(GaussianParams(9, 0.1))
+            second_moment_exact(GaussianParams(moments.SECOND_MOMENT_EXACT_LIMIT + 1, 0.1))
         with pytest.raises(ExactLimitError):
             second_moment_bruteforce_er(ErParams(5, 0.3, 0.5))
 
