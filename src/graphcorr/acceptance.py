@@ -438,12 +438,12 @@ def criterion_determinism(seed=DEFAULT_SEED) -> tuple[bool, str]:
 
     cfg = SweepConfig(
         model="er",
-        n_values=(10, 14),
+        n=(10, 14),
         tests=("qap-ls", "edges"),
         trials=8,
-        master_seed=seed,
-        p_values=(0.3,),
-        s_values=(0.6, 0.9),
+        seed=seed,
+        p=(0.3,),
+        s=(0.6, 0.9),
     )
     first = run_sweep(cfg)
     second = run_sweep(cfg)

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import os
 import sys
 
 from . import acceptance, experiments
-from .detect import TESTS
+from .detect import LOCAL_SEARCH_RESTARTS, TESTS
 from .enumeration import (
     ConstructionParams,
     algorithm1_forests,
@@ -23,7 +24,7 @@ from .enumeration import (
     stream_bound_forest,
     stream_bound_pseudoforest,
 )
-from .errors import ExactLimitError
+from .errors import ExactLimitError, FieldError
 from .graphs import (
     read_binary_graph,
     read_permutation,
@@ -78,6 +79,9 @@ def _seed_type(flag: str):
 
 def _model_params(args) -> GaussianParams | ErParams:
     with _one_line_errors():
+        for key in ("p", "s") if args.model == "gaussian" else ("rho",):
+            if getattr(args, key) is not None:
+                raise SystemExit(f"--{key} does not apply to model {args.model!r}")
         if args.model == "gaussian":
             if args.rho is None:
                 raise SystemExit("--rho is required for the gaussian model")
@@ -251,25 +255,24 @@ def _cmd_enumerate(args) -> int:
 
 
 def _tuple_of(kind):
-    return lambda text: tuple(kind(x) for x in text.split(","))
+    return lambda text: tuple(kind(x.strip()) for x in text.split(","))
 
 
-# config key -> (SweepConfig field, parser); a key left out keeps the field's default
+# config key -> parser; each key is a SweepConfig field, and a key left out keeps the field's default
 _CONFIG_KEYS = {
-    "model": ("model", str),
-    "n": ("n_values", _tuple_of(int)),
-    "tests": ("tests", _tuple_of(str)),
-    "trials": ("trials", int),
-    "seed": ("master_seed", int),
-    "rho": ("rho_values", _tuple_of(float)),
-    "p": ("p_values", _tuple_of(float)),
-    "s": ("s_values", _tuple_of(float)),
-    "threshold": ("threshold_mode", str),
-    "restarts": ("restarts", int),
-    "ls_rounds": ("ls_rounds", int),
+    "model": str,
+    "n": _tuple_of(int),
+    "tests": _tuple_of(str),
+    "trials": int,
+    "seed": int,
+    "rho": _tuple_of(float),
+    "p": _tuple_of(float),
+    "s": _tuple_of(float),
+    "threshold": str,
+    "restarts": int,
+    "ls_rounds": int,
 }
-_REQUIRED_CONFIG_KEYS = ("model", "n", "tests", "trials")
-_CONFIG_KEY_OF_FIELD = {field: key for key, (field, _) in _CONFIG_KEYS.items()}
+_REQUIRED_CONFIG_KEYS = [f.name for f in dataclasses.fields(experiments.SweepConfig) if f.default is dataclasses.MISSING]
 
 
 def _read_config(path) -> experiments.SweepConfig:
@@ -291,9 +294,8 @@ def _read_config(path) -> experiments.SweepConfig:
             if key in seen:
                 raise ValueError(f"{path}:{no}: duplicate key {key!r}, first set on line {seen[key]}")
             seen[key] = no
-            field, parse = _CONFIG_KEYS[key]
             try:
-                fields[field] = parse(val)
+                fields[key] = _CONFIG_KEYS[key](val)
             except ValueError as err:
                 raise ValueError(f"{path}:{no}: bad value for {key!r}: {err}") from None
     missing = [key for key in _REQUIRED_CONFIG_KEYS if key not in seen]
@@ -301,9 +303,8 @@ def _read_config(path) -> experiments.SweepConfig:
         raise ValueError(f"{path}:{no}: missing required keys {', '.join(missing)}")
     try:
         return experiments.SweepConfig(**fields)
-    except ValueError as err:
-        key = _CONFIG_KEY_OF_FIELD.get(getattr(err, "field", None))
-        raise ValueError(f"{path}:{seen.get(key, no)}: {err}") from None
+    except FieldError as err:
+        raise ValueError(f"{path}:{seen.get(err.field, no)}: {err}") from None
 
 
 def _cmd_sweep(args) -> int:
@@ -312,10 +313,12 @@ def _cmd_sweep(args) -> int:
         experiments.sweep_workers(config)
         if args.out is not None and (os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or ".")):
             raise ValueError(f"--out {args.out}: not a file in an existing directory")
-    text = experiments.run_sweep(config, out_path=args.out)
+    text = experiments.run_sweep(config)
     if args.out is None:
         sys.stdout.write(text)
     else:
+        with _one_line_errors(), open(args.out, "w", newline="\n") as f:
+            f.write(text)
         print(f"wrote {args.out}")
     return 0
 
@@ -369,7 +372,7 @@ def main(argv=None) -> int:
     t.add_argument("--b", required=True)
     _add_model_args(t)
     t.add_argument("--threshold", default="auto")
-    t.add_argument("--restarts", type=int, default=20)
+    t.add_argument("--restarts", type=int, default=LOCAL_SEARCH_RESTARTS)
     t.add_argument("--seed", type=_seed_type("--seed"), default=0)
     t.set_defaults(func=_cmd_test)
 

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 QAP_EXACT_DEFAULT_LIMIT = 10  # largest n whose n! table the exact statistics build
+LOCAL_SEARCH_RESTARTS = 20  # default starts of qap_local_search, graphcorr test and a sweep
 LOCAL_SEARCH_KICK = 3  # random transpositions per perturbation between climbs
 CLIMB_TOL = 1e-12  # smallest 2-swap gain _climb takes, relative to 4n·max|A|·max|B| where that exceeds 1
 CLIMB_BLOCK = 1 << 18  # entries per (rows, n, n) array of one batched climb; more starts climb in turn
@@ -252,7 +253,7 @@ def _profile_start(am: np.ndarray, bm: np.ndarray) -> np.ndarray:
     return np.argsort(-fb, kind="stable")[ranks_a]
 
 
-def qap_local_search(a, b, restarts: int = 20, seed=0, rounds: int = 30) -> tuple[float, Permutation]:
+def qap_local_search(a, b, restarts: int = LOCAL_SEARCH_RESTARTS, seed=0, rounds: int = 30) -> tuple[float, Permutation]:
     """Best value of T_pi found by iterated 2-swap local search.
 
     Takes ``restarts`` starts: the identity, a neighborhood-profile rank

@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .detect import TESTS, shared_table
+from .detect import LOCAL_SEARCH_RESTARTS, TESTS, shared_table
 from .errors import FieldError
 from .graphs import code_edge_counts, edge_code_maps, strict_index
 from .moments import exact_er_lr_table
@@ -52,24 +52,24 @@ P_STAR_TOL = 1e-10  # bracket width at which find_p_star stops bisecting
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid specification for a detection-error sweep."""
+    """Grid specification for a detection-error sweep; each field is named as its config key."""
 
     model: str
-    n_values: tuple[int, ...]
+    n: tuple[int, ...]
     tests: tuple[str, ...]
     trials: int
-    master_seed: int = 0
-    rho_values: tuple[float, ...] = ()
-    p_values: tuple[float, ...] = ()
-    s_values: tuple[float, ...] = ()
-    threshold_mode: str = "auto"
-    restarts: int = 20
+    seed: int = 0
+    rho: tuple[float, ...] = ()
+    p: tuple[float, ...] = ()
+    s: tuple[float, ...] = ()
+    threshold: str = "auto"
+    restarts: int = LOCAL_SEARCH_RESTARTS
     ls_rounds: int = 10
 
     def __post_init__(self):
         if self.model not in ("gaussian", "er"):
             raise FieldError("model", "model must be 'gaussian' or 'er'")
-        for name in ("trials", "master_seed", "restarts", "ls_rounds"):
+        for name in ("trials", "seed", "restarts", "ls_rounds"):
             try:
                 strict_index(getattr(self, name))
             except TypeError:
@@ -83,27 +83,24 @@ class SweepConfig:
             raise FieldError("tests", f"repeated tests: {sorted({t for t in self.tests if self.tests.count(t) > 1})}")
         for t in self.tests:
             try:
-                TESTS[t].check(self.model, max(self.n_values, default=0))
+                TESTS[t].check(self.model, max(self.n, default=0))
             except ValueError as err:
                 raise FieldError("tests", str(err)) from None
-        if self.master_seed < 0:
-            raise FieldError("master_seed", f"master_seed must be >= 0, got {self.master_seed}")
+        if self.seed < 0:
+            raise FieldError("seed", f"seed must be >= 0, got {self.seed}")
         if self.restarts < 1:
             raise FieldError("restarts", "restarts must be >= 1")
         if self.ls_rounds < 0:
             raise FieldError("ls_rounds", "ls_rounds must be >= 0")
-        if self.threshold_mode not in ("auto", "oracle"):
-            raise FieldError("threshold_mode", "threshold_mode must be 'auto' or 'oracle'")
-        for name in ("rho_values", "p_values", "s_values"):
-            if getattr(self, name) and (name == "rho_values") != (self.model == "gaussian"):
-                raise FieldError(name, f"{name} do not apply to model {self.model!r}")
-        try:
-            cells = self.cells()
-        except FieldError as err:  # the model parameter names its grid field
-            raise FieldError(f"{err.field}_values", str(err)) from None
+        if self.threshold not in ("auto", "oracle"):
+            raise FieldError("threshold", "threshold must be 'auto' or 'oracle'")
+        for name in ("rho", "p", "s"):
+            if getattr(self, name) and (name == "rho") != (self.model == "gaussian"):
+                raise FieldError(name, f"{name} does not apply to model {self.model!r}")
+        cells = self.cells()  # a grid value the model refuses raises under its own key
         if not cells:
             raise FieldError(None, "empty parameter grid")
-        if self.threshold_mode == "auto":
+        if self.threshold == "auto":
             for params in cells:
                 for t in self.tests:
                     try:
@@ -113,10 +110,10 @@ class SweepConfig:
 
     def cells(self) -> list:
         if self.model == "gaussian":
-            return [GaussianParams(n, r) for n, r in product(self.n_values, self.rho_values)]
+            return [GaussianParams(n, r) for n, r in product(self.n, self.rho)]
         return [
             ErParams(n, p, s)
-            for n, p, s in product(self.n_values, self.p_values, self.s_values)
+            for n, p, s in product(self.n, self.p, self.s)
         ]
 
 
@@ -173,17 +170,17 @@ def _run_cell(args) -> list[tuple[str, ErrorEstimate]]:
     stats: dict[str, tuple[list, list]] = {t: ([], []) for t in config.tests}
     samplers = (sample_null_gaussian, sample_planted_gaussian) if gaussian else (sample_null_er, sample_planted_er)
     for trial in range(config.trials):
-        seed = SeedSpec(config.master_seed, (cell_index, trial, 2))
+        seed = SeedSpec(config.seed, (cell_index, trial, 2))
         search = dict(restarts=config.restarts, seed=seed, rounds=config.ls_rounds)
         for side, sample in enumerate(samplers):  # the null pair, then the planted one
-            a, b = sample(params, SeedSpec(config.master_seed, (cell_index, trial, side)))[:2]
+            a, b = sample(params, SeedSpec(config.seed, (cell_index, trial, side)))[:2]
             with shared_table():  # this pair's tests build one exact table, dropped with the pair
                 for test in config.tests:
                     stats[test][side].append(TESTS[test].statistic(a, b, params, **search)[0])
     out = []
     for test in config.tests:
         null_stats, planted_stats = stats[test]
-        if config.threshold_mode == "oracle":
+        if config.threshold == "oracle":
             _, tau = min_error_sum(null_stats, planted_stats)
         else:
             tau = TESTS[test].threshold(params)
@@ -202,7 +199,7 @@ def _format_cell_rows(config, cell_index, results) -> list[str]:
         rho, p, s = "", f"{params.p:.6g}", f"{params.s:.6g}"
     return [
         f"{config.model},{params.n},{rho},{p},{s},{test},{est.trials},"
-        f"{est.type1:.6f},{est.type2:.6f},{est.err_sum:.6f},{est.ci:.6f},{config.master_seed}"
+        f"{est.type1:.6f},{est.type2:.6f},{est.err_sum:.6f},{est.ci:.6f},{config.seed}"
         for test, est in results
     ]
 
@@ -227,13 +224,9 @@ def sweep_rows(config: SweepConfig) -> list[str]:
     return [row for c in cells for row in _format_cell_rows(config, c, results[c])]
 
 
-def run_sweep(config: SweepConfig, out_path=None) -> str:
-    """Run the sweep and return (optionally also write) the CSV text."""
-    text = "\n".join([CSV_HEADER] + sweep_rows(config)) + "\n"
-    if out_path is not None:
-        with open(out_path, "w", newline="\n") as f:
-            f.write(text)
-    return text
+def run_sweep(config: SweepConfig) -> str:
+    """Run the sweep and return its CSV text."""
+    return "\n".join([CSV_HEADER] + sweep_rows(config)) + "\n"
 
 
 # -- exact small-n error calculus -------------------------------------------------
@@ -305,7 +298,7 @@ def threshold_curves(model: str, n_min: int, n_max: int, p: float | None = None)
     """CSV rows of the asymptotic detectability boundaries for plotting.
 
     Gaussian rows carry the strong-detection and impossibility boundaries for
-    rho^2; Erdos-Renyi rows (for a fixed p) the corresponding boundaries for
+    rho^2 (and take no p); Erdos-Renyi rows for a fixed p the boundaries for
     s^2 plus the sparse-regime cap min(1/(np), 0.01).  Needs 2 <= n_min <= n_max.
     """
     if n_min < 2:
@@ -314,6 +307,8 @@ def threshold_curves(model: str, n_min: int, n_max: int, p: float | None = None)
         raise ValueError(f"curves need n_max >= n_min, got {n_max} < {n_min}")
     rows = []
     if model == "gaussian":
+        if p is not None:
+            raise ValueError("p does not apply to model 'gaussian'")
         rows.append("model,n,rho2_upper,rho2_lower")
         for n in range(n_min, n_max + 1):
             rows.append(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -6,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphcorr.cli import _read_config, main
+from graphcorr.cli import _CONFIG_KEYS, _read_config, main
+from graphcorr.experiments import SweepConfig
 from graphcorr.graphs import (
     BinaryGraph,
     Permutation,
@@ -289,6 +291,24 @@ class TestModelParams:
             main(command)
         assert err.value.code == message
 
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["generate", "--model", "er", "--n", "5", "--p", "0.3", "--s", "0.5", "--rho", "0.5",
+              "--hypothesis", "null", "--out", "unused"], "--rho does not apply to model 'er'"),
+            (["test", "--stat", "edges", "--a", "unused", "--b", "unused", "--model", "gaussian",
+              "--n", "5", "--rho", "0.5", "--p", "0.3"], "--p does not apply to model 'gaussian'"),
+            (["moments", "--model", "gaussian", "--n", "5", "--rho", "0.5", "--s", "0.5"],
+             "--s does not apply to model 'gaussian'"),
+            (["curves", "--model", "gaussian", "--n-min", "10", "--n-max", "12", "--p", "0.3"],
+             "p does not apply to model 'gaussian'"),
+        ],
+    )
+    def test_a_flag_of_the_other_model_exits_with_one_line(self, command, message):
+        with pytest.raises(SystemExit) as err:
+            main(command)
+        assert err.value.code == message
+
 
 class TestGfCommand:
     def test_margin_nonnegative(self, tmp_path, capsys):
@@ -381,6 +401,15 @@ class TestSweepCommand:
         code, out = run(capsys, "sweep", "--config", str(cfg))
         assert code == 0
         assert out.splitlines()[0].startswith("model,n,rho")
+
+    def test_items_are_stripped(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        outputs = []
+        for tests, s in (("edges,lr", "0.8,0.9"), ("edges, lr", "0.8, 0.9"), (" edges ,lr", " 0.8 ,0.9")):
+            cfg.write_text(f"model=er\nn=6, 7\ntests={tests}\ntrials=3\nseed=9\np=0.4\ns={s}\n")
+            outputs.append(run(capsys, "sweep", "--config", str(cfg)))
+        assert outputs[0][0] == 0 and len(outputs[0][1].splitlines()) == 1 + 2 * 2 * 2
+        assert outputs == [outputs[0]] * 3
 
     def test_out_file_identical_to_stdout(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
@@ -488,6 +517,9 @@ class TestRepeatedMain:
 
 
 class TestSweepConfig:
+    def test_config_keys_are_the_sweep_config_fields(self):
+        assert set(_CONFIG_KEYS) == {f.name for f in dataclasses.fields(SweepConfig)}
+
     def test_rejected_config_exits_with_one_line(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("model=er\nn=8\ntests=edges\ntrials=0\np=0.4\ns=0.8\n")
@@ -501,15 +533,15 @@ class TestSweepConfig:
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(block)
         config = _read_config(cfg)
-        assert config.model == "er" and config.n_values == (30, 50)
-        assert config.tests == ("qap-ls", "edges") and config.s_values == (0.6, 1.0)
-        assert config.threshold_mode == "auto" and config.master_seed == 42
+        assert config.model == "er" and config.n == (30, 50)
+        assert config.tests == ("qap-ls", "edges") and config.s == (0.6, 1.0)
+        assert config.threshold == "auto" and config.seed == 42
 
     def test_defaults_come_from_sweep_config(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("# comment line\nmodel=er  # trailing\nn=8\ntests=edges\ntrials=5\np=0.4\ns=0.8\n")
         config = _read_config(cfg)
-        assert (config.master_seed, config.threshold_mode, config.restarts, config.ls_rounds) == (
+        assert (config.seed, config.threshold, config.restarts, config.ls_rounds) == (
             0, "auto", 20, 10,
         )
 
@@ -524,23 +556,27 @@ class TestSweepConfig:
             (
                 "model=er\nn=8\nthreshold=oracel\ntests=edges\ntrials=5\np=0.4\ns=0.8\n",
                 3,
-                "threshold_mode must be 'auto' or 'oracle'",
+                "threshold must be 'auto' or 'oracle'",
             ),
             ("model=er\nn=8\ntests=edges,qap\ntrials=5\np=0.4\ns=0.8\n", 3, "unknown tests: ['qap']"),
             ("model=er\nn=8\ntests=lr,lr\ntrials=5\np=0.4\ns=0.8\n", 3, "repeated tests: ['lr']"),
+            ("model=er\nn=8\ntests=edges, qap\ntrials=5\np=0.4\ns=0.8\n", 3, "unknown tests: ['qap']"),
+            ("n=8\nmodel=ER\ntests=edges\ntrials=5\np=0.4\ns=0.8\n", 2, "model must be 'gaussian' or 'er'"),
+            ("model=er\nn=8\ntrials=0\ntests=edges\np=0.4\ns=0.8\n", 3, "trials must be >= 1"),
             ("model=er\nn=8\ntests=edges\ntrials=5\np=0.4\n# no s\n", 6, "empty parameter grid"),
             ("model=er\nn=8\ntests=qap-ls\nrestarts=0\ntrials=5\np=0.4\ns=0.8\n", 4, "restarts must be >= 1"),
             ("model=er\nn=8\nls_rounds=-1\ntests=qap-ls\ntrials=5\np=0.4\ns=0.8\n", 3, "ls_rounds must be >= 0"),
-            ("model=er\nn=8\ntests=edges\ntrials=5\np=0.4\ns=0.8\nseed=-4\n", 7, "master_seed must be >= 0, got -4"),
+            ("model=er\nn=8\ntests=edges\ntrials=5\np=0.4\ns=0.8\nseed=-4\n", 7, "seed must be >= 0, got -4"),
+            ("model=er\nseed=-4\nn=8\ntests=edges\ntrials=5\np=0.4\ns=0.8\n", 2, "seed must be >= 0, got -4"),
             # a grid value the model refuses is named at its own key's line, not the config's last
             ("model=er\nn=8\np=2\ntests=edges\ntrials=5\ns=0.8\nseed=1\n", 3, "p must lie in (0, 1)"),
             ("model=er\nn=8\np=0.4\ns=nan\ntests=edges\ntrials=5\nseed=1\n", 4, "s must lie in (0, 1]"),
             ("model=er\nn=0\np=0.4\ns=0.8\ntests=edges\ntrials=5\nseed=1\n", 2, "n must be positive"),
             ("model=gaussian\nn=8\nrho=1.5\ntests=qap-ls\ntrials=5\nseed=1\n", 3, "rho must lie in [0, 1)"),
             # so is a grid key of the other model
-            ("model=er\nn=8\nrho=0.5\np=0.4\ns=0.8\ntests=edges\ntrials=5\n", 3, "rho_values do not apply to model 'er'"),
-            ("model=gaussian\nn=8\nrho=0.5\ntests=qap-ls\np=0.4\ntrials=5\n", 5, "p_values do not apply to model 'gaussian'"),
-            ("model=gaussian\nn=8\ns=0.8\nrho=0.5\ntests=qap-ls\ntrials=5\n", 3, "s_values do not apply to model 'gaussian'"),
+            ("model=er\nn=8\nrho=0.5\np=0.4\ns=0.8\ntests=edges\ntrials=5\n", 3, "rho does not apply to model 'er'"),
+            ("model=gaussian\nn=8\nrho=0.5\ntests=qap-ls\np=0.4\ntrials=5\n", 5, "p does not apply to model 'gaussian'"),
+            ("model=gaussian\nn=8\ns=0.8\nrho=0.5\ntests=qap-ls\ntrials=5\n", 3, "s does not apply to model 'gaussian'"),
             # an auto threshold the tests cannot set is named at the tests line
             ("model=er\nn=5\ntests=qap-ls\np=0.2\ns=0.5\ntrials=1\nseed=3\n", 3, "no auto threshold for qap-ls"),
             ("model=er\nn=5\ntests=qap-ls\nthreshold=auto\np=0.2\ns=0.5\ntrials=1\nseed=3\n", 3, "no auto threshold for qap-ls"),
@@ -551,8 +587,7 @@ class TestSweepConfig:
         cfg.write_text(text)
         with pytest.raises(ValueError) as err:
             _read_config(cfg)
-        assert str(err.value).startswith(f"{cfg}:{line}: ")
-        assert message in str(err.value)
+        assert str(err.value).startswith(f"{cfg}:{line}: {message}")
 
 
 class TestOtherCommands:

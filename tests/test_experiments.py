@@ -41,12 +41,12 @@ class TestSweep:
     def small_config(self, **kw):
         base = dict(
             model="er",
-            n_values=(10,),
+            n=(10,),
             tests=("qap-ls", "edges"),
             trials=8,
-            master_seed=7,
-            p_values=(0.3,),
-            s_values=(0.7,),
+            seed=7,
+            p=(0.3,),
+            s=(0.7,),
         )
         base.update(kw)
         return SweepConfig(**base)
@@ -56,7 +56,7 @@ class TestSweep:
         assert run_sweep(cfg) == run_sweep(cfg)
 
     def test_parallel_matches_serial(self):
-        cfg = self.small_config(n_values=(8, 10), s_values=(0.5, 0.9))
+        cfg = self.small_config(n=(8, 10), s=(0.5, 0.9))
         serial = run_sweep(cfg)
         os.environ["GRAPHCORR_WORKERS"] = "2"
         try:
@@ -75,7 +75,7 @@ class TestSweep:
         assert first[0] == "er" and first[5] in cfg.tests
 
     def test_rows_in_grid_order(self):
-        cfg = self.small_config(n_values=(8, 10), s_values=(0.5, 0.9), tests=("edges",))
+        cfg = self.small_config(n=(8, 10), s=(0.5, 0.9), tests=("edges",))
         rows = sweep_rows(cfg)
         ns = [int(r.split(",")[1]) for r in rows]
         assert ns == sorted(ns)
@@ -83,11 +83,11 @@ class TestSweep:
     def test_gaussian_rho_zero_error_sum_near_one(self):
         cfg = SweepConfig(
             model="gaussian",
-            n_values=(8,),
+            n=(8,),
             tests=("qap-exact",),
             trials=40,
-            master_seed=11,
-            rho_values=(0.0,),
+            seed=11,
+            rho=(0.0,),
         )
         row = sweep_rows(cfg)[0].split(",")
         err_sum, ci = float(row[9]), float(row[10])
@@ -97,19 +97,19 @@ class TestSweep:
         # isomorphic pair at s=1: the local-search statistic separates sharply
         cfg = SweepConfig(
             model="er",
-            n_values=(30,),
+            n=(30,),
             tests=("qap-ls",),
             trials=60,
-            master_seed=12,
-            p_values=(0.2,),
-            s_values=(1.0,),
+            seed=12,
+            p=(0.2,),
+            s=(1.0,),
         )
         row = sweep_rows(cfg)[0].split(",")
         assert float(row[9]) <= 0.1
 
     def test_oracle_mode_never_worse_than_auto(self):
         auto = self.small_config(trials=30)
-        oracle = self.small_config(trials=30, threshold_mode="oracle")
+        oracle = self.small_config(trials=30, threshold="oracle")
         for ra, ro in zip(sweep_rows(auto), sweep_rows(oracle)):
             assert float(ro.split(",")[9]) <= float(ra.split(",")[9]) + 1e-9
 
@@ -122,19 +122,19 @@ class TestSweep:
             self.small_config(tests=("nope",))
         with pytest.raises(ValueError):
             SweepConfig(
-                model="er", n_values=(), tests=("edges",), trials=1, master_seed=0,
-                p_values=(0.5,), s_values=(0.5,),
+                model="er", n=(), tests=("edges",), trials=1, seed=0,
+                p=(0.5,), s=(0.5,),
             )
 
-    def test_rejects_negative_master_seed(self):
-        self.small_config(master_seed=0)
-        with pytest.raises(FieldError, match=r"master_seed must be >= 0, got -4") as err:
-            self.small_config(master_seed=-4)
-        assert err.value.field == "master_seed"
+    def test_rejects_negative_seed(self):
+        self.small_config(seed=0)
+        with pytest.raises(FieldError, match=r"^seed must be >= 0, got -4$") as err:
+            self.small_config(seed=-4)
+        assert err.value.field == "seed"
 
     @pytest.mark.parametrize(
         "field, value",
-        [("trials", True), ("trials", 1.5), ("master_seed", True), ("master_seed", 1.5), ("restarts", True),
+        [("trials", True), ("trials", 1.5), ("seed", True), ("seed", 1.5), ("restarts", True),
          ("restarts", 2.5), ("ls_rounds", 1.5)],
     )
     def test_rejects_bool_or_float_counts(self, field, value):
@@ -143,23 +143,23 @@ class TestSweep:
         assert err.value.field == field
 
     def test_rejects_test_above_its_size_limit(self):
-        self.small_config(tests=("lr",), n_values=(QAP_EXACT_DEFAULT_LIMIT,), s_values=(0.9,))
+        self.small_config(tests=("lr",), n=(QAP_EXACT_DEFAULT_LIMIT,), s=(0.9,))
         with pytest.raises(ValueError, match="limited to n <= 10, got n=11"):
-            self.small_config(tests=("lr",), n_values=(5, QAP_EXACT_DEFAULT_LIMIT + 1))
+            self.small_config(tests=("lr",), n=(5, QAP_EXACT_DEFAULT_LIMIT + 1))
         with pytest.raises(ValueError, match="limited to n <= "):
-            self.small_config(tests=("qap-exact",), n_values=(QAP_EXACT_DEFAULT_LIMIT + 1,))
+            self.small_config(tests=("qap-exact",), n=(QAP_EXACT_DEFAULT_LIMIT + 1,))
 
     @pytest.mark.parametrize("tests, repeated", [(("lr", "lr"), ["lr"]), (("edges", "qap-ls", "edges"), ["edges"])])
     def test_rejects_a_repeated_test(self, tests, repeated):
         with pytest.raises(FieldError, match=re.escape(f"repeated tests: {repeated}")) as err:
-            self.small_config(tests=tests, n_values=(6,), s_values=(0.9,))
+            self.small_config(tests=tests, n=(6,), s=(0.9,))
         assert err.value.field == "tests"
-        self.small_config(tests=("edges",), n_values=(6, 6), s_values=(0.9, 0.9))  # repeated grid values stay
+        self.small_config(tests=("edges",), n=(6, 6), s=(0.9, 0.9))  # repeated grid values stay
 
     def test_lr_runs_up_to_the_exact_limit(self):
         config = SweepConfig(
-            model="er", n_values=(8, 9, QAP_EXACT_DEFAULT_LIMIT), tests=("lr", "qap-exact"), trials=1,
-            master_seed=3, p_values=(0.5,), s_values=(0.9,),
+            model="er", n=(8, 9, QAP_EXACT_DEFAULT_LIMIT), tests=("lr", "qap-exact"), trials=1,
+            seed=3, p=(0.5,), s=(0.9,),
         )
         rows = [row.split(",") for row in sweep_rows(config)]
         assert [(row[1], row[5]) for row in rows] == [(n, t) for n in ("8", "9", "10") for t in ("lr", "qap-exact")]
@@ -167,16 +167,16 @@ class TestSweep:
     def test_rejects_test_on_unsupported_model(self):
         with pytest.raises(ValueError, match="does not apply to the gaussian model"):
             SweepConfig(
-                model="gaussian", n_values=(6,), tests=("qap-ls", "edges"), trials=1,
-                master_seed=0, rho_values=(0.5,),
+                model="gaussian", n=(6,), tests=("qap-ls", "edges"), trials=1,
+                seed=0, rho=(0.5,),
             )
 
     def test_rejects_undefined_auto_threshold(self):
         # m p s^2 = 10 * 0.2 * 0.25 = 0.5 <= 1: threshold_er is undefined
-        tiny = dict(n_values=(5,), tests=("qap-ls",), p_values=(0.2,), s_values=(0.5, 0.9))
+        tiny = dict(n=(5,), tests=("qap-ls",), p=(0.2,), s=(0.5, 0.9))
         with pytest.raises(ValueError, match="no auto threshold for qap-ls"):
             self.small_config(**tiny)
-        self.small_config(threshold_mode="oracle", **tiny)
+        self.small_config(threshold="oracle", **tiny)
         self.small_config(**dict(tiny, tests=("edges",)))
 
     def test_min_error_sum_helper(self):
@@ -226,23 +226,23 @@ class TestSharedTable:
 
     def test_one_table_per_er_pair(self, monkeypatch):
         config = SweepConfig(
-            model="er", n_values=(6,), tests=("lr", "qap-exact"), trials=3, master_seed=5,
-            p_values=(0.4,), s_values=(0.8, 1.0),
+            model="er", n=(6,), tests=("lr", "qap-exact"), trials=3, seed=5,
+            p=(0.4,), s=(0.8, 1.0),
         )
         pairs = 2 * config.trials * len(config.cells())
         assert self.count_calls(monkeypatch, config) == {"all_statistic_values": pairs}
 
     def test_sweep_calls_the_public_exact_functions_per_pair(self, monkeypatch):
         config = SweepConfig(
-            model="er", n_values=(6,), tests=("lr", "qap-exact"), trials=2, master_seed=5,
-            p_values=(0.4,), s_values=(0.8,),
+            model="er", n=(6,), tests=("lr", "qap-exact"), trials=2, seed=5,
+            p=(0.4,), s=(0.8,),
         )
         names = ("qap_exact", "log_likelihood_ratio_exact", "all_statistic_values")
         assert self.count_calls(monkeypatch, config, names) == dict.fromkeys(names, 2 * config.trials)
 
     def test_edges_sweep_builds_no_table(self, monkeypatch):
         config = SweepConfig(
-            model="er", n_values=(6,), tests=("edges",), trials=3, master_seed=5, p_values=(0.4,), s_values=(0.8,),
+            model="er", n=(6,), tests=("edges",), trials=3, seed=5, p=(0.4,), s=(0.8,),
         )
         assert self.count_calls(monkeypatch, config) == {"all_statistic_values": 0}
 
@@ -266,9 +266,9 @@ class FakePool:
 
 
 class TestWorkers:
-    def config(self, s_values):
+    def config(self, s):
         return SweepConfig(
-            model="er", n_values=(6,), tests=("edges",), trials=2, master_seed=1, p_values=(0.4,), s_values=s_values,
+            model="er", n=(6,), tests=("edges",), trials=2, seed=1, p=(0.4,), s=s,
         )
 
     @pytest.mark.parametrize("value", ["two", "2.5", "", " ", "0", "-1"])
